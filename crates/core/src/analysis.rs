@@ -49,8 +49,10 @@ pub fn by_country(db: &Database, top_n: usize) -> (Vec<CountryRow>, CountryRow, 
         .map(|(c, (proxied, total))| CountryRow { country: Some(c), proxied, total })
         .collect();
     // Table 3 ranks by proxied count; Table 7 by total. Rank by proxied
-    // then total, which reproduces both orderings' top sets closely.
-    rows.sort_by_key(|r| (std::cmp::Reverse(r.proxied), std::cmp::Reverse(r.total)));
+    // then total, which reproduces both orderings' top sets closely; the
+    // country breaks remaining ties, so the order (and the top-`top_n`
+    // cut) never depends on the map's iteration order.
+    rows.sort_by_key(|r| (std::cmp::Reverse(r.proxied), std::cmp::Reverse(r.total), r.country));
 
     let tail = rows.split_off(rows.len().min(top_n));
     let other = CountryRow {
@@ -207,6 +209,27 @@ mod tests {
         assert_eq!(other.total, 0);
         assert_eq!(total.total, 151);
         assert_eq!(total.proxied, 1);
+    }
+
+    #[test]
+    fn by_country_breaks_ties_by_country_code() {
+        // Countries tied on both proxied and total counts come out in
+        // ascending `CountryCode` order, whatever order the map drained
+        // them in — and the top-n cut takes the lowest codes.
+        let codes = ["US", "BR", "FR", "GB", "RO", "DE", "CA", "TR"];
+        let database = db(codes
+            .iter()
+            .flat_map(|code| [record(code, true, Some("Bitdefender")), record(code, false, None)])
+            .collect());
+        let mut expected: Vec<CountryCode> = codes.iter().map(|c| by_code(c).unwrap()).collect();
+        expected.sort();
+        let (rows, _, _) = by_country(&database, usize::MAX);
+        let order: Vec<CountryCode> = rows.iter().map(|r| r.country.unwrap()).collect();
+        assert_eq!(order, expected);
+        let (top, other, _) = by_country(&database, 5);
+        let top: Vec<CountryCode> = top.iter().map(|r| r.country.unwrap()).collect();
+        assert_eq!(top, expected[..5]);
+        assert_eq!((other.proxied, other.total), (3, 6));
     }
 
     #[test]

@@ -145,20 +145,27 @@ fn catalog_entries(
     }
 }
 
-/// The `(seed, bits)` key specs a catalog build for `(baseline, era)`
-/// will touch: the CA key plus one 2048-bit leaf key per probed host.
-/// `run_study` feeds these to `tlsfoe_population::keys::warm_keys` so
-/// the catalog's keygen is parallelized instead of paid serially inside
-/// [`HostCatalog::build`]'s host loop. Derived from the same constants
-/// the build consumes ([`CA_KEY_SPEC`], [`host_key_spec`],
-/// [`catalog_entries`]).
+/// The `(seed, bits)` key specs a `(baseline, era)` study touches
+/// beyond its products' roots: the catalog build's CA key and one
+/// 2048-bit server key per probed host, plus the product leaf keys those
+/// hosts select (`tlsfoe_population::keys::leaf_key_specs` — one pool
+/// slot per era-active product and host, never a slot no host selects).
+/// `run_study` warms these together with the era's roots
+/// (`tlsfoe_population::keys::product_key_specs`) in one parallel
+/// `tlsfoe_population::keys::warm_keys` pass, so neither
+/// [`HostCatalog::build`]'s host loop nor an interception inside a drive
+/// generates a key. Derived from the same constants the build consumes
+/// ([`CA_KEY_SPEC`], [`host_key_spec`], [`catalog_entries`]).
 pub fn prewarm_key_specs(
     baseline: bool,
     era: tlsfoe_population::model::StudyEra,
 ) -> Vec<(u64, usize)> {
     let base = catalog_seed_base(baseline);
+    let entries = catalog_entries(baseline, era);
     let mut specs = vec![CA_KEY_SPEC];
-    specs.extend((0..catalog_entries(baseline, era).len()).map(|i| host_key_spec(base, i)));
+    specs.extend((0..entries.len()).map(|i| host_key_spec(base, i)));
+    let hosts: Vec<&str> = entries.iter().map(|&(name, _)| name).collect();
+    specs.extend(keys::leaf_key_specs(era, &hosts));
     specs
 }
 

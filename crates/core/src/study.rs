@@ -134,19 +134,25 @@ pub struct StudyConfig {
     /// bit-identical for any value — this knob trades peak working-set
     /// size against per-drive overhead.
     pub batch: usize,
-    /// Pre-generate every catalog/product key across `threads` workers
-    /// before the measurement phase (default true). Results are
-    /// bit-identical either way — keys are pure functions of
-    /// `(seed, bits)` — this knob only moves keygen cost off the session
-    /// hot path and onto all cores at startup.
+    /// Pre-generate every key the study can touch across `threads`
+    /// workers before the measurement phase (default true): the
+    /// catalog's CA and server keys, the era-active products' roots, and
+    /// only those product leaf keys the catalog's hosts select — a
+    /// product's substitute for a host always carries the one pool slot
+    /// that host's name picks, so slots no probed host selects are never
+    /// generated (see [`crate::hosts::prewarm_key_specs`] and
+    /// `tlsfoe_population::keys`). Results are bit-identical either way —
+    /// keys are pure functions of `(seed, bits)` — this knob only moves
+    /// keygen cost off the session hot path and onto all cores at
+    /// startup.
     pub warm_keys: bool,
     /// Pre-mint every deterministic variant-0 substitute chain (active
     /// product × catalog host) across `threads` workers before the
     /// measurement phase (default true). Results are bit-identical either
     /// way — chains are pure functions of their cache key — this knob
-    /// only converts the session path's serial, shard-lock-contended
-    /// cache-miss mints (one root-key RSA signature each) into an
-    /// embarrassingly parallel startup prewarm. Only consulted when the
+    /// only converts the session path's blocking cache-miss mints (one
+    /// root-key RSA signature each) into an embarrassingly parallel
+    /// startup prewarm. Only consulted when the
     /// run will actually shard (more than one worker *and* enough
     /// impressions — the same condition `run_study` serializes on): a
     /// serial run has no mint contention to avoid and no idle cores to
@@ -321,10 +327,10 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
     if cfg.warm_keys {
         // Pre-pay every RSA keygen the run can touch — catalog CA/host
         // keys (otherwise generated serially inside HostCatalog::build
-        // below) and product root/leaf pools (otherwise generated on
-        // first interception, blocking a session) — across all worker
-        // threads. Keys are pure functions of (seed, bits), so warming
-        // cannot change any output byte.
+        // below), product roots and the leaf slots the catalog's hosts
+        // select (otherwise generated on first interception, blocking a
+        // session) — across all worker threads. Keys are pure functions
+        // of (seed, bits), so warming cannot change any output byte.
         let mut specs = crate::hosts::prewarm_key_specs(cfg.baseline, cfg.era);
         specs.extend(tlsfoe_population::keys::product_key_specs(cfg.era));
         tlsfoe_population::keys::warm_keys(&specs, threads);
@@ -353,8 +359,8 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
         // host), in parallel across the worker threads. Chains are pure
         // functions of their cache key, so warming cannot change any
         // output byte — it only moves the per-chain root-key RSA
-        // signature off the session hot path (where misses serialize on
-        // the cache's shard locks) into startup, where they mint
+        // signature off the session hot path (where a miss stalls every
+        // shard that needs the chain) into startup, where they mint
         // embarrassingly parallel. Serial runs skip it (see the
         // `warm_substitutes` field docs): with one worker there is no
         // contention to avoid, and chains the run never requests would

@@ -28,16 +28,19 @@
 //!   cache slot.
 //!
 //! Under that contract a lost race is harmless (both minters produce
-//! byte-identical chains), but the cache still mints under the shard
-//! lock so the work happens exactly once and
-//! [`crate::SubstituteFactory::minted`] stays an exact count.
+//! byte-identical chains), but the cache still mints each key exactly
+//! once — racing lookups of one key wait for its single mint — so the
+//! work is never duplicated and [`crate::SubstituteFactory::minted`]
+//! stays an exact count.
 //!
 //! ## Structure
 //!
 //! A [`crate::striped::Striped`] map (shared with the key cache,
 //! [`crate::keys`]): keys hash to one of [`SHARDS`] independent
-//! `Mutex<HashMap>` shards, so concurrent misses on *different* hosts
-//! mint in parallel and concurrent hits rarely touch the same lock.
+//! `Mutex<HashMap>` shards of per-key once-cells, and a mint runs in
+//! its key's cell outside the shard lock, so concurrent misses on
+//! *different* hosts mint in parallel and concurrent hits rarely touch
+//! the same lock.
 
 use std::sync::{Arc, OnceLock};
 
@@ -100,11 +103,11 @@ impl SubstituteCache {
     /// Fetch the entry for `key`, minting the chain with `mint` (and
     /// building its `ServerConfig`) on a miss.
     ///
-    /// The mint runs while the shard lock is held
-    /// ([`Striped::get_or_insert_with`]): it only blocks other keys in
-    /// the same stripe, and it guarantees each chain — and each config —
-    /// is built exactly once, which keeps per-factory mint counters
-    /// exact and avoids duplicate RSA signatures during warm-up
+    /// The mint runs once per key, outside the shard lock
+    /// ([`Striped::get_or_insert_with`]): it blocks only concurrent
+    /// lookups of the same key, and it guarantees each chain — and each
+    /// config — is built exactly once, which keeps per-factory mint
+    /// counters exact and avoids duplicate RSA signatures during warm-up
     /// stampedes.
     pub fn get_or_mint(
         &self,

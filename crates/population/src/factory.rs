@@ -14,7 +14,7 @@
 //! so a chain's bytes never depend on mint order or thread scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_crypto::RsaKeyPair;
@@ -34,15 +34,14 @@ use crate::products::{ProductId, ProductSpec, SubjectStyle};
 /// forced to 1 (its defining fingerprint).
 const LEAF_POOL: u16 = 3;
 
-/// Leaf-pool size for a product spec (how many [`keys::leaf_seed`] slots
-/// it can touch) — shared with [`keys::product_key_specs`] so prewarm
-/// covers exactly the keys a factory can lazily generate.
-pub(crate) fn leaf_pool_size(spec: &ProductSpec) -> u16 {
-    if spec.shared_leaf_key {
-        1
-    } else {
-        LEAF_POOL
-    }
+/// The slot of `spec`'s leaf-key pool ([`keys::leaf_seed`]) that its
+/// substitute for `host` carries: the host's hash modulo the pool size
+/// (a stable choice), or the single shared key. The one rule both
+/// minting and [`keys::leaf_key_specs`] read, so a study warms exactly
+/// the leaf keys its catalog's hosts select.
+pub(crate) fn leaf_slot(spec: &ProductSpec, host: &str) -> u16 {
+    let pool = if spec.shared_leaf_key { 1 } else { LEAF_POOL };
+    (fnv(host) % pool as u64) as u16
 }
 
 /// One product's certificate mint.
@@ -59,10 +58,6 @@ pub struct SubstituteFactory {
     era: StudyEra,
     root_key: Arc<RsaKeyPair>,
     root_cert: Certificate,
-    leaf_pool: u16,
-    /// Leaf-key pool, resolved lazily and exactly once per slot (the
-    /// shared key cache hands out `Arc`s, so a slot is one refcount).
-    leaf_keys: Vec<OnceLock<Arc<RsaKeyPair>>>,
     /// Minted chains — usually the owning model's shared cache.
     cache: Arc<SubstituteCache>,
     /// Chains actually minted (cache misses) through this factory.
@@ -95,15 +90,12 @@ impl SubstituteFactory {
             .ca(None)
             .self_sign(&root_key)
             .expect("root self-sign");
-        let leaf_pool = leaf_pool_size(&spec);
         SubstituteFactory {
             product,
             spec,
             era,
             root_key,
             root_cert,
-            leaf_pool,
-            leaf_keys: (0..leaf_pool).map(|_| OnceLock::new()).collect(),
             cache,
             minted: AtomicUsize::new(0),
         }
@@ -215,14 +207,10 @@ impl SubstituteFactory {
             ),
         };
 
-        // Leaf key: pooled by host hash (stable), or the single shared
-        // key. Generated lazily — most sessions touch one key per product.
-        let key_idx = (fnv(host) % self.leaf_pool as u64) as u16;
-        let leaf_key = self.leaf_keys[key_idx as usize]
-            .get_or_init(|| {
-                keys::keypair(keys::leaf_seed(self.product.0, key_idx), self.spec.key_bits)
-            })
-            .clone();
+        // Leaf key: the host's pool slot, normally warmed before the
+        // study drives (`keys::leaf_key_specs`).
+        let slot = leaf_slot(&self.spec, host);
+        let leaf_key = keys::keypair(keys::leaf_seed(self.product.0, slot), self.spec.key_bits);
 
         // Serial derived from a DRBG over (product, host, variant) —
         // independent of mint order, so shared-cache minting is
@@ -329,8 +317,8 @@ mod tests {
     fn minted_counts_distinct_chains_exactly_under_concurrent_misses() {
         // The mint counter's exactness contract: stampeding threads
         // racing on overlapping hosts must produce exactly one mint per
-        // distinct chain — no double-mints (the striped cache mints under
-        // its shard lock), no undercounting.
+        // distinct chain — no double-mints (the striped cache mints each
+        // key once, in its own cell), no undercounting.
         let f = std::sync::Arc::new(factory_for("Bitdefender"));
         let distinct_hosts = 12;
         std::thread::scope(|s| {

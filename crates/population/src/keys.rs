@@ -11,16 +11,36 @@
 //! fast path — the keygen cost *and* the per-modulus precomputation are
 //! both paid exactly once per `(seed, bits)`.
 //!
+//! ## What a study warms
+//!
+//! A study's product keys come in two kinds, listed by two functions:
+//!
+//! * **Roots** ([`product_key_specs`]): one 2048-bit root per product
+//!   active in the era. Every factory signs with its root, whatever the
+//!   host.
+//! * **Host-selected leaves** ([`leaf_key_specs`]): a product's leaf
+//!   pool has up to three slots, but its substitute for a host always
+//!   carries the one slot `factory::leaf_slot` picks for that host.
+//!   Only the slots the study's probed hosts select are listed, so
+//!   study 1, which probes one host, warms one leaf per product.
+//!
+//! `tlsfoe_core::hosts::prewarm_key_specs` appends a catalog's leaves to
+//! its CA and server keys, and a study warms the union of that list and
+//! the roots in one parallel [`warm_keys`] pass before its drives, which
+//! then never generate a key.
+//!
 //! ## Structure
 //!
 //! The cache is a [`crate::striped::Striped`] map (the same machinery
 //! behind [`crate::cache::SubstituteCache`]): keys hash to independent
-//! `Mutex<HashMap>` stripes, and a miss **generates under its shard
-//! lock** — so two threads racing on the same key produce exactly one
-//! generation (the old global-mutex implementation dropped the lock
-//! around `generate` and let both run), while misses on different keys
-//! generate in parallel. Values are handed out as `Arc<RsaKeyPair>`: a
-//! hit is a refcount bump, not a deep clone of the CRT limbs.
+//! `Mutex<HashMap>` stripes of per-key `OnceLock` cells, and a miss
+//! generates inside its key's cell, **outside** the stripe lock. Two
+//! threads racing on the same key produce exactly one generation (the
+//! old global-mutex implementation dropped the lock around `generate`
+//! and let both run), while misses on different keys generate in
+//! parallel even when they share a stripe. Values are handed out as
+//! `Arc<RsaKeyPair>`: a hit is a refcount bump, not a deep clone of the
+//! CRT limbs.
 //!
 //! `(seed, bits) → key` is a pure function (the generation DRBG is
 //! seeded from nothing else), which is what makes both the sharing and
@@ -33,7 +53,9 @@ use std::sync::{Arc, OnceLock};
 use tlsfoe_crypto::drbg::Drbg;
 use tlsfoe_crypto::RsaKeyPair;
 
+use crate::factory::leaf_slot;
 use crate::model::StudyEra;
+use crate::products::ProductSpec;
 use crate::striped::Striped;
 
 fn cache() -> &'static Striped<(u64, usize), Arc<RsaKeyPair>> {
@@ -44,10 +66,10 @@ fn cache() -> &'static Striped<(u64, usize), Arc<RsaKeyPair>> {
 /// Get (or generate, exactly once process-wide) the deterministic key
 /// for `(seed, bits)`, with CRT signing material precomputed. Hands out
 /// a shared `Arc` — callers that previously received an owned clone pay
-/// a refcount bump instead. Generation runs under the stripe's lock
-/// ([`Striped::get_or_insert_with`]), which is what closes the old
-/// unlock-generate-relock window where two racing threads both paid a
-/// keygen.
+/// a refcount bump instead. Generation runs once per key inside the
+/// key's cell ([`Striped::get_or_insert_with`]), which is what closes
+/// the old unlock-generate-relock window where two racing threads both
+/// paid a keygen.
 pub fn keypair(seed: u64, bits: usize) -> Arc<RsaKeyPair> {
     cache().get_or_insert_with((seed, bits), || {
         let generated = Arc::new(
@@ -107,26 +129,43 @@ pub fn warm_keys(specs: &[(u64, usize)], threads: usize) {
     });
 }
 
-/// The key specs a study era's product catalog can touch: every active
-/// product's 2048-bit root plus its leaf pool at the product's key size.
-/// Feed to [`warm_keys`] so factories never generate on the hot path.
+/// The root keys a study era's products sign with: one 2048-bit root
+/// per era-active product. A product's leaf keys are not listed here,
+/// because which one it uses depends on the probed host — see
+/// [`leaf_key_specs`]. Feed both lists to [`warm_keys`] so factories
+/// never generate on the hot path.
 pub fn product_key_specs(era: StudyEra) -> Vec<(u64, usize)> {
-    let mut specs = Vec::new();
-    for (i, spec) in crate::products::catalog().iter().enumerate() {
-        let weight = match era {
-            StudyEra::Study1 => spec.w1,
-            StudyEra::Study2 => spec.w2,
-        };
-        if weight == 0.0 {
-            continue; // product absent from this era — never minted
-        }
-        let product = i as u16;
-        specs.push((root_seed(product), 2048));
-        for leaf in 0..crate::factory::leaf_pool_size(spec) {
-            specs.push((leaf_seed(product, leaf), spec.key_bits));
-        }
-    }
-    specs
+    active_products(era).map(|(product, _)| (root_seed(product), 2048)).collect()
+}
+
+/// The leaf keys a study era's products sign substitutes over for
+/// `hosts`: for every era-active product, the one pool slot each host
+/// selects (`factory::leaf_slot`, the rule minting uses), at the
+/// product's key size.
+///
+/// Lists every leaf key a mint for one of `hosts` can touch and no slot
+/// that none of them selects. It may include a whitelisting product's
+/// slot for a host that product splices instead of minting (a harmless
+/// superset), and it repeats a spec that several hosts share
+/// ([`warm_keys`] collapses duplicates).
+pub fn leaf_key_specs(era: StudyEra, hosts: &[&str]) -> Vec<(u64, usize)> {
+    active_products(era)
+        .flat_map(|(product, spec)| {
+            hosts
+                .iter()
+                .map(move |host| (leaf_seed(product, leaf_slot(&spec, host)), spec.key_bits))
+        })
+        .collect()
+}
+
+/// `(catalog index, spec)` of every product active in `era` — the ones
+/// a study of that era can sample and mint with.
+fn active_products(era: StudyEra) -> impl Iterator<Item = (u16, ProductSpec)> {
+    crate::products::catalog()
+        .into_iter()
+        .enumerate()
+        .filter(move |(_, spec)| spec.era_weight(era) > 0.0)
+        .map(|(i, spec)| (i as u16, spec))
 }
 
 /// Seed namespace for a product's root (CA) key.
@@ -221,15 +260,50 @@ mod tests {
     }
 
     #[test]
-    fn product_specs_cover_roots_and_leaves() {
-        let specs = product_key_specs(StudyEra::Study1);
-        assert!(specs.iter().any(|&(s, b)| s == root_seed(0) && b == 2048));
-        assert!(specs.iter().any(|&(s, _)| s == leaf_seed(0, 0)));
-        // Study-2-only products must not be warmed for study 1 runs.
+    fn product_specs_are_the_era_active_roots_only() {
         let catalog = crate::products::catalog();
-        for (i, spec) in catalog.iter().enumerate() {
-            let warmed = specs.iter().any(|&(s, _)| s == root_seed(i as u16));
-            assert_eq!(warmed, spec.w1 > 0.0, "{}", spec.display_name());
+        let roots: Vec<(u64, usize)> =
+            (0..catalog.len() as u16).map(|i| (root_seed(i), 2048)).collect();
+        for era in [StudyEra::Study1, StudyEra::Study2] {
+            let specs = product_key_specs(era);
+            // Leaves are host-selected (`leaf_key_specs`), never listed here.
+            assert!(specs.iter().all(|s| roots.contains(s)), "{era:?}: roots only");
+            // Products absent from the era must not be warmed for it.
+            for (i, spec) in catalog.iter().enumerate() {
+                let weight = if era == StudyEra::Study1 { spec.w1 } else { spec.w2 };
+                let warmed = specs.contains(&(root_seed(i as u16), 2048));
+                assert_eq!(warmed, weight > 0.0, "{era:?} {}", spec.display_name());
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_specs_list_the_key_each_host_mints_with() {
+        // The warm-set contract: the chain a factory mints for a host
+        // carries the public key of the one spec `leaf_key_specs` lists
+        // for that host and product. Compared by key, so sibling tests
+        // sharing the process-wide cache cannot perturb it. Bitdefender
+        // has a three-slot pool, IopFail one shared key.
+        use crate::factory::SubstituteFactory;
+        use crate::products::ProductId;
+        use tlsfoe_netsim::Ipv4;
+        let catalog = crate::products::catalog();
+        for name in ["Bitdefender", "IopFailZeroAccessCreate"] {
+            let (i, spec) =
+                catalog.iter().enumerate().find(|(_, s)| s.display_name() == name).unwrap();
+            let product = i as u16;
+            let factory = SubstituteFactory::new(ProductId(product), spec.clone());
+            let namespace = leaf_seed(product, 0) >> 16;
+            for host in ["tlsresearch.byu.edu", "www.facebook.com", "a.example", "b.example"] {
+                let all = leaf_key_specs(StudyEra::Study1, &[host]);
+                assert_eq!(all.len(), product_key_specs(StudyEra::Study1).len(), "{host}");
+                let listed: Vec<(u64, usize)> =
+                    all.into_iter().filter(|&(seed, _)| seed >> 16 == namespace).collect();
+                assert_eq!(listed.len(), 1, "{name} {host}: one leaf per product and host");
+                let (seed, bits) = listed[0];
+                let chain = factory.substitute_chain(host, Ipv4([203, 0, 113, 7]), None);
+                assert_eq!(chain[0].tbs.spki.key, keypair(seed, bits).public, "{name} {host}");
+            }
         }
     }
 

@@ -216,10 +216,7 @@ impl PopulationModel {
 
     /// Product weight for this era, adjusted by geographic bias.
     fn weight(&self, spec: &ProductSpec, country: CountryCode) -> f64 {
-        let base = match self.era {
-            StudyEra::Study1 => spec.w1,
-            StudyEra::Study2 => spec.w2,
-        };
+        let base = spec.era_weight(self.era);
         if base == 0.0 {
             return 0.0;
         }
@@ -290,14 +287,6 @@ impl PopulationModel {
             && spec.category == crate::products::ProxyCategory::Organization
     }
 
-    /// Base product weight for this model's era (no geographic bias).
-    fn era_weight(&self, spec: &ProductSpec) -> f64 {
-        match self.era {
-            StudyEra::Study1 => spec.w1,
-            StudyEra::Study2 => spec.w2,
-        }
-    }
-
     /// Pre-mint every deterministic variant-0 substitute chain for
     /// `hosts` across up to `threads` OS threads — the mint-path sibling
     /// of `tlsfoe_population::keys::warm_keys`.
@@ -311,8 +300,8 @@ impl PopulationModel {
     /// skipping `(product, host)` pairs the product whitelists (those
     /// splice and never mint). Each chain is minted exactly once into the
     /// model-wide [`SubstituteCache`] under its real key, so the session
-    /// hot path turns contended shard-lock misses (one root-key RSA
-    /// signature each, serialized per stripe) into lock-free-ish hits.
+    /// hot path turns misses (one root-key RSA signature each, which every
+    /// racing lookup of that chain waits on) into hits.
     ///
     /// Determinism: chains are pure functions of their cache key (the
     /// [`crate::cache`] contract), so warming changes *when* signatures
@@ -366,7 +355,7 @@ impl PopulationModel {
         self.specs
             .iter()
             .enumerate()
-            .filter(|(_, spec)| self.era_weight(spec) > 0.0 && spec.mints_from_host_alone())
+            .filter(|(_, spec)| spec.era_weight(self.era) > 0.0 && spec.mints_from_host_alone())
             .flat_map(|(i, spec)| {
                 hosts
                     .iter()

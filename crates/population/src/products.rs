@@ -9,6 +9,8 @@
 
 use tlsfoe_x509::cert::SignatureAlgorithm;
 
+use crate::model::StudyEra;
+
 /// Index into the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProductId(pub u16);
@@ -154,6 +156,15 @@ impl ProductSpec {
     /// Display name for analysis output (issuer org, CN, or "Null").
     pub fn display_name(&self) -> &'static str {
         self.issuer_org.or(self.issuer_cn).unwrap_or("Null")
+    }
+
+    /// Expected share of proxied connections in `era` (0 = the product
+    /// is absent from that study and never minted).
+    pub fn era_weight(&self, era: StudyEra) -> f64 {
+        match era {
+            StudyEra::Study1 => self.w1,
+            StudyEra::Study2 => self.w2,
+        }
     }
 
     /// True when this product's substitute chains are a function of the

@@ -4,27 +4,33 @@
 //! values are pure functions of their keys: the substitute-chain cache
 //! ([`crate::cache::SubstituteCache`]) and the RSA key cache
 //! ([`crate::keys`]). Keys hash to one of [`SHARDS`] independent
-//! `Mutex<HashMap>` stripes, so concurrent misses on *different* keys
-//! compute in parallel and concurrent hits rarely touch the same lock;
-//! a miss computes its value **while holding the shard lock**, so each
-//! key's value is built exactly once even under a warm-up stampede —
-//! the property that keeps mint/generation counters exact.
+//! `Mutex<HashMap>` stripes, each mapping a key to its own
+//! `Arc<OnceLock<V>>` cell. A lookup holds the stripe lock only to find
+//! or insert the cell and computes the value **outside** it, inside the
+//! cell's `OnceLock`: racing misses on one key still build its value
+//! exactly once (the property that keeps mint/generation counters
+//! exact), while misses on *different* keys compute in parallel even
+//! when they share a stripe.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of lock stripes. Plenty for the catalog's ~40 products × 18
 /// hosts (or the study's few hundred keys) spread across typical core
 /// counts.
 pub const SHARDS: usize = 16;
 
+/// One key's value, built at most once by whichever lookup gets there
+/// first.
+type KeyCell<V> = Arc<OnceLock<V>>;
+
 /// The striped map. `V` is expected to be cheap to clone (an `Arc` or a
 /// small struct of `Arc`s) — lookups hand out clones.
 #[derive(Debug)]
 pub struct Striped<K, V> {
-    shards: [Mutex<HashMap<K, V>>; SHARDS],
+    shards: [Mutex<HashMap<K, KeyCell<V>>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -39,7 +45,7 @@ impl<K: Eq + Hash, V: Clone> Striped<K, V> {
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
+    fn shard(&self, key: &K) -> &Mutex<HashMap<K, KeyCell<V>>> {
         use std::hash::Hasher;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
@@ -48,18 +54,25 @@ impl<K: Eq + Hash, V: Clone> Striped<K, V> {
 
     /// Fetch the value for `key`, computing it with `make` on a miss.
     ///
-    /// `make` runs while the shard lock is held: it only blocks other
-    /// keys in the same stripe, and it guarantees each value is built
-    /// exactly once.
+    /// The stripe lock is held only to find or insert `key`'s cell;
+    /// `make` runs outside it, so it blocks nothing but concurrent
+    /// lookups of the *same* key, which wait for its value instead of
+    /// building a second one. Exactly one lookup per key runs `make` and
+    /// counts a miss; every other lookup counts a hit.
     pub fn get_or_insert_with(&self, key: K, make: impl FnOnce() -> V) -> V {
-        let mut shard = self.shard(&key).lock().expect("striped map poisoned");
-        if let Some(v) = shard.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = make();
-        shard.insert(key, value.clone());
+        let cell = {
+            let mut shard = self.shard(&key).lock().expect("striped map poisoned");
+            shard.entry(key).or_default().clone()
+        };
+        let mut made = false;
+        let value = cell
+            .get_or_init(|| {
+                made = true;
+                make()
+            })
+            .clone();
+        let counter = if made { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         value
     }
 
@@ -99,6 +112,8 @@ impl<K: Eq + Hash, V: Clone> Default for Striped<K, V> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn computes_each_key_once() {
@@ -133,6 +148,41 @@ mod tests {
         });
         assert_eq!(computes.load(Ordering::Relaxed), 4, "each key computed exactly once");
         assert_eq!(map.len(), 4);
+    }
+
+    #[test]
+    fn misses_on_same_stripe_keys_compute_concurrently() {
+        // Two different keys in one stripe: A's `make` stays in flight
+        // until B's `make` has started. A map that computed under the
+        // stripe lock would hold B at the lock until A gave up waiting,
+        // so A would report the timeout (and the test fail) rather than
+        // hang.
+        let map: Striped<u32, bool> = Striped::new();
+        let a = 0u32;
+        let b = (1..).find(|k| std::ptr::eq(map.shard(k), map.shard(&a))).unwrap();
+        let (a_started, a_started_rx) = mpsc::channel();
+        let (b_started, b_started_rx) = mpsc::channel();
+        let wait = Duration::from_secs(5);
+        let map = &map;
+        std::thread::scope(|s| {
+            let first = s.spawn(move || {
+                map.get_or_insert_with(a, || {
+                    a_started.send(()).unwrap();
+                    b_started_rx.recv_timeout(wait).is_ok()
+                })
+            });
+            a_started_rx.recv_timeout(wait).expect("A's make must start");
+            map.get_or_insert_with(b, || {
+                // A's receiver is gone once it has timed out.
+                let _ = b_started.send(());
+                true
+            });
+            assert!(
+                first.join().expect("A's lookup panicked"),
+                "B's make must run while A's is in flight"
+            );
+        });
+        assert_eq!(map.stats(), (0, 2), "one miss per key, no hits");
     }
 
     #[test]
