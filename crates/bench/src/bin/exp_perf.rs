@@ -69,76 +69,6 @@ fn measure_session_throughput(quick: bool) -> Json {
     ])
 }
 
-/// Conservative-parallel drive series: the same study-1 run driven
-/// batched (`partitions: 1`, the classic single-loop path) and
-/// partitioned (client logical processes + a report-server partition on
-/// the netsim fabric, `threads` = available cores capped at 8). Both
-/// per-session costs are `_ns`-gated by `--check`; the `speedup` ratio
-/// (batched ns / partitioned ns) is additionally enforced in-binary
-/// against a floor that depends on how many workers actually ran:
-///
-/// * 1 worker — the fabric can only add overhead (bound publishing,
-///   null-message pumps, cross-partition queues); the floor says that
-///   overhead stays bounded rather than pathological.
-/// * 4+ workers — the parallel drive must actually win.
-///
-/// The floor check exits non-zero so CI catches a parallel-path
-/// regression even though ratio metrics are outside the `_ns` gate.
-fn measure_parallel(quick: bool) -> Json {
-    // Scale must match between quick (CI) and full (baseline) runs —
-    // see measure_session_throughput. Bigger than the throughput series
-    // so per-session fabric overhead is amortized over real work.
-    let scale = 300;
-    let samples = if quick { 2 } else { 3 };
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let threads = cores.min(8);
-    let batched_cfg = StudyConfig { threads: 1, ..StudyConfig::study1(scale, 2014) };
-    let part_cfg = StudyConfig { partitions: 8, threads, ..batched_cfg.clone() };
-
-    eprintln!("[exp_perf] measuring parallel drive (study 1, scale 1/{scale}, {threads} workers)…");
-    let mut batched_ns = u64::MAX;
-    let mut part_ns = u64::MAX;
-    let mut sessions = 0u64;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let out = tlsfoe_core::study::run_study(&batched_cfg).expect("batched study");
-        let elapsed = start.elapsed();
-        sessions = out.impressions();
-        batched_ns = batched_ns.min((elapsed.as_nanos() / u128::from(sessions.max(1))) as u64);
-
-        let start = Instant::now();
-        let out = tlsfoe_core::study::run_study(&part_cfg).expect("partitioned study");
-        let elapsed = start.elapsed();
-        part_ns = part_ns.min((elapsed.as_nanos() / u128::from(out.impressions().max(1))) as u64);
-    }
-    let speedup = batched_ns as f64 / part_ns as f64;
-    let floor = match threads {
-        1 => 0.40,
-        2..=3 => 0.70,
-        _ => 1.0,
-    };
-    println!(
-        "parallel | {sessions} impressions | batched {batched_ns:>9} ns/session | \
-         partitioned(8 LPs, {threads} thr) {part_ns:>9} ns/session | speedup {speedup:.2}x \
-         (floor {floor:.2}x)"
-    );
-    if speedup < floor {
-        eprintln!(
-            "[exp_perf] FAIL: parallel speedup {speedup:.2}x below floor {floor:.2}x \
-             ({threads} workers)"
-        );
-        std::process::exit(1);
-    }
-    Json::obj(vec![
-        ("batched_session_ns", Json::Int(batched_ns as i64)),
-        ("partitioned_session_ns", Json::Int(part_ns as i64)),
-        ("speedup", Json::Num((speedup * 100.0).round() / 100.0)),
-        ("speedup_floor", Json::Num(floor)),
-        ("workers", Json::Int(threads as i64)),
-        ("partitions", Json::Int(8)),
-    ])
-}
-
 /// Keygen subsystem series: the sieved prime search and the population
 /// key cache, cold and warm — the startup-dominated costs `exp_all`
 /// spends most of its wall-clock on. Cold keypair timings clear the
@@ -430,7 +360,6 @@ fn measure(quick: bool) -> Json {
                 ("mint", measure_mint(quick)),
                 ("session_phase", measure_session_phase(quick)),
                 ("session_throughput", measure_session_throughput(quick)),
-                ("parallel", measure_parallel(quick)),
                 ("million", measure_million(quick)),
             ]),
         ),

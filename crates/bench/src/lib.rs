@@ -9,10 +9,12 @@
 //!   (default 20 ⇒ ~1/20th of the paper's impressions; rates are
 //!   scale-invariant),
 //! * `TLSFOE_SEED` — root seed (default 2014),
-//! * `TLSFOE_THREADS` — worker threads (default: all cores),
+//! * `TLSFOE_THREADS` — shards per study, one OS thread each (default:
+//!   all cores; studies under 256 impressions run as one shard; results
+//!   are bit-identical for any value),
 //! * `TLSFOE_BATCH` — concurrent sessions per event-loop drive on each
-//!   worker's shard-lifetime network (default 64; results are
-//!   bit-identical for any value),
+//!   shard's long-lived network (default 64; results are bit-identical
+//!   for any value),
 //! * `TLSFOE_SCHOOLBOOK` — set to force the seed's schoolbook bignum
 //!   path (perf ablation; roughly doubles `exp_all` wall-clock),
 //! * `TLSFOE_PRIVATE_MINT` — set to give every study a private
@@ -41,21 +43,13 @@ pub fn seed() -> u64 {
     std::env::var("TLSFOE_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(2014)
 }
 
-/// Worker threads (`TLSFOE_THREADS`, default: all cores).
+/// Shards per study, one OS thread each (`TLSFOE_THREADS`, default: all
+/// cores).
 pub fn threads() -> usize {
     std::env::var("TLSFOE_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
-}
-
-/// Client logical processes for the conservative-parallel drive
-/// (`TLSFOE_PARTITIONS`, default 1 = the batched single-loop path).
-/// Any value produces the same bit-identical databases and therefore
-/// byte-identical experiment stdout; >1 trades the per-shard loops for
-/// fabric partitions driven by `TLSFOE_THREADS` workers.
-pub fn partitions() -> usize {
-    std::env::var("TLSFOE_PARTITIONS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
 
 /// Sessions per event-loop drive (`TLSFOE_BATCH`, default 64).
@@ -73,12 +67,9 @@ pub fn config(era: StudyEra) -> StudyConfig {
         scale: scale(),
         seed: seed(),
         threads: threads(),
-        partitions: partitions(),
         baseline: false,
         proxy_boost: 1.0,
         batch: batch(),
-        warm_keys: true,
-        warm_substitutes: true,
         faults: tlsfoe_netsim::FaultProfile::none(),
         retry: tlsfoe_core::session::RetryPolicy::disabled(),
         shard_fault_budget: 0,

@@ -105,10 +105,9 @@ pub struct ReportServer {
     authoritative: HashMap<&'static str, (Vec<u8>, &'static str, HostCategory)>,
     geo: GeoDb,
     db: Shared<Database>,
-    /// See [`IngestMemo`]. The lock is uncontended in a batched run (the
-    /// server is per-shard) and serializes concurrent uploads in a
-    /// partitioned run, where every client partition reports into the
-    /// one server partition.
+    /// See [`IngestMemo`]. The server is per shard, so the lock is
+    /// uncontended; it is a mutex because the `Send` listener closure
+    /// shares the server through an `Arc`.
     memo: Mutex<IngestMemo>,
 }
 

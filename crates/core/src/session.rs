@@ -39,7 +39,7 @@ use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_geo::countries::CountryCode;
 use tlsfoe_netsim::policy::fetch_policy;
 use tlsfoe_netsim::{Conduit, ConnToken, IoCtx, Ipv4, LinkProfile, NetRunError, Shared};
-use tlsfoe_netsim::{Network, NetworkConfig};
+use tlsfoe_netsim::{Network, NetworkConfig, PolicyServer};
 use tlsfoe_population::model::{ClientProfile, PopulationModel};
 use tlsfoe_tls::probe::{ProbeError, ProbeOutcome, ProbeState};
 use tlsfoe_tls::server::{ServerConfig, TlsCertServer};
@@ -201,26 +201,15 @@ impl SessionRunner {
     /// one set of host chains (the `ServerConfig`s are `Arc` too); the
     /// report server (and its database) stays per-worker.
     pub fn new(catalog: Arc<HostCatalog>, report_server: Arc<ReportServer>) -> SessionRunner {
-        let mut net = base_network(&catalog);
         let db = report_server.db();
+        let mut net = Network::new(NetworkConfig::default(), 0);
+        for host in catalog.hosts.iter() {
+            let cfg: Arc<ServerConfig> = ServerConfig::new(host.chain.clone());
+            net.listen(host.ip, 443, Box::new(move |_| Box::new(TlsCertServer::new(cfg.clone()))));
+        }
+        let authors_ip = catalog.hosts[0].ip;
+        net.listen(authors_ip, 80, Box::new(|_| Box::new(PolicyServer::permissive())));
         net.listen(catalog.report_server, 80, report_server.listener());
-        SessionRunner::assemble(catalog, db, net)
-    }
-
-    /// Build a runner for one *client partition* of a partitioned study:
-    /// the catalog TLS servers and the authors' policy server are local
-    /// (probe traffic never crosses partitions), but the report endpoint
-    /// is **not** registered — uploads to `catalog.report_server` leave
-    /// through the fabric's directory route toward the partition that
-    /// owns the report server. `db` is this partition's private database
-    /// collecting typed probe failures; measurement records accumulate in
-    /// the report partition's database and the study re-merges both.
-    pub fn new_partition(catalog: Arc<HostCatalog>, db: Shared<Database>) -> SessionRunner {
-        let net = base_network(&catalog);
-        SessionRunner::assemble(catalog, db, net)
-    }
-
-    fn assemble(catalog: Arc<HostCatalog>, db: Shared<Database>, net: Network) -> SessionRunner {
         SessionRunner {
             catalog,
             db,
@@ -345,29 +334,8 @@ impl SessionRunner {
         Ok(attempted)
     }
 
-    /// Partitioned-drive injection: like [`SessionRunner::enqueue_session`]
-    /// but never drives the event loop itself — the fabric owns driving.
-    /// Returns `None` (consuming nothing from `rng`) when `profile.ip` is
-    /// already live in the pending batch; the caller must let the batch
-    /// quiesce, call [`SessionRunner::drain_batch`], then re-derive and
-    /// retry the impression.
-    pub(crate) fn try_inject_session(
-        &mut self,
-        model: &PopulationModel,
-        profile: &ClientProfile,
-        rng: &mut dyn RngCore64,
-        impression: u64,
-        session_seed: u64,
-    ) -> Option<usize> {
-        if self.pending_ips.contains(&profile.ip) {
-            return None;
-        }
-        Some(self.inject_session(model, profile, rng, impression, session_seed))
-    }
-
     /// Inject one session's conduits, timers and per-client network state
-    /// without driving the event loop (the shared core of both drive
-    /// modes).
+    /// without driving the event loop (the caller decides when to drive).
     fn inject_session(
         &mut self,
         model: &PopulationModel,
@@ -454,28 +422,6 @@ impl SessionRunner {
         self.drive_batch()
     }
 
-    /// The runner's long-lived network — how a partitioned study hands
-    /// the event loop to the fabric (`LogicalProcess::net`).
-    pub(crate) fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    /// The partitioned drive's half of [`drive_batch`](Self::finish):
-    /// after the *fabric* has driven the pending batch to quiescence,
-    /// revert per-session network state and reap stalled connections —
-    /// but run nothing locally (the fabric owns driving) and skip the
-    /// per-batch record sort (the study does one global sort after
-    /// merging the partition databases, which subsumes it).
-    pub(crate) fn drain_batch(&mut self) {
-        for ip in self.pending.drain(..) {
-            self.net.remove_interceptor(ip);
-            self.net.clear_link(ip);
-            self.net.end_session(ip);
-        }
-        self.pending_ips.clear();
-        self.net.reap_stalled();
-    }
-
     /// Run the shared event loop until the pending batch quiesces, then
     /// revert per-session network state and restore the deterministic
     /// record order.
@@ -525,21 +471,6 @@ impl SessionRunner {
         self.drive_batch()?;
         Ok(attempted)
     }
-}
-
-/// The topology both drive modes share: catalog TLS servers plus the
-/// authors' policy server, registered once on a fresh deterministic
-/// network. The catalog is `Arc`-shared so every runner (and every
-/// client partition) reuses one set of host chains.
-fn base_network(catalog: &HostCatalog) -> Network {
-    let mut net = Network::new(NetworkConfig::default(), 0);
-    for host in catalog.hosts.iter() {
-        let cfg: Arc<ServerConfig> = ServerConfig::new(host.chain.clone());
-        net.listen(host.ip, 443, Box::new(move |_| Box::new(TlsCertServer::new(cfg.clone()))));
-    }
-    let authors_ip = catalog.hosts[0].ip;
-    net.listen(authors_ip, 80, Box::new(|_| Box::new(tlsfoe_netsim::PolicyServer::permissive())));
-    net
 }
 
 /// Shared state for one probe's retry ladder. Owned jointly by the

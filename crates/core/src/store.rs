@@ -438,19 +438,6 @@ impl Database {
         self.failures[mark.failures..].sort_by_key(|f| (f.impression, f.host));
     }
 
-    /// Restore deterministic order across the **whole** store — the
-    /// partitioned drive's analogue of [`Database::finish_batch`]. A
-    /// partitioned study skips the per-batch sorts (records land in the
-    /// report partition, failures in each client partition) and instead
-    /// merges every partition's database and sorts once: records stable
-    /// by impression ordinal, failures by `(impression, host)`. Because
-    /// one impression lives entirely inside one partition, the stable
-    /// sort reproduces exactly the order the batched single-loop path
-    /// builds incrementally.
-    pub fn finish_partitioned(&mut self) {
-        self.finish_batch(BatchMark { records: 0, failures: 0 });
-    }
-
     /// Merge another database (for sharded studies): columns are
     /// concatenated in shard order and the other shard's evidence is
     /// re-interned, so chains minted by several shards end up stored

@@ -10,12 +10,15 @@
 //! counts) so the studies run at laptop scale; *rates* are
 //! scale-invariant, which is what the paper's tables report.
 //!
-//! Sharding: impressions are split across OS threads; every impression's
-//! randomness is derived from `(seed, impression index)`, and all threads
-//! share one [`PopulationModel`] — so the substitute-chain cache, product
-//! factories and host catalog are built once per run and results are
-//! bit-identical regardless of thread count (the cache's determinism
-//! contract, `tlsfoe_population::cache`, is what makes the sharing safe).
+//! Sharding: impressions are split into contiguous shards, one OS thread
+//! each; every impression's randomness is derived from `(seed,
+//! impression index)`, and all shards share one [`PopulationModel`] — so
+//! the substitute-chain cache, product factories and host catalog are
+//! built once per run and results are bit-identical regardless of thread
+//! count (the cache's determinism contract, `tlsfoe_population::cache`,
+//! is what makes the sharing safe). Each shard owns one long-lived
+//! network and a private [`Database`]; the shards' databases are merged
+//! in shard order.
 
 use std::sync::Arc;
 
@@ -23,10 +26,7 @@ use tlsfoe_adsim::{Campaign, Inventory};
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_geo::countries::{by_code, CountryCode};
 use tlsfoe_geo::GeoDb;
-use tlsfoe_netsim::{
-    Fabric, FaultProfile, LinkProfile, LogicalProcess, NetRunError, Network, NetworkConfig,
-    ServiceProcess, Shared,
-};
+use tlsfoe_netsim::{FaultProfile, LinkProfile, NetRunError, Shared};
 use tlsfoe_population::model::{ClientProfile, PopulationModel, StudyEra};
 
 use crate::hosts::HostCatalog;
@@ -97,6 +97,10 @@ impl std::error::Error for StudyError {}
 /// impression count so client IPs stay distinct).
 const GEO_BLOCK: u32 = 8_000_000;
 
+/// Studies with fewer impressions run as one shard whatever
+/// [`StudyConfig::threads`] asks for.
+const MIN_SHARDED_IMPRESSIONS: usize = 256;
+
 /// Study configuration.
 #[derive(Debug, Clone)]
 pub struct StudyConfig {
@@ -106,20 +110,14 @@ pub struct StudyConfig {
     pub scale: u32,
     /// Root seed for all randomness.
     pub seed: u64,
-    /// Worker threads (1 = fully serial).
+    /// Shards the impressions are split into, one OS thread each (1 =
+    /// fully serial). The calling thread drives shard 0, so `threads: n`
+    /// spawns `n - 1` threads. Studies with fewer than 256 impressions
+    /// always run as one shard. Before the sessions start, every key the
+    /// study can touch is generated across `threads` workers and, with
+    /// more than one shard, every deterministic substitute chain is
+    /// pre-minted the same way. Results are bit-identical for any value.
     pub threads: usize,
-    /// Client logical processes for the conservative-parallel drive
-    /// (default 1 = the batched single-loop path). With `partitions > 1`
-    /// the study becomes `partitions` client partitions — each owning a
-    /// full local topology and the impressions of the countries assigned
-    /// to it — plus one report-server partition, all exchanging
-    /// timestamped events through bounded queues and advancing only to
-    /// the safe time implied by their peers' published bounds (lookahead
-    /// = the default link latency). `threads` workers drive the
-    /// partitions work-stealing style; results are bit-identical to the
-    /// `partitions: 1` path for every `(partitions, threads, batch)`
-    /// combination — the equivalence oracle CI asserts.
-    pub partitions: usize,
     /// Use the Huang-et-al. baseline methodology (probe only a
     /// mega-popular whitelisted host) instead of the paper's catalog.
     pub baseline: bool,
@@ -129,38 +127,11 @@ pub struct StudyConfig {
     /// scaled-down ad budget without touching the product mix. Prevalence
     /// tables (3/7/8) must use 1.0.
     pub proxy_boost: f64,
-    /// Concurrent sessions batched per event-loop drive on each worker's
-    /// shard-lifetime network (1 = fully serial injection). Results are
+    /// Concurrent sessions batched per event-loop drive on each shard's
+    /// long-lived network (1 = fully serial injection). Results are
     /// bit-identical for any value — this knob trades peak working-set
     /// size against per-drive overhead.
     pub batch: usize,
-    /// Pre-generate every key the study can touch across `threads`
-    /// workers before the measurement phase (default true): the
-    /// catalog's CA and server keys, the era-active products' roots, and
-    /// only those product leaf keys the catalog's hosts select — a
-    /// product's substitute for a host always carries the one pool slot
-    /// that host's name picks, so slots no probed host selects are never
-    /// generated (see [`crate::hosts::prewarm_key_specs`] and
-    /// `tlsfoe_population::keys`). Results are bit-identical either way —
-    /// keys are pure functions of `(seed, bits)` — this knob only moves
-    /// keygen cost off the session hot path and onto all cores at
-    /// startup.
-    pub warm_keys: bool,
-    /// Pre-mint every deterministic variant-0 substitute chain (active
-    /// product × catalog host) across `threads` workers before the
-    /// measurement phase (default true). Results are bit-identical either
-    /// way — chains are pure functions of their cache key — this knob
-    /// only converts the session path's blocking cache-miss mints (one
-    /// root-key RSA signature each) into an embarrassingly parallel
-    /// startup prewarm. Only consulted when the
-    /// run will actually shard (more than one worker *and* enough
-    /// impressions — the same condition `run_study` serializes on): a
-    /// serial run has no mint contention to avoid and no idle cores to
-    /// fill, so prewarming there is pure reordering plus wasted
-    /// signatures for chains the run never requests (measured +68% on
-    /// the single-threaded `session_ns` series when warmed
-    /// unconditionally).
-    pub warm_substitutes: bool,
     /// Fault injection applied to every client link in every shard
     /// (default [`FaultProfile::none`], which samples no fault DRBGs and
     /// leaves the event stream byte-identical to a fault-free build).
@@ -196,12 +167,9 @@ impl StudyConfig {
             scale,
             seed,
             threads: default_threads(),
-            partitions: 1,
             baseline: false,
             proxy_boost: 1.0,
             batch: DEFAULT_BATCH,
-            warm_keys: true,
-            warm_substitutes: true,
             faults: FaultProfile::none(),
             retry: RetryPolicy::disabled(),
             private_substitute_cache: false,
@@ -217,12 +185,9 @@ impl StudyConfig {
             scale,
             seed,
             threads: default_threads(),
-            partitions: 1,
             baseline: false,
             proxy_boost: 1.0,
             batch: DEFAULT_BATCH,
-            warm_keys: true,
-            warm_substitutes: true,
             faults: FaultProfile::none(),
             retry: RetryPolicy::disabled(),
             private_substitute_cache: false,
@@ -320,88 +285,78 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
 
     // Phase 2: measurement sessions, sharded by impression index. The
     // catalog and population model are built ONCE and shared by every
-    // worker thread: the model's factories and substitute cache are the
+    // shard: the model's factories and substitute cache are the
     // cross-thread state that stops shard N re-minting (at RSA-signature
     // cost) the per-host chains shard M already built.
     let threads = cfg.threads.max(1);
-    if cfg.warm_keys {
-        // Pre-pay every RSA keygen the run can touch — catalog CA/host
-        // keys (otherwise generated serially inside HostCatalog::build
-        // below), product roots and the leaf slots the catalog's hosts
-        // select (otherwise generated on first interception, blocking a
-        // session) — across all worker threads. Keys are pure functions
-        // of (seed, bits), so warming cannot change any output byte.
-        let mut specs = crate::hosts::prewarm_key_specs(cfg.baseline, cfg.era);
-        specs.extend(tlsfoe_population::keys::product_key_specs(cfg.era));
-        tlsfoe_population::keys::warm_keys(&specs, threads);
-    }
+    // Pre-pay every RSA keygen the run can touch — catalog CA/host keys
+    // (otherwise generated serially inside HostCatalog::build below),
+    // product roots and the leaf slots the catalog's hosts select
+    // (otherwise generated on first interception, blocking a session) —
+    // across all worker threads. Slots no probed host selects are never
+    // generated (see `hosts::prewarm_key_specs`). Keys are pure
+    // functions of (seed, bits), so warming cannot change any output
+    // byte.
+    let mut specs = crate::hosts::prewarm_key_specs(cfg.baseline, cfg.era);
+    specs.extend(tlsfoe_population::keys::product_key_specs(cfg.era));
+    tlsfoe_population::keys::warm_keys(&specs, threads);
     let catalog = Arc::new(match (cfg.baseline, cfg.era) {
         (true, _) => HostCatalog::baseline(),
         (false, StudyEra::Study1) => HostCatalog::study1(),
         (false, StudyEra::Study2) => HostCatalog::study2(),
     });
-    let model = Arc::new(if cfg.private_substitute_cache {
+    let model = if cfg.private_substitute_cache {
         PopulationModel::with_private_cache(cfg.era, catalog.public_roots.clone())
     } else {
         PopulationModel::new(cfg.era, catalog.public_roots.clone())
-    });
-    // Tiny runs execute on one thread regardless of cfg.threads — the
-    // prewarm decision below must match this, not the requested count.
-    // A partitioned drive always runs through the fabric (that is the
-    // point of the equivalence matrix), and prewarms only when more than
-    // one worker will actually mint concurrently.
-    let partitioned = cfg.partitions > 1;
-    let serial = !partitioned && (threads == 1 || impressions.len() < 256);
-    let warm = cfg.warm_substitutes && if partitioned { threads > 1 } else { !serial };
-    if warm {
+    };
+    let shards = if impressions.len() < MIN_SHARDED_IMPRESSIONS { 1 } else { threads };
+    if shards > 1 {
         // Pre-mint every deterministic variant-0 substitute chain the
         // session phase can request lazily (active product × probed
-        // host), in parallel across the worker threads. Chains are pure
+        // host), in parallel across the shards' threads. Chains are pure
         // functions of their cache key, so warming cannot change any
         // output byte — it only moves the per-chain root-key RSA
         // signature off the session hot path (where a miss stalls every
         // shard that needs the chain) into startup, where they mint
-        // embarrassingly parallel. Serial runs skip it (see the
-        // `warm_substitutes` field docs): with one worker there is no
-        // contention to avoid, and chains the run never requests would
-        // be paid for with nothing to amortize them against.
+        // embarrassingly parallel. One shard skips it: with one worker
+        // there is no contention to avoid, and chains the run never
+        // requests would be paid for with nothing to amortize them
+        // against (measured +68% on the single-threaded `session_ns`
+        // series when warmed unconditionally).
         let hosts: Vec<&str> = catalog.hosts.iter().map(|h| h.name).collect();
-        model.warm_substitutes(&hosts, threads);
+        model.warm_substitutes(&hosts, shards);
     }
-    let chunk_size = impressions.len().div_ceil(threads).max(1);
+    let chunk_size = impressions.len().div_ceil(shards).max(1);
+    let (catalog, model) = (&catalog, &model);
+    // Shard 0 runs on the calling thread; only shards 1.. spawn. A drive
+    // that spawned every shard measured about 6 MB more peak RSS on each
+    // benchmark workload, all of which drive one shard per study (study
+    // 1 at scale 8: 44.4 vs 37.9 MB); running shard 0 inline restores
+    // the lower figure.
+    let results: Vec<(Database, Option<ShardFailure>)> = std::thread::scope(|s| {
+        let mut chunks = impressions.chunks(chunk_size).enumerate();
+        let first = chunks.next();
+        let spawned: Vec<_> = chunks
+            .map(|(i, chunk)| {
+                s.spawn(move || run_shard(cfg, catalog, model, chunk, (i * chunk_size) as u64, i))
+            })
+            .collect();
+        let mut results: Vec<_> = first
+            .map(|(_, chunk)| run_shard(cfg, catalog, model, chunk, 0, 0))
+            .into_iter()
+            .collect();
+        results.extend(spawned.into_iter().map(|h| h.join().expect("shard panicked")));
+        results
+    });
+    // Every shard's partial database is merged before the budget check:
+    // a tripped shard loses its remaining range, never its siblings'
+    // work (graceful degradation, not fail-fast).
     let mut db = Database::new();
     let mut shard_failures = Vec::new();
-    if partitioned {
-        let (part_db, failures) = run_partitioned(cfg, &catalog, &model, &impressions);
-        db = part_db;
-        shard_failures = failures;
-    } else if serial {
-        let (shard_db, failure) = run_shard(cfg, &catalog, &model, &impressions, 0, 0);
+    for (shard_db, failure) in results {
         db.merge(shard_db);
         shard_failures.extend(failure);
-    } else {
-        let shards: Vec<(Database, Option<ShardFailure>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = impressions
-                .chunks(chunk_size)
-                .enumerate()
-                .map(|(i, chunk)| {
-                    let cfg = cfg.clone();
-                    let catalog = catalog.clone();
-                    let model = model.clone();
-                    s.spawn(move || {
-                        run_shard(&cfg, &catalog, &model, chunk, (i * chunk_size) as u64, i)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard panicked")).collect()
-        });
-        // Every shard's partial database is merged before the budget
-        // check: a tripped shard loses its remaining range, never its
-        // siblings' work (graceful degradation, not fail-fast).
-        for (shard_db, failure) in shards {
-            db.merge(shard_db);
-            shard_failures.extend(failure);
-        }
     }
     if shard_failures.len() as u64 > cfg.shard_fault_budget {
         return Err(StudyError::FaultBudget {
@@ -474,11 +429,9 @@ fn run_shard(
     (full, None)
 }
 
-/// Derive impression `idx`'s client profile and session RNG — **the**
-/// per-impression derivation, shared verbatim by the batched and the
-/// partitioned drive so neither can drift: everything comes from the
-/// impression's global identity `(cfg.seed, idx)` and its country, never
-/// from which shard, partition or batch happens to execute it.
+/// Derive impression `idx`'s client profile and session RNG. Everything
+/// comes from the impression's global identity `(cfg.seed, idx)` and its
+/// country, never from which shard or batch happens to execute it.
 fn derive_impression(
     cfg: &StudyConfig,
     model: &PopulationModel,
@@ -505,197 +458,6 @@ fn derive_impression(
         }
     }
     (profile, rng)
-}
-
-/// Cross-partition event-queue capacity. Big enough that a report burst
-/// rarely stalls the sender; small enough to bound memory — a full queue
-/// makes the producing partition yield and retry (backpressure, never
-/// loss or reorder).
-const PARTITION_QUEUE: usize = 4096;
-
-/// One client partition of a partitioned study: a [`SessionRunner`]
-/// (without a local report listener) plus the slice of impressions whose
-/// countries map to this partition. The fabric calls
-/// [`LogicalProcess::on_quiescent`] whenever the partition's event loop
-/// has fully settled; the partition then tears down the finished batch
-/// and feeds the next one, exactly mirroring the batched path's
-/// enqueue/drive cadence.
-struct ClientPartition {
-    cfg: StudyConfig,
-    model: Arc<PopulationModel>,
-    geo: GeoDb,
-    runner: SessionRunner,
-    /// `(global impression index, country)` pairs assigned to this
-    /// partition, in global impression order.
-    assigned: Vec<(u64, CountryCode)>,
-    next: usize,
-    /// First impression of the in-flight batch — the failure context the
-    /// study reports if the fabric stops this partition on a network
-    /// error (read after `Fabric::run` returns).
-    progress: Shared<Option<(u64, CountryCode)>>,
-}
-
-impl LogicalProcess for ClientPartition {
-    fn net(&mut self) -> &mut Network {
-        self.runner.network_mut()
-    }
-
-    fn on_quiescent(&mut self) -> bool {
-        // The previous batch (if any) has fully settled — every probe
-        // finished and every report upload round-tripped through the
-        // report partition — so per-session state can be reverted.
-        self.runner.drain_batch();
-        let Some(&first) = self.assigned.get(self.next) else {
-            return false;
-        };
-        *self.progress.lock() = Some(first);
-        let mut fed = 0;
-        while fed < self.cfg.batch.max(1) {
-            let Some(&(idx, country)) = self.assigned.get(self.next) else {
-                break;
-            };
-            let (profile, mut rng) =
-                derive_impression(&self.cfg, &self.model, &self.geo, idx, country);
-            let injected = self.runner.try_inject_session(
-                &self.model,
-                &profile,
-                &mut rng,
-                idx,
-                self.cfg.seed ^ idx,
-            );
-            if injected.is_none() {
-                // Same source address already live (single-origin NAT):
-                // close out this batch first; the impression re-derives
-                // from scratch on the next quiescence, so the aborted
-                // derivation consumed nothing observable.
-                break;
-            }
-            self.next += 1;
-            fed += 1;
-        }
-        true
-    }
-}
-
-/// The conservative-parallel drive (`cfg.partitions > 1`): the study as
-/// `partitions` client logical processes plus one report-server service
-/// process, exchanging timestamped events through bounded queues under
-/// the fabric's safe-time protocol (see `tlsfoe_netsim::worker`).
-///
-/// * Impressions are assigned by `country code % partitions`, so a
-///   country's whole population — including its single-origin NAT
-///   clients, whose same-address sessions must serialize — lives in one
-///   partition, and client addresses can never collide across
-///   partitions.
-/// * Probe traffic stays partition-local (each client partition owns a
-///   full catalog topology); only report uploads cross the fabric, to
-///   the one partition owning `catalog.report_server`.
-/// * Records accumulate in the report partition's database, typed probe
-///   failures in each client partition's; all are merged and sorted once
-///   ([`Database::finish_partitioned`]), reproducing the batched path's
-///   incremental per-batch ordering exactly.
-///
-/// Failure mapping: a client partition whose drive trips its event cap
-/// abandons its remaining impressions and surfaces a [`ShardFailure`]
-/// with `shard` = partition index and the first impression of its
-/// in-flight batch; a report-partition failure uses `shard` =
-/// `cfg.partitions` with no impression context. Merged partial state
-/// survives either way, exactly like the sharded path's degradation.
-fn run_partitioned(
-    cfg: &StudyConfig,
-    catalog: &Arc<HostCatalog>,
-    model: &Arc<PopulationModel>,
-    impressions: &[CountryCode],
-) -> (Database, Vec<ShardFailure>) {
-    let clients = cfg.partitions;
-    let geo = GeoDb::allocate(GEO_BLOCK);
-    // Lookahead = the default link latency: every cross-partition event
-    // (report dial, POST bytes, close) rides a client link and therefore
-    // arrives at least one latency after it was sent.
-    let mut fabric = Fabric::new(LinkProfile::default().latency_us, PARTITION_QUEUE);
-
-    let server_db = Shared::new(Database::new());
-    let report = Arc::new(ReportServer::new(catalog, geo.clone(), server_db.clone()));
-    let mut server_net = Network::new(NetworkConfig::default(), 0);
-    if let Some(cap) = cfg.max_net_events {
-        server_net.set_max_events(cap);
-    }
-    server_net.listen(catalog.report_server, 80, report.listener());
-    let server_id = fabric.add_partition(Box::new(ServiceProcess::new(server_net)));
-    fabric.route(catalog.report_server, 80, server_id);
-
-    let mut client_dbs = Vec::with_capacity(clients);
-    let mut progresses = Vec::with_capacity(clients);
-    for p in 0..clients {
-        let assigned: Vec<(u64, CountryCode)> = impressions
-            .iter()
-            .enumerate()
-            .filter(|&(_, c)| c.0 as usize % clients == p)
-            .map(|(i, &c)| (i as u64, c))
-            .collect();
-        let db = Shared::new(Database::new());
-        let mut runner = SessionRunner::new_partition(catalog.clone(), db.clone())
-            .with_batch_size(cfg.batch)
-            .with_retry_policy(cfg.retry.clone());
-        if cfg.era == StudyEra::Study1 && !cfg.baseline {
-            // Study 1's single-probe completion rate (see `run_shard`).
-            runner = runner.with_authors_completion(0.617);
-        }
-        if cfg.faults.any() {
-            runner.set_default_link(LinkProfile {
-                faults: cfg.faults.clone(),
-                ..LinkProfile::default()
-            });
-        }
-        if let Some(cap) = cfg.max_net_events {
-            runner.set_max_events(cap);
-        }
-        let progress = Shared::new(None);
-        client_dbs.push(db);
-        progresses.push(progress.clone());
-        fabric.add_partition(Box::new(ClientPartition {
-            cfg: cfg.clone(),
-            model: model.clone(),
-            geo: geo.clone(),
-            runner,
-            assigned,
-            next: 0,
-            progress,
-        }));
-    }
-
-    let outcome = fabric.run(cfg.threads.max(1));
-
-    let mut failures = Vec::new();
-    for (pid, (_lp, error)) in outcome.processes.into_iter().enumerate() {
-        let Some(error) = error else { continue };
-        if pid == 0 {
-            // The report partition itself tripped: no single impression
-            // to blame, every client's in-flight uploads are suspect.
-            failures.push(ShardFailure {
-                shard: clients,
-                impression: impressions.len() as u64,
-                country: None,
-                error,
-            });
-        } else {
-            let at = progresses.get(pid - 1).and_then(|p| *p.lock());
-            let (impression, country) =
-                at.map_or((impressions.len() as u64, None), |(i, c)| (i, Some(c)));
-            failures.push(ShardFailure { shard: pid - 1, impression, country, error });
-        }
-    }
-
-    // Records live in the report partition, failures in the clients;
-    // merge in partition order, then restore the global deterministic
-    // order in one pass.
-    let mut db = std::mem::replace(&mut *server_db.lock(), Database::new());
-    for client_db in client_dbs {
-        let part = std::mem::replace(&mut *client_db.lock(), Database::new());
-        db.merge(part);
-    }
-    db.finish_partitioned();
-    (db, failures)
 }
 
 #[cfg(test)]
@@ -730,12 +492,24 @@ mod tests {
         // Force heavy interception so the shared cache actually mints
         // many substitute chains, then require serial/8-thread runs to
         // agree byte-for-byte — the cache determinism contract (chains
-        // are pure functions of their key, not of mint order).
-        let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(4_000, 23) };
-        let a = run_study(&StudyConfig { threads: 1, ..base.clone() }).expect("study");
-        let b = run_study(&StudyConfig { threads: 8, ..base }).expect("study");
-        assert!(a.db.proxied() > 20, "need a substitute corpus, got {}", a.db.proxied());
-        assert_eq!(a.db, b.db);
+        // are pure functions of their key, not of mint order). Each run
+        // mints into a cache of its own, so the one-shard run mints
+        // every chain lazily on first interception while the 8-shard
+        // run pre-mints them before its sessions start: the prewarm may
+        // only move WHEN a chain is minted.
+        let base = StudyConfig {
+            proxy_boost: 60.0,
+            private_substitute_cache: true,
+            ..StudyConfig::study1(4_000, 23)
+        };
+        let lazy = run_study(&StudyConfig { threads: 1, ..base.clone() }).expect("study");
+        let warm = run_study(&StudyConfig { threads: 8, ..base }).expect("study");
+        assert!(
+            lazy.impressions() >= MIN_SHARDED_IMPRESSIONS as u64,
+            "the 8-thread run must shard and prewarm"
+        );
+        assert!(lazy.db.proxied() > 20, "need a substitute corpus, got {}", lazy.db.proxied());
+        assert_eq!(lazy.db, warm.db);
     }
 
     #[test]
@@ -800,57 +574,6 @@ mod tests {
         assert_eq!(serial_unbatched.db, serial_batched.db, "batch size changed the database");
         assert_eq!(serial_batched.db, sharded_batched.db, "thread count changed the database");
         assert_eq!(sharded_batched.db, sharded_odd_batch.db, "odd batch split changed the db");
-    }
-
-    #[test]
-    fn warm_and_cold_key_cache_bit_identical() {
-        // The parallel key prewarm must be observationally invisible:
-        // keys are pure functions of (seed, bits), so a run whose keys
-        // all come from warm_keys and a run that generates lazily on
-        // first touch must produce identical databases — with enough
-        // interception that product keys are actually exercised. The
-        // process-wide cache is cleared before each run so both paths
-        // really generate (otherwise whichever run goes second would
-        // just reuse the first run's entries and the comparison would be
-        // vacuous); concurrent tests at worst regenerate, since cached
-        // keys are pure.
-        let base = StudyConfig { proxy_boost: 40.0, ..StudyConfig::study1(8_000, 47) };
-        tlsfoe_population::keys::clear();
-        let cold = run_study(&StudyConfig { warm_keys: false, ..base.clone() }).expect("study");
-        tlsfoe_population::keys::clear();
-        let warm = run_study(&StudyConfig { warm_keys: true, ..base }).expect("study");
-        assert!(cold.db.proxied() > 5, "need interceptions, got {}", cold.db.proxied());
-        assert_eq!(cold.db, warm.db, "prewarm changed study output");
-    }
-
-    #[test]
-    fn warm_and_lazy_substitute_minting_bit_identical_across_threads() {
-        // The substitute-prewarm determinism contract: the study Database
-        // must be bit-identical whether every chain was pre-minted at
-        // startup or minted lazily on first interception, on one thread
-        // or eight — with enough interception that the prewarmed chains
-        // are actually served. (Chains are pure functions of their cache
-        // key; prewarm only moves WHEN the mint happens.)
-        let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 53) };
-        let lazy_serial =
-            run_study(&StudyConfig { warm_substitutes: false, threads: 1, ..base.clone() })
-                .expect("study");
-        let warm_serial =
-            run_study(&StudyConfig { warm_substitutes: true, threads: 1, ..base.clone() })
-                .expect("study");
-        let warm_sharded =
-            run_study(&StudyConfig { warm_substitutes: true, threads: 8, ..base.clone() })
-                .expect("study");
-        let lazy_sharded =
-            run_study(&StudyConfig { warm_substitutes: false, threads: 8, ..base }).expect("study");
-        assert!(
-            lazy_serial.db.proxied() > 10,
-            "need served substitutes, got {}",
-            lazy_serial.db.proxied()
-        );
-        assert_eq!(lazy_serial.db, warm_serial.db, "prewarm changed study output");
-        assert_eq!(warm_serial.db, warm_sharded.db, "thread count changed warmed output");
-        assert_eq!(warm_sharded.db, lazy_sharded.db, "warm/lazy diverge when sharded");
     }
 
     #[test]
@@ -955,87 +678,22 @@ mod tests {
         let shards: std::collections::HashSet<usize> = failures.iter().map(|f| f.shard).collect();
         assert_eq!(shards.len(), 4, "failures must identify distinct shards");
 
-        let out = run_study(&StudyConfig { shard_fault_budget: 4, ..base }).expect("degraded run");
+        let out = run_study(&StudyConfig { shard_fault_budget: 4, ..base.clone() })
+            .expect("degraded run");
         assert_eq!(out.shard_failures.len(), 4);
         assert!(out.impressions() > 0, "ad-delivery stats survive degradation");
-    }
 
-    #[test]
-    fn partitioned_drive_bit_identical_to_batched() {
-        // The tentpole equivalence oracle: the conservative-parallel
-        // drive must reproduce the batched single-loop database bit for
-        // bit across the (partitions, threads, batch) matrix — with
-        // heavy interception so proxies, the substitute cache and the
-        // single-origin NAT serialization all cross the new code.
-        let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 31) };
-        let oracle =
-            run_study(&StudyConfig { threads: 1, batch: 64, ..base.clone() }).expect("study");
-        assert!(oracle.db.proxied() > 10, "need proxied sessions, got {}", oracle.db.proxied());
-        for (partitions, threads, batch) in [(2, 1, 64), (2, 8, 1), (8, 1, 1), (8, 8, 64)] {
-            let run = run_study(&StudyConfig { partitions, threads, batch, ..base.clone() })
-                .expect("study");
-            assert!(run.shard_failures.is_empty());
-            assert_eq!(
-                oracle.db, run.db,
-                "partitions {partitions} / threads {threads} / batch {batch} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn partitioned_chaos_drive_bit_identical_to_batched() {
-        // Faulted equivalence: fault streams derive from session
-        // identity and retry decisions from elapsed virtual time, so
-        // even a chaos run must be invariant under partitioning.
-        let base = StudyConfig {
-            faults: FaultProfile::uniform(0.05),
-            retry: crate::session::RetryPolicy::standard(),
-            ..StudyConfig::study1(3_000, 37)
-        };
-        let oracle =
-            run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
+        // A study too small to shard runs as one shard whatever `threads`
+        // asks for, so exactly one shard — shard 0 — trips.
+        let tiny = run_study(&StudyConfig { scale: 40_000, shard_fault_budget: 4, ..base })
+            .expect("degraded tiny run");
         assert!(
-            oracle.db.failed() > 0 || oracle.db.iter().any(|r| r.attempts > 1),
-            "chaos must actually bite"
+            tiny.impressions() > 0 && tiny.impressions() < MIN_SHARDED_IMPRESSIONS as u64,
+            "need a study below the sharding threshold, got {} impressions",
+            tiny.impressions()
         );
-        for (partitions, threads, batch) in [(2, 8, 64), (8, 1, 64), (8, 8, 7)] {
-            let run = run_study(&StudyConfig { partitions, threads, batch, ..base.clone() })
-                .expect("study");
-            assert_eq!(
-                oracle.db, run.db,
-                "partitions {partitions} / threads {threads} / batch {batch} diverged (faulted)"
-            );
-        }
-    }
-
-    #[test]
-    fn skewed_one_heavy_country_bit_identical_across_partitions() {
-        // Worst-case partition balance: nearly every impression lives in
-        // one country, so country-keyed assignment hands one client
-        // partition almost all the work while its siblings idle at the
-        // fabric horizon (publishing null bounds only). The drive must
-        // still terminate and reproduce the serial shard bit for bit.
-        let cfg = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 91) };
-        let catalog = Arc::new(HostCatalog::study1());
-        let model = Arc::new(PopulationModel::new(cfg.era, catalog.public_roots.clone()));
-        let heavy = by_code("US").expect("US registered");
-        let light = by_code("JP").expect("JP registered");
-        let impressions: Vec<CountryCode> =
-            (0..160).map(|i| if i % 16 == 0 { light } else { heavy }).collect();
-
-        let serial = StudyConfig { threads: 1, partitions: 1, batch: 64, ..cfg.clone() };
-        let (shard_db, failure) = run_shard(&serial, &catalog, &model, &impressions, 0, 0);
-        assert!(failure.is_none(), "serial oracle must not trip: {failure:?}");
-        let mut oracle = Database::new();
-        oracle.merge(shard_db);
-        assert!(oracle.total() > 60, "skewed oracle too small: {}", oracle.total());
-
-        for (partitions, threads) in [(2, 1), (4, 8), (8, 2)] {
-            let pcfg = StudyConfig { partitions, threads, batch: 64, ..cfg.clone() };
-            let (db, failures) = run_partitioned(&pcfg, &catalog, &model, &impressions);
-            assert!(failures.is_empty(), "partitions {partitions}/threads {threads}: {failures:?}");
-            assert_eq!(oracle, db, "partitions {partitions} / threads {threads} diverged on skew");
-        }
+        assert_eq!(tiny.shard_failures.len(), 1, "one shard, one failure");
+        assert_eq!(tiny.shard_failures[0].shard, 0);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! upstream connection; a measurement probe runs a policy fetch, many TLS
 //! probes and a report upload — are built from several conduits sharing
 //! state through [`Shared`] cells. One event loop never re-enters a
-//! conduit, so the locks inside are uncontended; they exist because a
-//! partitioned simulation (see [`crate::worker`]) migrates whole event
-//! loops between OS threads, which requires every conduit to be `Send`.
+//! conduit, so the locks inside are uncontended. The mutex and the
+//! `Send` bound on every conduit keep a whole [`Network`] movable
+//! between OS threads; the sharded study drive never moves one (each
+//! shard builds and runs its network on a single thread).
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -24,8 +25,8 @@ use crate::net::Network;
 /// poison-tolerant lock.
 ///
 /// Within one event loop access is strictly sequential (callbacks never
-/// re-enter), so `lock` never contends; the mutex is what lets actors
-/// move between OS threads with their partition. Poisoning is ignored —
+/// re-enter), so `lock` never contends; the mutex is what keeps the
+/// actors holding it `Send` (see the module docs). Poisoning is ignored —
 /// a panicking conduit aborts its whole study anyway, and tests that
 /// probe panic behavior still want to read the cell afterwards.
 #[derive(Debug, Default)]
@@ -95,8 +96,8 @@ impl std::error::Error for DialError {}
 
 /// An endpoint state machine.
 ///
-/// `Send` because a partitioned simulation migrates event loops (and the
-/// conduits inside them) between OS threads; see [`crate::worker`].
+/// `Send` so a whole event loop stays movable between OS threads; see
+/// the module docs.
 pub trait Conduit: Send {
     /// The connection is established (three-way handshake done).
     fn on_open(&mut self, io: &mut IoCtx<'_>);

@@ -11,12 +11,11 @@
 //!   interceptor chains (TLS proxies!), latency, loss and captive
 //!   portals, all advanced by one deterministic event loop,
 //! * [`policy`] — the Flash socket-policy-file service the paper's tool
-//!   depends on (§3.1), plus the client-side policy fetch logic,
-//! * [`sync`] / [`worker`] — the conservative parallel drive: one
-//!   simulation partitioned into logical processes that exchange
-//!   timestamped events through bounded queues and advance only to the
-//!   safe time implied by each peer's published bound (lookahead = the
-//!   nonzero link latency), in the classic CMB shape.
+//!   depends on (§3.1), plus the client-side policy fetch logic.
+//!
+//! One [`net::Network`] is one single-threaded event loop. A parallel
+//! study runs several independent networks, one per OS thread, each
+//! driving its own slice of the sessions (see `tlsfoe_core::study`).
 //!
 //! The key design decision: **interception is a property of the client's
 //! path**, mirroring reality. When a client dials out, the network walks
@@ -36,13 +35,9 @@ pub mod conduit;
 pub mod fault;
 pub mod net;
 pub mod policy;
-pub mod sync;
-pub mod worker;
 
 pub use addr::Ipv4;
 pub use conduit::{Conduit, ConnToken, IoCtx, Shared};
 pub use fault::FaultProfile;
 pub use net::{DialError, LinkProfile, NetRunError, Network, NetworkConfig};
 pub use policy::{fetch_policy, PolicyFetchResult, PolicyServer, SOCKET_POLICY_BODY};
-pub use sync::PartitionId;
-pub use worker::{Fabric, FabricOutcome, LogicalProcess, ServiceProcess};

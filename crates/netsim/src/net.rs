@@ -21,14 +21,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 use tlsfoe_crypto::drbg::{Drbg, RngCore64, SplitMix64};
 
 use crate::addr::Ipv4;
 use crate::conduit::{Conduit, ConnToken, IoCtx};
 use crate::fault::{FaultAction, FaultState};
-use crate::sync::{PartitionId, RemoteEvent, RemoteKind};
 
 pub use crate::conduit::DialError;
 pub use crate::fault::FaultProfile;
@@ -46,8 +44,7 @@ pub struct DialInfo {
 }
 
 /// Factory producing an accepting conduit for each inbound connection.
-/// `Send` so a partitioned simulation can migrate a whole event loop —
-/// listeners included — between OS threads (see [`crate::worker`]).
+/// `Send` for the same reason as [`Conduit`] (see [`crate::conduit`]).
 pub type ListenerFactory = Box<dyn FnMut(DialInfo) -> Box<dyn Conduit> + Send>;
 
 /// A middlebox installed on a client's path.
@@ -193,54 +190,7 @@ struct Side {
     /// function of the owning session.
     scope: Ipv4,
     open: bool,
-    /// When the peer endpoint lives in another partition, where to ship
-    /// frames instead of queuing local events (see [`crate::worker`]).
-    remote: Option<RemoteRef>,
 }
-
-/// Cross-partition peer of a connection side.
-///
-/// `key` identifies the connection fabric-wide: `(initiating partition,
-/// connection id allocated by the initiator)`. Both endpoints carry the
-/// same key; `peer` is the partition frames from this side are shipped
-/// to (the initiator's `peer` is the acceptor's partition and vice
-/// versa).
-#[derive(Debug, Clone, Copy)]
-struct RemoteRef {
-    peer: PartitionId,
-    key: (PartitionId, u64),
-}
-
-/// Partition-local state a [`Network`] keeps when it is one logical
-/// process of a partitioned simulation (see [`crate::worker::Fabric`]).
-struct RemoteCtx {
-    /// This partition's id.
-    id: PartitionId,
-    /// Where remote `(addr, port)` listeners live. Local listeners are
-    /// always consulted first, so the directory only matters for
-    /// addresses this partition does not serve itself.
-    directory: Arc<HashMap<(Ipv4, u16), PartitionId>>,
-    /// Events produced for other partitions since the last
-    /// [`Network::take_outbound`], in send order.
-    outbound: Vec<(PartitionId, RemoteEvent)>,
-    /// Live cross-partition connections: fabric-wide key → local token.
-    conns: HashMap<(PartitionId, u64), ConnToken>,
-    /// Connection-id allocator for dials this partition initiates.
-    next_conn: u64,
-    /// Max arrival timestamp over every event ever shipped out. A driver
-    /// may declare a batch finished only once every peer's safe-time
-    /// bound has passed this mark (all replies must be back).
-    max_shipped_arrival: u64,
-    /// Sequence allocator for remotely-injected events, offset by
-    /// [`REMOTE_SEQ_BASE`] so at equal virtual time locally-queued events
-    /// always order before injected ones — regardless of when the fabric
-    /// drained the inbound queue.
-    remote_seq: u64,
-}
-
-/// See [`RemoteCtx::remote_seq`]. Local `seq` values stay far below this
-/// for any realistic run (2^62 events ≈ centuries of simulation).
-const REMOTE_SEQ_BASE: u64 = 1 << 62;
 
 /// Per-client dial scope: the session salt plus how many connections the
 /// client has opened under it (the ordinal that keeps concurrent probes
@@ -250,15 +200,6 @@ struct DialScope {
     conns: u64,
 }
 
-/// Outcome of resolving a dial destination (see
-/// [`Network::accept_or_route`]).
-enum Accepted {
-    /// A local listener (or interceptor) produced the accepting conduit.
-    Local(Box<dyn Conduit>),
-    /// The listener lives in another partition.
-    Remote(PartitionId),
-}
-
 /// One endpoint's share of a connection's derived randomness.
 struct EndpointHalf {
     loss_rng: Option<Drbg>,
@@ -266,13 +207,8 @@ struct EndpointHalf {
 }
 
 /// Both endpoint halves of one connection, derived as a pure function of
-/// `(link, stream_seed)`.
-///
-/// This is the single site where per-connection DRBG forks happen, for
-/// local and cross-partition connections alike: a remote dial ships
-/// `stream_seed` (plus the link) to the accepting partition, which calls
-/// this same function — so loss and fault derivation is unchanged by
-/// construction no matter where the acceptor lives.
+/// `(link, stream_seed)` — the single site where per-connection DRBG
+/// forks happen.
 struct ConnHalves {
     initiator: EndpointHalf,
     acceptor: EndpointHalf,
@@ -280,6 +216,10 @@ struct ConnHalves {
 }
 
 impl ConnHalves {
+    // Kept out of line, like `Network::conn_stream_seed`: with
+    // `connect_pair` as their only caller, inlining both into it
+    // measured about 6% more CPU time on faulted study drives.
+    #[inline(never)]
     fn derive(link: &LinkProfile, stream_seed: u64) -> ConnHalves {
         let (rng_a, rng_b) = if link.loss > 0.0 {
             let root = Drbg::new(stream_seed);
@@ -328,14 +268,12 @@ pub struct Network {
     /// Pending timer callbacks, keyed by timer id (see [`Network::after`]).
     timers: HashMap<u64, TimerFn>,
     next_timer: u64,
-    /// Present iff this network is one partition of a fabric.
-    remote: Option<RemoteCtx>,
 }
 
 /// A scheduled callback. Timers run with full access to the network —
 /// the retry layer uses them to inspect probe outcomes, close stalled
-/// connections and re-dial. `Send` for the same reason as conduits: a
-/// partitioned run migrates event loops between OS threads.
+/// connections and re-dial. `Send` for the same reason as [`Conduit`]
+/// (see [`crate::conduit`]).
 pub type TimerFn = Box<dyn FnOnce(&mut Network) + Send>;
 
 impl Network {
@@ -357,47 +295,7 @@ impl Network {
             processed: 0,
             timers: HashMap::new(),
             next_timer: 0,
-            remote: None,
         }
-    }
-
-    /// Attach this network to a fabric as partition `id`. Dials whose
-    /// `(addr, port)` has no local listener are routed through
-    /// `directory` to the owning partition instead of being refused.
-    pub(crate) fn set_remote(
-        &mut self,
-        id: PartitionId,
-        directory: Arc<HashMap<(Ipv4, u16), PartitionId>>,
-    ) {
-        self.remote = Some(RemoteCtx {
-            id,
-            directory,
-            outbound: Vec::new(),
-            conns: HashMap::new(),
-            next_conn: 0,
-            max_shipped_arrival: 0,
-            remote_seq: 0,
-        });
-    }
-
-    /// Drain the cross-partition events produced since the last call,
-    /// in send order.
-    pub(crate) fn take_outbound(&mut self) -> Vec<(PartitionId, RemoteEvent)> {
-        match self.remote.as_mut() {
-            Some(ctx) => std::mem::take(&mut ctx.outbound),
-            None => Vec::new(),
-        }
-    }
-
-    /// Max arrival time over all events ever shipped to other partitions
-    /// (see [`RemoteCtx::max_shipped_arrival`]).
-    pub(crate) fn max_shipped_arrival(&self) -> u64 {
-        self.remote.as_ref().map_or(0, |ctx| ctx.max_shipped_arrival)
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub(crate) fn next_event_time(&self) -> Option<u64> {
-        self.events.peek().map(|Reverse(ev)| ev.time_us)
     }
 
     /// Current virtual time in microseconds.
@@ -554,16 +452,11 @@ impl Network {
         }
         let info = DialInfo { client, dst, port };
         // The client's interceptor chain may claim the connection.
-        let accepted = match self.interceptors.get_mut(&client) {
-            Some(interceptor) if interceptor.claims(dst, port) => {
-                Accepted::Local(interceptor.accept(info))
-            }
-            _ => self.accept_or_route(info)?,
+        let acceptor = match self.interceptors.get_mut(&client) {
+            Some(interceptor) if interceptor.claims(dst, port) => interceptor.accept(info),
+            _ => self.accept_from_listener(info)?,
         };
-        match accepted {
-            Accepted::Local(acceptor) => self.connect_pair(client, link, conduit, acceptor),
-            Accepted::Remote(target) => self.dial_remote(client, link, info, conduit, target),
-        }
+        self.connect_pair(client, link, conduit, acceptor)
     }
 
     /// Conduit-originated dial that announces an explicit source address
@@ -577,10 +470,8 @@ impl Network {
     ) -> Result<ConnToken, DialError> {
         let info = DialInfo { client: src, dst, port };
         let link = self.link_for(src);
-        match self.accept_or_route(info)? {
-            Accepted::Local(acceptor) => self.connect_pair(src, link, conduit, acceptor),
-            Accepted::Remote(target) => self.dial_remote(src, link, info, conduit, target),
-        }
+        let acceptor = self.accept_from_listener(info)?;
+        self.connect_pair(src, link, conduit, acceptor)
     }
 
     /// Anonymous conduit-originated dial (e.g. a proxy's upstream leg):
@@ -599,16 +490,15 @@ impl Network {
             self.sides.get(from.slot).filter(|s| s.gen == from.gen).map(|s| s.scope).unwrap_or(dst);
         let info = DialInfo { client: Ipv4([0, 0, 0, 0]), dst, port };
         let link = self.link_for(dst);
-        match self.accept_or_route(info)? {
-            Accepted::Local(acceptor) => self.connect_pair(scope, link, conduit, acceptor),
-            Accepted::Remote(target) => self.dial_remote(scope, link, info, conduit, target),
-        }
+        let acceptor = self.accept_from_listener(info)?;
+        self.connect_pair(scope, link, conduit, acceptor)
     }
 
     /// Seed for the next connection's loss stream under `scope`'s dial
     /// scope: a SplitMix64 chain over (network seed, address, session
     /// salt, dial ordinal). Always consumes the ordinal so stream
     /// assignment is independent of which links happen to be lossy.
+    #[inline(never)] // see `ConnHalves::derive`
     fn conn_stream_seed(&mut self, scope: Ipv4) -> u64 {
         let (salt, ordinal) = {
             let entry = self.scopes.entry(scope).or_insert(DialScope { salt: 0, conns: 0 });
@@ -637,7 +527,6 @@ impl Network {
                 fault: None,
                 scope: Ipv4([0, 0, 0, 0]),
                 open: false,
-                remote: None,
             });
             self.sides.len() - 1
         }
@@ -667,7 +556,6 @@ impl Network {
                 fault: half.fault,
                 scope,
                 open: true,
-                remote: None,
             };
         }
         tok
@@ -710,151 +598,10 @@ impl Network {
         }
     }
 
-    /// Resolve a dial destination: a local listener wins; otherwise, on a
-    /// fabric-attached network, the partition directory may route the
-    /// dial to the partition owning the listener.
-    fn accept_or_route(&mut self, info: DialInfo) -> Result<Accepted, DialError> {
-        if self.listeners.contains_key(&(info.dst, info.port)) {
-            return self.accept_from_listener(info).map(Accepted::Local);
-        }
-        match self
-            .remote
-            .as_ref()
-            .and_then(|ctx| ctx.directory.get(&(info.dst, info.port)).copied())
-        {
-            Some(target) => Ok(Accepted::Remote(target)),
-            None => Err(DialError::Refused),
-        }
-    }
-
-    /// Initiate a cross-partition connection: install only the local
-    /// (initiator) endpoint, ship a `Dial` carrying the derived stream
-    /// seed and link profile to the partition owning the destination
-    /// listener, and schedule the local Open after a full RTT — exactly
-    /// mirroring [`Network::connect_pair`]'s timing and DRBG derivation.
-    fn dial_remote(
-        &mut self,
-        scope: Ipv4,
-        link: LinkProfile,
-        info: DialInfo,
-        conduit: Box<dyn Conduit>,
-        target: PartitionId,
-    ) -> Result<ConnToken, DialError> {
-        let stream_seed = self.conn_stream_seed(scope);
-        let halves = ConnHalves::derive(&link, stream_seed);
-        let tok = self.install_side(conduit, &link, halves.initiator, scope);
-        let Some(key) = self.remote.as_mut().map(|ctx| {
-            let conn = ctx.next_conn;
-            ctx.next_conn += 1;
-            let key = (ctx.id, conn);
-            ctx.conns.insert(key, tok);
-            key
-        }) else {
-            // Unreachable: `target` came from the directory, which only
-            // exists on fabric-attached networks.
-            return Err(DialError::Refused);
-        };
-        if let Some(side) = self.side_mut(tok) {
-            side.remote = Some(RemoteRef { peer: target, key });
-        }
-        let lat = link.latency_us;
-        if !halves.blackholed {
-            self.ship(
-                target,
-                RemoteEvent {
-                    time_us: self.now_us + lat,
-                    kind: RemoteKind::Dial {
-                        key,
-                        src: info.client,
-                        dst: info.dst,
-                        port: info.port,
-                        stream_seed,
-                        link,
-                    },
-                },
-            );
-            self.push_event(2 * lat, EventKind::Open(tok));
-        }
-        // A blackholed remote dial ships nothing: the acceptor partition
-        // never learns of it (unobservable — the pair would just stall),
-        // and the local side is reclaimed by timeout or reaping.
-        Ok(tok)
-    }
-
-    /// Inject an event shipped by another partition. The fabric calls
-    /// this only for events at or beyond every timestamp this loop still
-    /// has to process (guaranteed by the safe-time protocol), so virtual
-    /// time never runs backwards.
-    pub(crate) fn apply_remote(&mut self, ev: RemoteEvent) {
-        match ev.kind {
-            RemoteKind::Dial { key, src, dst, port, stream_seed, link } => {
-                let info = DialInfo { client: src, dst, port };
-                let acceptor = match self.listeners.get_mut(&(dst, port)) {
-                    Some(factory) => factory(info),
-                    // Directory said we own this listener but it is gone:
-                    // drop the dial; the initiator stalls and is reaped,
-                    // exactly like a blackholed SYN.
-                    None => return,
-                };
-                let halves = ConnHalves::derive(&link, stream_seed);
-                let tok = self.install_side(acceptor, &link, halves.acceptor, src);
-                if let Some(side) = self.side_mut(tok) {
-                    side.remote = Some(RemoteRef { peer: key.0, key });
-                }
-                if let Some(ctx) = self.remote.as_mut() {
-                    ctx.conns.insert(key, tok);
-                }
-                self.push_event_abs(ev.time_us, EventKind::Open(tok));
-            }
-            RemoteKind::Data { key, bytes } => {
-                // A missing entry is a frame for an already-released
-                // connection (peer closed first) — dropped, like a packet
-                // to a closed socket.
-                if let Some(tok) = self.remote.as_ref().and_then(|ctx| ctx.conns.get(&key).copied())
-                {
-                    self.push_event_abs(ev.time_us, EventKind::Data(tok, bytes));
-                }
-            }
-            RemoteKind::Close { key } => {
-                if let Some(tok) = self.remote.as_ref().and_then(|ctx| ctx.conns.get(&key).copied())
-                {
-                    self.push_event_abs(ev.time_us, EventKind::Close(tok));
-                }
-            }
-        }
-    }
-
-    /// Queue an event for another partition (see [`RemoteCtx`]).
-    fn ship(&mut self, to: PartitionId, ev: RemoteEvent) {
-        if let Some(ctx) = self.remote.as_mut() {
-            ctx.max_shipped_arrival = ctx.max_shipped_arrival.max(ev.time_us);
-            ctx.outbound.push((to, ev));
-        }
-    }
-
     fn push_event(&mut self, delay_us: u64, kind: EventKind) {
         let ev = Event { time_us: self.now_us + delay_us, seq: self.seq, kind };
         self.seq += 1;
         self.events.push(Reverse(ev));
-    }
-
-    /// Queue a remotely-injected event at an absolute timestamp, with a
-    /// sequence number above every locally-queued event's — so at equal
-    /// virtual time local events always order first, independent of when
-    /// the fabric happened to drain the inbound queue.
-    fn push_event_abs(&mut self, time_us: u64, kind: EventKind) {
-        let seq = match self.remote.as_mut() {
-            Some(ctx) => {
-                ctx.remote_seq += 1;
-                REMOTE_SEQ_BASE + ctx.remote_seq
-            }
-            None => {
-                let s = self.seq;
-                self.seq += 1;
-                s
-            }
-        };
-        self.events.push(Reverse(Event { time_us, seq, kind }));
     }
 
     /// The side `tok` refers to, iff the token's generation is current.
@@ -875,27 +622,7 @@ impl Network {
         side.loss_rng = None;
         side.fault = None;
         side.open = false;
-        let remote = side.remote.take();
         self.free.push(tok.slot);
-        if let (Some(r), Some(ctx)) = (remote, self.remote.as_mut()) {
-            ctx.conns.remove(&r.key);
-        }
-    }
-
-    /// Deliver one frame to a side's peer: locally after `lat`, or — for
-    /// a cross-partition connection — shipped to the peer's partition
-    /// with the same arrival timestamp.
-    fn send_frame(&mut self, peer: ConnToken, remote: Option<RemoteRef>, lat: u64, bytes: Vec<u8>) {
-        match remote {
-            Some(r) => self.ship(
-                r.peer,
-                RemoteEvent {
-                    time_us: self.now_us + lat,
-                    kind: RemoteKind::Data { key: r.key, bytes },
-                },
-            ),
-            None => self.push_event(lat, EventKind::Data(peer, bytes)),
-        }
     }
 
     pub(crate) fn queue_send(&mut self, from: ConnToken, bytes: &[u8]) {
@@ -904,7 +631,6 @@ impl Network {
             return;
         }
         let peer = side.peer;
-        let remote = side.remote;
         let lat = side.latency_us;
         let loss = side.loss;
         let lost = match side.loss_rng.as_mut() {
@@ -920,7 +646,7 @@ impl Network {
         };
         match action {
             FaultAction::Deliver => {
-                self.send_frame(peer, remote, lat, bytes.to_vec());
+                self.push_event(lat, EventKind::Data(peer, bytes.to_vec()));
             }
             FaultAction::CorruptByte { offset, mask } => {
                 // One flipped byte; the frame still arrives, so the peer's
@@ -929,7 +655,7 @@ impl Network {
                 if let Some(byte) = corrupted.get_mut(offset) {
                     *byte ^= mask;
                 }
-                self.send_frame(peer, remote, lat, corrupted);
+                self.push_event(lat, EventKind::Data(peer, corrupted));
             }
             FaultAction::TruncateClose { keep } => {
                 // The wire cuts the frame short and the connection dies:
@@ -938,7 +664,7 @@ impl Network {
                 // and notifies the peer.
                 if keep > 0 {
                     let truncated = bytes.get(..keep).unwrap_or(bytes).to_vec();
-                    self.send_frame(peer, remote, lat, truncated);
+                    self.push_event(lat, EventKind::Data(peer, truncated));
                 }
                 self.queue_close(from);
             }
@@ -958,15 +684,8 @@ impl Network {
         }
         side.open = false;
         let peer = side.peer;
-        let remote = side.remote;
         let lat = side.latency_us;
-        match remote {
-            Some(r) => self.ship(
-                r.peer,
-                RemoteEvent { time_us: self.now_us + lat, kind: RemoteKind::Close { key: r.key } },
-            ),
-            None => self.push_event(lat, EventKind::Close(peer)),
-        }
+        self.push_event(lat, EventKind::Close(peer));
         // The closing side is done sending and receiving: tear it down
         // deterministically (drop the conduit, recycle the slot) instead
         // of retaining the Box until the peer's Close round-trips.
@@ -979,20 +698,8 @@ impl Network {
     /// [`NetRunError`] if the cap was exceeded (remaining events stay
     /// queued; the network should be considered wedged).
     pub fn run(&mut self) -> Result<u64, NetRunError> {
-        self.run_until(u64::MAX)
-    }
-
-    /// Run events with timestamps strictly before `limit_us` (or until
-    /// quiescence). The partitioned drive uses this to advance a logical
-    /// process only up to its current safe time.
-    pub(crate) fn run_until(&mut self, limit_us: u64) -> Result<u64, NetRunError> {
         let mut n = 0;
-        loop {
-            match self.events.peek() {
-                Some(Reverse(ev)) if ev.time_us < limit_us => {}
-                _ => break,
-            }
-            let Some(Reverse(ev)) = self.events.pop() else { break };
+        while let Some(Reverse(ev)) = self.events.pop() {
             self.now_us = ev.time_us;
             self.processed += 1;
             n += 1;
