@@ -15,8 +15,6 @@
 //! * `TLSFOE_BATCH` — concurrent sessions per event-loop drive on each
 //!   shard's long-lived network (default 64; results are bit-identical
 //!   for any value),
-//! * `TLSFOE_SCHOOLBOOK` — set to force the seed's schoolbook bignum
-//!   path (perf ablation; roughly doubles `exp_all` wall-clock),
 //! * `TLSFOE_PRIVATE_MINT` — set to give every study a private
 //!   substitute cache instead of the process-wide one (perf ablation;
 //!   restores the seed's per-study re-minting, results unchanged).

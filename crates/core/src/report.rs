@@ -11,8 +11,9 @@
 //! mismatches, which is what every downstream analyzer consumes.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use tlsfoe_crypto::memo::Memo;
 use tlsfoe_netsim::net::DialInfo;
 use tlsfoe_netsim::{Ipv4, Shared};
 use tlsfoe_x509::{pem, Certificate};
@@ -25,90 +26,42 @@ pub use crate::store::{
     Database, MeasurementRecord, ProbeFailureRecord, RecordView, SubstituteInfo,
 };
 
-/// Upper bound on distinct `(host, body)` classifications the ingest
-/// memo retains. Healthy runs sit far below it (`exp_million` measured
-/// 39 distinct chains across 10⁶ impressions); a chaos run spraying
-/// corrupted-but-parseable bodies stops *inserting* past the cap and
-/// simply re-parses, so memory stays bounded and semantics unchanged.
+/// Distinct upload bodies each host's ingest memo stores. Healthy runs
+/// sit far below it (`exp_million` measured 39 distinct chains across
+/// 10⁶ impressions); a chaos run spraying corrupted-but-parseable bodies
+/// stops *inserting* past the cap and simply re-parses, so memory stays
+/// bounded and semantics unchanged.
 const INGEST_MEMO_MAX: usize = 4096;
 
-/// One memoized upload classification: the exact request bytes that
-/// produced it (full-body equality guards against hash collisions) and
-/// the parse-derived fields of the record it yields.
-struct MemoEntry {
-    host: &'static str,
-    body: Vec<u8>,
-    proxied: bool,
-    substitute: Option<SubstituteInfo>,
-}
-
-/// Upload-body → parsed-classification memo.
-///
-/// Probes upload the PEM encoding of whatever chain they captured, and
-/// distinct chains are rare (tens per run) while uploads number in the
-/// millions — so the PEM decode + X.509 parse + leaf comparison that
-/// [`ReportServer::ingest`] performs is overwhelmingly repeated work.
-/// The memo keys on an FNV hash of `(host, body)` with bucket entries
-/// compared by full body equality (never hash-only), and stores exactly
-/// the classification fields that are pure functions of `(host, body)`:
-/// `proxied` and the substitute evidence. Per-upload fields (impression
-/// ordinal, client IP, geolocation, attempts) are never memoized.
-///
-/// Malformed bodies are **not** cacheable: they produce no
-/// classification, only a `malformed_uploads` bump, and memoizing them
-/// could turn a later byte-identical-but-reparsed upload into a silent
-/// drop. The regression tests below pin this down.
-#[derive(Default)]
-struct IngestMemo {
-    buckets: HashMap<u64, Vec<MemoEntry>>,
-    entries: usize,
-}
-
-impl IngestMemo {
-    fn hash(host: &str, body: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in host.as_bytes().iter().chain(b"\0").chain(body) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        h
-    }
-
-    fn lookup(&self, host: &str, body: &[u8]) -> Option<(bool, Option<SubstituteInfo>)> {
-        let bucket = self.buckets.get(&Self::hash(host, body))?;
-        let e = bucket.iter().find(|e| e.host == host && e.body == body)?;
-        Some((e.proxied, e.substitute.clone()))
-    }
-
-    fn insert(
-        &mut self,
-        host: &'static str,
-        body: &[u8],
-        proxied: bool,
-        substitute: &Option<SubstituteInfo>,
-    ) {
-        if self.entries >= INGEST_MEMO_MAX {
-            return;
-        }
-        self.entries += 1;
-        self.buckets.entry(Self::hash(host, body)).or_default().push(MemoEntry {
-            host,
-            body: body.to_vec(),
-            proxied,
-            substitute: substitute.clone(),
-        });
-    }
+/// One probed host as the server sees it.
+struct Authority {
+    /// DER of the host's genuine leaf, which uploads are compared to.
+    leaf_der: Vec<u8>,
+    category: HostCategory,
+    /// Upload body → `(proxied, substitute evidence)` against this host.
+    ///
+    /// Probes upload the PEM encoding of whatever chain they captured,
+    /// and distinct chains are rare (tens per run) while uploads number
+    /// in the millions — so the PEM decode + X.509 parse + leaf
+    /// comparison that [`ReportServer::ingest`] performs is
+    /// overwhelmingly repeated work. The memo is looked up by the body
+    /// bytes (full equality on a hash hit, never hash-only) and stores
+    /// exactly the fields that are pure functions of `(host, body)`;
+    /// per-upload fields (impression ordinal, client IP, geolocation,
+    /// attempts) are never memoized.
+    ///
+    /// Malformed bodies are **not** stored: they produce no
+    /// classification, only a `malformed_uploads` bump, and memoizing
+    /// them could turn a later byte-identical-but-reparsed upload into a
+    /// silent drop. The regression tests below pin this down.
+    memo: Memo<Vec<u8>, (bool, Option<SubstituteInfo>)>,
 }
 
 /// The reporting server: authoritative chains + geolocation + database.
 pub struct ReportServer {
-    authoritative: HashMap<&'static str, (Vec<u8>, &'static str, HostCategory)>,
+    authoritative: HashMap<&'static str, Authority>,
     geo: GeoDb,
     db: Shared<Database>,
-    /// See [`IngestMemo`]. The server is per shard, so the lock is
-    /// uncontended; it is a mutex because the `Send` listener closure
-    /// shares the server through an `Arc`.
-    memo: Mutex<IngestMemo>,
 }
 
 impl ReportServer {
@@ -118,11 +71,12 @@ impl ReportServer {
             .hosts
             .iter()
             .filter_map(|h| {
-                let leaf = h.chain.first()?;
-                Some((h.name, (leaf.to_der().to_vec(), h.name, h.category)))
+                let leaf_der = h.chain.first()?.to_der().to_vec();
+                let memo = Memo::new(INGEST_MEMO_MAX);
+                Some((h.name, Authority { leaf_der, category: h.category, memo }))
             })
             .collect();
-        ReportServer { authoritative, geo, db, memo: Mutex::new(IngestMemo::default()) }
+        ReportServer { authoritative, geo, db }
     }
 
     /// The shared database handle.
@@ -166,53 +120,28 @@ impl ReportServer {
             self.db.lock().note_malformed();
             return;
         };
-        let Some(&(ref auth_leaf, host, category)) = self.authoritative.get(host_name) else {
+        let Some((&host, auth)) = self.authoritative.get_key_value(host_name) else {
             self.db.lock().note_malformed();
             return;
         };
-        // Fast path: the 2nd..Nth sighting of a `(host, body)` pair skips
-        // PEM decode, X.509 parse and leaf comparison entirely — the
-        // classification is a pure function of those bytes (see
-        // [`IngestMemo`]); only the per-upload fields are computed fresh.
-        let memoized = self.memo.lock().unwrap_or_else(|e| e.into_inner()).lookup(host, body);
-        let (proxied, substitute) = match memoized {
-            Some(hit) => hit,
-            None => {
-                let text = String::from_utf8_lossy(body);
-                let chain = match pem::decode_certificates(&text) {
-                    Ok(chain) => chain,
-                    // Unparsable bodies are counted and dropped, never
-                    // memoized: only successful classifications enter the
-                    // memo.
-                    Err(_) => {
-                        self.db.lock().note_malformed();
-                        return;
-                    }
-                };
-                // An empty (certificate-free) body is malformed too.
-                let Some((leaf, intermediates)) = chain.split_first() else {
-                    self.db.lock().note_malformed();
-                    return;
-                };
-                let leaf_der = leaf.to_der();
-                let proxied = leaf_der != auth_leaf.as_slice();
-                let substitute =
-                    proxied.then(|| extract_substitute(leaf, leaf_der, intermediates, host));
-                self.memo.lock().unwrap_or_else(|e| e.into_inner()).insert(
-                    host,
-                    body,
-                    proxied,
-                    &substitute,
-                );
-                (proxied, substitute)
-            }
+        // The 2nd..Nth sighting of a body skips PEM decode, X.509 parse
+        // and leaf comparison entirely — the classification is a pure
+        // function of `(host, body)` (see [`Authority::memo`]); only the
+        // per-upload fields are computed fresh. Unparsable bodies are
+        // counted and dropped, never memoized.
+        let classified = auth
+            .memo
+            .get_or_try_insert_with(body, || classify(body, &auth.leaf_der, host).ok_or(()));
+        let Ok((proxied, substitute)) = classified else {
+            self.db.lock().note_malformed();
+            return;
         };
         self.db.lock().push(MeasurementRecord {
             impression,
             client_ip,
             country: self.geo.lookup(client_ip),
             host,
-            category,
+            category: auth.category,
             proxied,
             substitute,
             attempts,
@@ -232,10 +161,21 @@ impl ReportServer {
     }
 }
 
+/// Classify an upload body against `host`, whose genuine leaf is
+/// `auth_leaf`, as `(proxied, substitute evidence)`; `None` when the
+/// body is not a non-empty PEM chain.
+fn classify(body: &[u8], auth_leaf: &[u8], host: &str) -> Option<(bool, Option<SubstituteInfo>)> {
+    let chain = pem::decode_certificates(&String::from_utf8_lossy(body)).ok()?;
+    let (leaf, intermediates) = chain.split_first()?;
+    let leaf_der = leaf.to_der();
+    let proxied = leaf_der != auth_leaf;
+    Some((proxied, proxied.then(|| extract_substitute(leaf, leaf_der, intermediates, host))))
+}
+
 /// Pull the analyzer-relevant fields out of a substitute chain.
 ///
 /// `leaf_der` is the leaf's DER as already borrowed for the
-/// authoritative comparison in `ingest` — passed in so the evidence copy
+/// authoritative comparison in `classify` — passed in so the evidence copy
 /// reuses it instead of re-borrowing `to_der()` per certificate walk.
 fn extract_substitute(
     leaf: &Certificate,
@@ -344,6 +284,8 @@ mod tests {
         server.ingest(client(), "/report?host=tlsresearch.byu.edu", b"no pem here");
         server.ingest(client(), "/report?host=tlsresearch.byu.edu", b"no pem here");
         assert_eq!(db.lock().malformed_uploads(), 8);
+        let memo = &server.authoritative.get("tlsresearch.byu.edu").unwrap().memo;
+        assert!(memo.is_empty(), "no malformed body may enter the host's ingest memo");
         // The good body still classifies fine afterwards.
         server.ingest(client(), "/report?host=tlsresearch.byu.edu", good.as_bytes());
         assert_eq!(db.lock().total(), 1);

@@ -137,9 +137,10 @@ impl Ubig {
 
     /// The little-endian `u64` limbs (no trailing zeros; empty for 0).
     ///
-    /// Exposed for the Montgomery subsystem, which works on fixed-width
-    /// limb slices of the modulus's length.
-    pub(crate) fn limbs(&self) -> &[u64] {
+    /// The Montgomery subsystem works on fixed-width limb slices of the
+    /// modulus's length, and the limbs key the shared context memo
+    /// ([`crate::ctxcache::shared_ctx_cache`]).
+    pub fn limbs(&self) -> &[u64] {
         &self.limbs
     }
 
@@ -425,14 +426,14 @@ impl Ubig {
     /// Odd moduli (every RSA modulus, prime and Miller–Rabin candidate)
     /// take the division-free Montgomery path
     /// ([`crate::montgomery::MontgomeryCtx`]) through the process-wide
-    /// [`crate::ctxcache::shared_ctx_cache`], so repeated convenience
-    /// calls against one modulus — non-CRT signatures, ad-hoc lab
+    /// [`crate::ctxcache::ctx_for`], so repeated convenience calls
+    /// against one modulus — non-CRT signatures, ad-hoc lab
     /// exponentiations — derive the per-modulus constants (`R² mod n`,
     /// the one remaining division) once, not per call. Even moduli fall
     /// back to [`Ubig::modpow_schoolbook`]. Call sites that hold a
     /// context anyway should call
     /// [`crate::montgomery::MontgomeryCtx::modpow`] directly and skip
-    /// the cache probe.
+    /// the memo probe.
     pub fn modpow(&self, exp: &Ubig, m: &Ubig) -> Result<Ubig, CryptoError> {
         if m.is_zero() {
             return Err(CryptoError::DivisionByZero);
@@ -440,8 +441,8 @@ impl Ubig {
         if m.is_one() {
             return Ok(Ubig::zero());
         }
-        if m.is_odd() && !crate::schoolbook_forced() {
-            crate::ctxcache::shared_ctx_cache().get(m)?.modpow(self, exp)
+        if m.is_odd() {
+            crate::ctxcache::ctx_for(m)?.modpow(self, exp)
         } else {
             self.modpow_schoolbook(exp, m)
         }

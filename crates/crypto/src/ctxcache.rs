@@ -1,150 +1,46 @@
-//! Process-wide LRU of [`MontgomeryCtx`]s, keyed by modulus.
+//! Process-wide [`MontgomeryCtx`]s, one per modulus.
 //!
 //! Chain validation verifies many signatures against a small, stable set
 //! of public keys (root-store anchors, a handful of proxy roots, the
 //! per-host server keys), and non-CRT signing exponentiates repeatedly
-//! against the same public modulus. Before this cache every
-//! [`crate::RsaPublicKey::verify`] call re-derived the per-modulus
-//! Montgomery constants — one `R² mod n` division per call, the last
-//! division left on the verify hot path — and every
-//! [`crate::Ubig::modpow`] convenience call still did. Both now ride
-//! [`shared_ctx_cache`], making that a once-per-modulus cost.
+//! against the same public modulus. Without a shared context every
+//! [`crate::RsaPublicKey::verify`] and [`crate::Ubig::modpow`] call
+//! would re-derive the per-modulus Montgomery constants (one
+//! `R² mod n` division, the last division on the verify hot path).
+//! [`ctx_for`] makes that a once-per-modulus cost.
 //!
-//! Design:
-//!
-//! * keyed by the modulus limbs, so equal moduli share a context no
-//!   matter which `RsaPublicKey` clone they arrive through;
-//! * a single `Mutex` around a `HashMap` + logical-clock LRU. The
-//!   critical section is a hash probe (the expensive context *build*
-//!   happens outside the lock), so contention across study worker
-//!   threads is negligible next to the ~µs-scale exponentiations the
-//!   contexts are used for;
-//! * bounded ([`MontCtxCache::capacity`]); eviction drops the
-//!   least-recently-used modulus. The corpus of distinct verify moduli
-//!   in a full study run (18 host keys + ~40 product roots + leaf pools)
-//!   sits far below the default capacity, so steady-state hit rate is
-//!   ~100%;
-//! * deterministic: a context is a pure function of its modulus, so a
-//!   lost race (two threads building the same context) yields
-//!   byte-identical results whichever insert wins.
+//! The contexts live in one [`Memo`] keyed by the modulus limbs, so
+//! equal moduli share a context whichever `RsaPublicKey` clone they
+//! arrive through. It stores at most 256 moduli; a full study run
+//! verifies against far fewer (18 host keys, ~40 product roots, a few
+//! CA keys), so its hit rate stays ~100%.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::bigint::Ubig;
+use crate::memo::Memo;
 use crate::montgomery::MontgomeryCtx;
 use crate::CryptoError;
 
-/// Default capacity of the process-wide verify cache (distinct moduli).
-pub const DEFAULT_CAPACITY: usize = 256;
+/// Distinct moduli the shared memo stores.
+const CAPACITY: usize = 256;
 
-/// A bounded, thread-safe LRU of [`MontgomeryCtx`] keyed by modulus.
-#[derive(Debug)]
-pub struct MontCtxCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+/// The process-wide context memo behind [`ctx_for`], exposed for its
+/// `stats()` and `contains()`.
+pub fn shared_ctx_cache() -> &'static Memo<Vec<u64>, Arc<MontgomeryCtx>> {
+    static CACHE: OnceLock<Memo<Vec<u64>, Arc<MontgomeryCtx>>> = OnceLock::new();
+    CACHE.get_or_init(|| Memo::new(CAPACITY))
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<Vec<u64>, Entry>,
-    /// Logical clock; bumped on every access for LRU bookkeeping.
-    tick: u64,
-}
-
-#[derive(Debug)]
-struct Entry {
-    ctx: Arc<MontgomeryCtx>,
-    last_used: u64,
-}
-
-impl MontCtxCache {
-    /// An empty cache holding at most `capacity` contexts.
-    pub fn new(capacity: usize) -> MontCtxCache {
-        MontCtxCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Maximum number of cached contexts.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Fetch (or build and insert) the context for an odd `modulus`.
-    ///
-    /// Errors exactly as [`MontgomeryCtx::new`] does (even or zero
-    /// modulus); errors are not cached.
-    pub fn get(&self, modulus: &Ubig) -> Result<Arc<MontgomeryCtx>, CryptoError> {
-        {
-            let mut inner = self.inner.lock().expect("ctx cache poisoned");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(modulus.limbs()) {
-                entry.last_used = tick;
-                let ctx = entry.ctx.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(ctx);
-            }
-        }
-        // Build outside the lock — the R² division is the slow part, and
-        // a racing duplicate build produces an identical context.
-        let ctx = Arc::new(MontgomeryCtx::new(modulus)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock().expect("ctx cache poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner
-            .map
-            .entry(modulus.limbs().to_vec())
-            .or_insert_with(|| Entry { ctx, last_used: tick });
-        entry.last_used = tick;
-        let ctx = entry.ctx.clone();
-        while inner.map.len() > self.capacity {
-            let Some(oldest) =
-                inner.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            inner.map.remove(&oldest);
-        }
-        Ok(ctx)
-    }
-
-    /// True when a context for `modulus` is currently cached.
-    pub fn contains(&self, modulus: &Ubig) -> bool {
-        self.inner.lock().expect("ctx cache poisoned").map.contains_key(modulus.limbs())
-    }
-
-    /// Number of contexts currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("ctx cache poisoned").map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `(hits, misses)` counters since process start (for benches/tests).
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
-
-/// The process-wide context cache (capacity [`DEFAULT_CAPACITY`]) that
-/// [`crate::RsaPublicKey::verify`], non-CRT signing and every odd-modulus
-/// [`crate::Ubig::modpow`] ride.
-pub fn shared_ctx_cache() -> &'static MontCtxCache {
-    static CACHE: OnceLock<MontCtxCache> = OnceLock::new();
-    CACHE.get_or_init(|| MontCtxCache::new(DEFAULT_CAPACITY))
+/// The Montgomery context for an odd `modulus`, built on first use and
+/// shared from then on. [`crate::RsaPublicKey::verify`], non-CRT
+/// signing and every odd-modulus [`crate::Ubig::modpow`] ride it.
+///
+/// Errors exactly as [`MontgomeryCtx::new`] does (even or zero
+/// modulus); errors are never stored.
+pub fn ctx_for(modulus: &Ubig) -> Result<Arc<MontgomeryCtx>, CryptoError> {
+    shared_ctx_cache()
+        .get_or_try_insert_with(modulus.limbs(), || MontgomeryCtx::new(modulus).map(Arc::new))
 }
 
 #[cfg(test)]
@@ -158,61 +54,30 @@ mod tests {
 
     #[test]
     fn same_modulus_shares_one_context() {
-        let cache = MontCtxCache::new(8);
-        let a = cache.get(&odd(1_000_003)).unwrap();
-        let b = cache.get(&odd(1_000_003)).unwrap();
+        let m = odd(1_000_033);
+        let a = ctx_for(&m).unwrap();
+        let b = ctx_for(&m).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 1));
-    }
-
-    #[test]
-    fn cached_context_computes_correctly() {
-        let cache = MontCtxCache::new(8);
-        let m = odd(497);
-        let ctx = cache.get(&m).unwrap();
-        assert_eq!(
-            ctx.modpow(&Ubig::from_u64(4), &Ubig::from_u64(13)).unwrap(),
-            Ubig::from_u64(445)
-        );
-    }
-
-    #[test]
-    fn evicts_least_recently_used() {
-        let cache = MontCtxCache::new(2);
-        let (m1, m2, m3) = (odd(101), odd(201), odd(301));
-        cache.get(&m1).unwrap();
-        cache.get(&m2).unwrap();
-        cache.get(&m1).unwrap(); // m1 is now fresher than m2
-        cache.get(&m3).unwrap(); // evicts m2
-        assert_eq!(cache.len(), 2);
-        let (_, misses_before) = cache.stats();
-        cache.get(&m1).unwrap(); // still cached — no new miss
-        let (_, misses_after) = cache.stats();
-        assert_eq!(misses_before, misses_after);
-        cache.get(&m2).unwrap(); // was evicted — rebuilds
-        let (_, misses_rebuilt) = cache.stats();
-        assert_eq!(misses_rebuilt, misses_after + 1);
+        assert!(shared_ctx_cache().contains(m.limbs()));
     }
 
     #[test]
     fn even_and_zero_moduli_error_and_are_not_cached() {
-        let cache = MontCtxCache::new(4);
-        assert_eq!(cache.get(&Ubig::from_u64(10)).unwrap_err(), CryptoError::EvenModulus);
-        assert_eq!(cache.get(&Ubig::zero()).unwrap_err(), CryptoError::DivisionByZero);
-        assert!(cache.is_empty());
+        let (even, zero) = (Ubig::from_u64(10), Ubig::zero());
+        assert_eq!(ctx_for(&even).unwrap_err(), CryptoError::EvenModulus);
+        assert_eq!(ctx_for(&zero).unwrap_err(), CryptoError::DivisionByZero);
+        assert!(!shared_ctx_cache().contains(even.limbs()));
+        assert!(!shared_ctx_cache().contains(zero.limbs()));
     }
 
     #[test]
     fn concurrent_access_is_consistent() {
-        let cache = MontCtxCache::new(16);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for i in 0..64u64 {
                         let m = odd(1_000_003 + 2 * (i % 8));
-                        let ctx = cache.get(&m).unwrap();
+                        let ctx = ctx_for(&m).unwrap();
                         assert_eq!(
                             ctx.modpow(&Ubig::from_u64(2), &Ubig::from_u64(10)).unwrap(),
                             Ubig::from_u64(1024)
@@ -221,6 +86,8 @@ mod tests {
                 });
             }
         });
-        assert_eq!(cache.len(), 8);
+        for i in 0..8u64 {
+            assert!(shared_ctx_cache().contains(odd(1_000_003 + 2 * i).limbs()));
+        }
     }
 }

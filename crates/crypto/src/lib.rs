@@ -22,7 +22,10 @@
 //!   DigestInfo encoding; private keys carry precomputed [`RsaCrt`]
 //!   material so signing uses half-size CRT exponentiations,
 //! * [`drbg`] — a deterministic random bit generator so that every
-//!   simulation in the workspace is reproducible from a single seed.
+//!   simulation in the workspace is reproducible from a single seed,
+//! * [`memo`] — the bounded, lock-striped [`Memo`] every cache in the
+//!   workspace is built on, and [`ctxcache`], the process-wide
+//!   per-modulus [`MontgomeryCtx`] memo ([`ctx_for`]).
 //!
 //! ## Hot-path performance
 //!
@@ -38,10 +41,9 @@
 //!
 //! At 512/2048 bits the sign speedups are ~13× and ~11× respectively.
 //! End to end, `exp_all` (every experiment binary at default
-//! `TLSFOE_SCALE`) drops from 124 s to 63 s — verified with the
-//! `TLSFOE_SCHOOLBOOK=1` ablation switch, which forces every
-//! exponentiation (keygen, Miller–Rabin, sign, verify) back onto the
-//! seed's schoolbook path.
+//! `TLSFOE_SCALE`) dropped from 124 s to 63 s when every
+//! exponentiation (keygen, Miller–Rabin, sign, verify) left the
+//! schoolbook path.
 //!
 //! Typical usage: one-shot callers just use [`Ubig::modpow`] (it builds a
 //! context transparently); repeated exponentiation against one modulus
@@ -67,14 +69,16 @@ pub mod ctxcache;
 pub mod drbg;
 pub mod hmac;
 pub mod md5;
+pub mod memo;
 pub mod montgomery;
 pub mod rsa;
 pub mod sha1;
 pub mod sha256;
 
 pub use bigint::Ubig;
-pub use ctxcache::{shared_ctx_cache, MontCtxCache};
+pub use ctxcache::{ctx_for, shared_ctx_cache};
 pub use drbg::{Drbg, RngCore64};
+pub use memo::Memo;
 pub use montgomery::{with_thread_scratch, ModpowPlan, ModpowScratch, MontgomeryCtx};
 pub use rsa::{RsaCrt, RsaKeyPair, RsaPublicKey};
 
@@ -120,16 +124,6 @@ impl HashAlg {
             HashAlg::Sha256 => "sha256",
         }
     }
-}
-
-/// True when `TLSFOE_SCHOOLBOOK` is set (to anything but `0`): forces
-/// [`Ubig::modpow`] and RSA signing back onto the seed's schoolbook
-/// square-and-multiply path, for end-to-end perf ablations like
-/// `TLSFOE_SCHOOLBOOK=1 exp_all`. Read once per process.
-pub(crate) fn schoolbook_forced() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    // lint:allow(determinism, seed-equivalence ablation switch — both paths are asserted byte-identical, so the env read selects between two provably equal behaviors)
-    *FORCED.get_or_init(|| std::env::var_os("TLSFOE_SCHOOLBOOK").is_some_and(|v| v != "0"))
 }
 
 /// Errors produced by this crate.

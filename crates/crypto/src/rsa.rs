@@ -224,33 +224,24 @@ fn mr_decompose(n_minus_1: &Ubig) -> (Ubig, usize) {
 
 /// One Miller–Rabin round: true iff base `a` *witnesses* that `n` is
 /// composite (so `false` means "n is probably prime as far as `a` can
-/// tell"). `ctx` is `None` under the `TLSFOE_SCHOOLBOOK` ablation.
+/// tell"). `ctx` is `n`'s Montgomery context.
 fn mr_composite_witness(
     a: &Ubig,
     d: &Ubig,
     r: usize,
-    n: &Ubig,
     n_minus_1: &Ubig,
-    ctx: Option<&MontgomeryCtx>,
+    ctx: &MontgomeryCtx,
 ) -> bool {
-    let mut x = match ctx {
-        // Base 2 rides the square-and-double ladder: the multiply step
-        // degenerates to an O(k) modular doubling, ~20% off the ladder
-        // that kills almost every sieved-but-composite candidate.
-        Some(ctx) if a == &Ubig::from_u64(2) => ctx.pow2mod(d),
-        Some(ctx) => ctx.modpow(a, d),
-        None => a.modpow_schoolbook(d, n),
-    }
-    .expect("nonzero modulus");
+    // Base 2 rides the square-and-double ladder: the multiply step
+    // degenerates to an O(k) modular doubling, ~20% off the ladder that
+    // kills almost every sieved-but-composite candidate.
+    let mut x = if a == &Ubig::from_u64(2) { ctx.pow2mod(d) } else { ctx.modpow(a, d) }
+        .expect("nonzero modulus");
     if x.is_one() || &x == n_minus_1 {
         return false;
     }
     for _ in 0..r.saturating_sub(1) {
-        x = match ctx {
-            Some(ctx) => ctx.sqrmod(&x),
-            None => x.mulmod(&x, n),
-        }
-        .expect("nonzero modulus");
+        x = ctx.sqrmod(&x).expect("nonzero modulus");
         if &x == n_minus_1 {
             return false;
         }
@@ -272,9 +263,8 @@ fn mr_probable_prime(n: &Ubig, rounds: usize, rng: &mut dyn RngCore64) -> (bool,
     let n_minus_1 = n.sub(&Ubig::one());
     let (d, r) = mr_decompose(&n_minus_1);
     // One Montgomery context serves every witness (n is odd here).
-    // `None` under TLSFOE_SCHOOLBOOK, the seed-equivalence perf ablation.
-    let ctx = (!crate::schoolbook_forced()).then(|| MontgomeryCtx::new(n).expect("odd modulus"));
-    if mr_composite_witness(&Ubig::from_u64(2), &d, r, n, &n_minus_1, ctx.as_ref()) {
+    let ctx = MontgomeryCtx::new(n).expect("odd modulus");
+    if mr_composite_witness(&Ubig::from_u64(2), &d, r, &n_minus_1, &ctx) {
         return (false, true);
     }
     let byte_len = n.bit_len().div_ceil(8);
@@ -288,7 +278,7 @@ fn mr_probable_prime(n: &Ubig, rounds: usize, rng: &mut dyn RngCore64) -> (bool,
                 break a;
             }
         };
-        if mr_composite_witness(&a, &d, r, n, &n_minus_1, ctx.as_ref()) {
+        if mr_composite_witness(&a, &d, r, &n_minus_1, &ctx) {
             return (false, false);
         }
     }
@@ -592,20 +582,16 @@ impl RsaKeyPair {
             return Err(CryptoError::MessageTooLong);
         }
         let s = match &self.crt {
-            // The TLSFOE_SCHOOLBOOK check keeps the seed's full-size
-            // exponentiation reachable for end-to-end perf ablations.
-            Some(crt) if !crate::schoolbook_forced() => crt.private_exp_with(&m, scratch)?,
+            Some(crt) => crt.private_exp_with(&m, scratch)?,
             // Non-CRT fallback: same dispatch as `Ubig::modpow` (shared
-            // ctx cache for odd moduli, schoolbook otherwise) but driven
+            // context for odd moduli, schoolbook otherwise) but driven
             // through the caller's scratch — going through `Ubig::modpow`
             // here would re-enter the thread-local workspace and fall
             // back to a fresh allocation per signature.
-            _ if self.public.n.is_odd() && !crate::schoolbook_forced() => {
-                crate::ctxcache::shared_ctx_cache()
-                    .get(&self.public.n)?
-                    .modpow_with(&m, &self.d, scratch)?
+            None if self.public.n.is_odd() => {
+                crate::ctxcache::ctx_for(&self.public.n)?.modpow_with(&m, &self.d, scratch)?
             }
-            _ => m.modpow_schoolbook(&self.d, &self.public.n)?,
+            None => m.modpow_schoolbook(&self.d, &self.public.n)?,
         };
         s.to_bytes_be_padded(k).ok_or(CryptoError::MessageTooLong)
     }
@@ -626,13 +612,11 @@ impl RsaPublicKey {
 
     /// Verify an RSASSA-PKCS1-v1_5 signature over `message`.
     ///
-    /// The exponentiation rides the process-wide
-    /// [`crate::ctxcache::shared_ctx_cache`], so verifying many
-    /// signatures against the same key (chain validation, root-store
-    /// anchor search) re-derives the per-modulus Montgomery constants
-    /// once rather than per call. Even moduli and the
-    /// `TLSFOE_SCHOOLBOOK` ablation fall back to [`Ubig::modpow`]'s
-    /// uncached dispatch.
+    /// The exponentiation is [`Ubig::modpow`], which rides the
+    /// process-wide [`crate::ctxcache::ctx_for`] for odd moduli, so
+    /// verifying many signatures against the same key (chain
+    /// validation, root-store anchor search) derives the per-modulus
+    /// Montgomery constants once rather than per call.
     pub fn verify(
         &self,
         alg: HashAlg,
@@ -647,11 +631,7 @@ impl RsaPublicKey {
         if s >= self.n {
             return Err(CryptoError::BadSignature);
         }
-        let m = if self.n.is_odd() && !crate::schoolbook_forced() {
-            crate::ctxcache::shared_ctx_cache().get(&self.n)?.modpow(&s, &self.e)?
-        } else {
-            s.modpow(&self.e, &self.n)?
-        };
+        let m = s.modpow(&self.e, &self.n)?;
         let em = m.to_bytes_be_padded(k).ok_or(CryptoError::BadSignature)?;
         let expected = pkcs1v15_encode(alg, message, k)?;
         if em == expected {

@@ -1,4 +1,4 @@
-//! Shared, sharded substitute-chain cache.
+//! The shared substitute-chain cache.
 //!
 //! Real interception products cache the substitute certificate they mint
 //! per site; the simulator does the same, but study runs shard
@@ -35,23 +35,19 @@
 //!
 //! ## Structure
 //!
-//! A [`crate::striped::Striped`] map (shared with the key cache,
-//! [`crate::keys`]): keys hash to one of [`SHARDS`] independent
-//! `Mutex<HashMap>` shards of per-key once-cells, and a mint runs in
-//! its key's cell outside the shard lock, so concurrent misses on
-//! *different* hosts mint in parallel and concurrent hits rarely touch
-//! the same lock.
+//! The cache is an unbounded [`Memo`] filled with
+//! [`Memo::get_or_insert_with`], so concurrent misses on *different*
+//! hosts mint in parallel. Its keys are the catalog's products × the
+//! probed hosts, tens to a few thousand per process.
 
 use std::sync::{Arc, OnceLock};
 
+use tlsfoe_crypto::memo::Memo;
 use tlsfoe_tls::server::ServerConfig;
 use tlsfoe_x509::Certificate;
 
 use crate::model::StudyEra;
 use crate::products::ProductId;
-use crate::striped::Striped;
-
-pub use crate::striped::SHARDS;
 
 /// Cache key: which chain, for whom.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -87,54 +83,11 @@ pub struct SubstituteEntry {
     pub config: Arc<ServerConfig>,
 }
 
-/// A lock-striped map of minted substitute chains (plus their serving
-/// configs), shared across all worker threads of a study run.
-#[derive(Debug, Default)]
-pub struct SubstituteCache {
-    entries: Striped<SubstituteKey, SubstituteEntry>,
-}
-
-impl SubstituteCache {
-    /// An empty cache.
-    pub fn new() -> SubstituteCache {
-        SubstituteCache::default()
-    }
-
-    /// Fetch the entry for `key`, minting the chain with `mint` (and
-    /// building its `ServerConfig`) on a miss.
-    ///
-    /// The mint runs once per key, outside the shard lock
-    /// ([`Striped::get_or_insert_with`]): it blocks only concurrent
-    /// lookups of the same key, and it guarantees each chain — and each
-    /// config — is built exactly once, which keeps per-factory mint
-    /// counters exact and avoids duplicate RSA signatures during warm-up
-    /// stampedes.
-    pub fn get_or_mint(
-        &self,
-        key: SubstituteKey,
-        mint: impl FnOnce() -> Vec<Certificate>,
-    ) -> SubstituteEntry {
-        self.entries.get_or_insert_with(key, || {
-            let chain = Arc::new(mint());
-            SubstituteEntry { config: ServerConfig::new(chain.clone()), chain }
-        })
-    }
-
-    /// Number of distinct chains cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been minted yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// `(hits, misses)` counters (for perf assertions in tests/benches).
-    pub fn stats(&self) -> (u64, u64) {
-        self.entries.stats()
-    }
-}
+/// Minted substitute chains (plus their serving configs), shared across
+/// all worker threads of a study run; filled by
+/// [`crate::SubstituteFactory::substitute_entry`], which builds each
+/// entry's `ServerConfig` in its mint.
+pub type SubstituteCache = Memo<SubstituteKey, SubstituteEntry>;
 
 /// The process-wide substitute cache every [`crate::PopulationModel`]
 /// shares by default (the mint-path sibling of [`crate::keys`]' key
@@ -154,14 +107,12 @@ impl SubstituteCache {
 /// instead of asserting against this shared instance.
 pub fn process_cache() -> Arc<SubstituteCache> {
     static CACHE: OnceLock<Arc<SubstituteCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Arc::new(SubstituteCache::new())).clone()
+    CACHE.get_or_init(|| Arc::new(SubstituteCache::unbounded())).clone()
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn key(host: &str, variant: u64) -> SubstituteKey {
         SubstituteKey {
@@ -172,51 +123,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mints_once_per_key() {
-        let cache = SubstituteCache::new();
-        let mut mints = 0;
-        for _ in 0..3 {
-            cache.get_or_mint(key("a.example", 0), || {
-                mints += 1;
-                Vec::new()
-            });
-        }
-        assert_eq!(mints, 1);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stats(), (2, 1));
+    fn entry() -> SubstituteEntry {
+        let chain = Arc::new(Vec::new());
+        SubstituteEntry { config: ServerConfig::new(chain.clone()), chain }
     }
 
     #[test]
     fn distinct_keys_get_distinct_slots() {
-        let cache = SubstituteCache::new();
-        cache.get_or_mint(key("a.example", 0), Vec::new);
-        cache.get_or_mint(key("b.example", 0), Vec::new);
-        cache.get_or_mint(key("a.example", 1), Vec::new); // variant differs
+        let cache = SubstituteCache::unbounded();
+        cache.get_or_insert_with(key("a.example", 0), entry);
+        cache.get_or_insert_with(key("b.example", 0), entry);
+        cache.get_or_insert_with(key("a.example", 1), entry); // variant differs
         let other_era = SubstituteKey { era: StudyEra::Study2, ..key("a.example", 0) };
-        cache.get_or_mint(other_era, Vec::new);
+        cache.get_or_insert_with(other_era, entry);
         let other_product = SubstituteKey { product: ProductId(4), ..key("a.example", 0) };
-        cache.get_or_mint(other_product, Vec::new);
+        cache.get_or_insert_with(other_product, entry);
         assert_eq!(cache.len(), 5);
-    }
-
-    #[test]
-    fn concurrent_requests_share_one_mint() {
-        let cache = SubstituteCache::new();
-        let mints = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for i in 0..32 {
-                        cache.get_or_mint(key(&format!("h{}.example", i % 4), 0), || {
-                            mints.fetch_add(1, Ordering::Relaxed);
-                            Vec::new()
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(mints.load(Ordering::Relaxed), 4, "each key minted exactly once");
-        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats(), (0, 5));
     }
 }

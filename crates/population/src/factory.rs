@@ -19,12 +19,13 @@ use std::sync::Arc;
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_crypto::RsaKeyPair;
 use tlsfoe_netsim::Ipv4;
+use tlsfoe_tls::server::ServerConfig;
 use tlsfoe_x509::ext::Extension;
 use tlsfoe_x509::name::{DistinguishedName, NameBuilder};
 use tlsfoe_x509::time::Time;
 use tlsfoe_x509::{Certificate, CertificateBuilder};
 
-use crate::cache::{SubstituteCache, SubstituteKey};
+use crate::cache::{SubstituteCache, SubstituteEntry, SubstituteKey};
 use crate::keys;
 use crate::model::StudyEra;
 use crate::products::{ProductId, ProductSpec, SubjectStyle};
@@ -70,7 +71,7 @@ impl SubstituteFactory {
     /// [`crate::PopulationModel::factory`] instead, so chains are shared
     /// across products and threads.
     pub fn new(product: ProductId, spec: ProductSpec) -> SubstituteFactory {
-        Self::with_cache(product, spec, StudyEra::Study1, Arc::new(SubstituteCache::new()))
+        Self::with_cache(product, spec, StudyEra::Study1, Arc::new(SubstituteCache::unbounded()))
     }
 
     /// Build the factory (generates/loads the product's key material),
@@ -141,13 +142,14 @@ impl SubstituteFactory {
         host: &str,
         dst: Ipv4,
         upstream_leaf: Option<&Certificate>,
-    ) -> crate::cache::SubstituteEntry {
+    ) -> SubstituteEntry {
         let variant = self.mint_variant(dst, upstream_leaf);
         let key =
             SubstituteKey { product: self.product, era: self.era, host: host.to_string(), variant };
-        self.cache.get_or_mint(key, || {
+        self.cache.get_or_insert_with(key, || {
             self.minted.fetch_add(1, Ordering::Relaxed);
-            self.mint(host, dst, upstream_leaf, variant)
+            let chain = Arc::new(self.mint(host, dst, upstream_leaf, variant));
+            SubstituteEntry { config: ServerConfig::new(chain.clone()), chain }
         })
     }
 
@@ -317,8 +319,8 @@ mod tests {
     fn minted_counts_distinct_chains_exactly_under_concurrent_misses() {
         // The mint counter's exactness contract: stampeding threads
         // racing on overlapping hosts must produce exactly one mint per
-        // distinct chain — no double-mints (the striped cache mints each
-        // key once, in its own cell), no undercounting.
+        // distinct chain — no double-mints (the memo mints each key
+        // once, in its own cell), no undercounting.
         let f = std::sync::Arc::new(factory_for("Bitdefender"));
         let distinct_hosts = 12;
         std::thread::scope(|s| {
@@ -348,7 +350,7 @@ mod tests {
         // bytes. A private shared cache keeps the counts exact under
         // `cargo test`'s process-wide parallelism.
         let specs = catalog();
-        let shared = std::sync::Arc::new(SubstituteCache::new());
+        let shared = std::sync::Arc::new(SubstituteCache::unbounded());
         let mk = || {
             std::sync::Arc::new(SubstituteFactory::with_cache(
                 ProductId(0),

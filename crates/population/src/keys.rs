@@ -31,45 +31,37 @@
 //!
 //! ## Structure
 //!
-//! The cache is a [`crate::striped::Striped`] map (the same machinery
-//! behind [`crate::cache::SubstituteCache`]): keys hash to independent
-//! `Mutex<HashMap>` stripes of per-key `OnceLock` cells, and a miss
-//! generates inside its key's cell, **outside** the stripe lock. Two
-//! threads racing on the same key produce exactly one generation (the
-//! old global-mutex implementation dropped the lock around `generate`
-//! and let both run), while misses on different keys generate in
-//! parallel even when they share a stripe. Values are handed out as
-//! `Arc<RsaKeyPair>`: a hit is a refcount bump, not a deep clone of the
-//! CRT limbs.
+//! The cache is an unbounded [`Memo`] filled with
+//! [`Memo::get_or_insert_with`], so each key is generated exactly once
+//! even when threads race on it, and misses on different keys generate
+//! in parallel. Values are handed out as `Arc<RsaKeyPair>`: a hit is a
+//! refcount bump, not a deep clone of the CRT limbs.
 //!
 //! `(seed, bits) → key` is a pure function (the generation DRBG is
 //! seeded from nothing else), which is what makes both the sharing and
 //! the [`warm_keys`] parallel prewarm safe: study output can never
 //! depend on which thread generated a key first.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use tlsfoe_crypto::drbg::Drbg;
+use tlsfoe_crypto::memo::Memo;
 use tlsfoe_crypto::RsaKeyPair;
 
 use crate::factory::leaf_slot;
 use crate::model::StudyEra;
 use crate::products::ProductSpec;
-use crate::striped::Striped;
 
-fn cache() -> &'static Striped<(u64, usize), Arc<RsaKeyPair>> {
-    static CACHE: OnceLock<Striped<(u64, usize), Arc<RsaKeyPair>>> = OnceLock::new();
-    CACHE.get_or_init(Striped::new)
+fn cache() -> &'static Memo<(u64, usize), Arc<RsaKeyPair>> {
+    static CACHE: OnceLock<Memo<(u64, usize), Arc<RsaKeyPair>>> = OnceLock::new();
+    CACHE.get_or_init(Memo::unbounded)
 }
 
 /// Get (or generate, exactly once process-wide) the deterministic key
 /// for `(seed, bits)`, with CRT signing material precomputed. Hands out
-/// a shared `Arc` — callers that previously received an owned clone pay
-/// a refcount bump instead. Generation runs once per key inside the
-/// key's cell ([`Striped::get_or_insert_with`]), which is what closes
-/// the old unlock-generate-relock window where two racing threads both
-/// paid a keygen.
+/// a shared `Arc`. Generation runs once per key inside the key's cell
+/// ([`Memo::get_or_insert_with`]), so two racing threads never both pay
+/// a keygen.
 pub fn keypair(seed: u64, bits: usize) -> Arc<RsaKeyPair> {
     cache().get_or_insert_with((seed, bits), || {
         let generated = Arc::new(
@@ -99,33 +91,16 @@ pub fn clear() {
 /// serializing first-touch on the session hot path.
 ///
 /// Safe at any point and with any concurrent traffic: keys are pure
-/// functions of `(seed, bits)` and the striped cache generates each
-/// exactly once, so warming changes *when* keygen cost is paid, never
-/// what any caller observes. Duplicate specs are collapsed; already-
-/// cached keys cost a map probe.
+/// functions of `(seed, bits)` and the memo generates each exactly
+/// once, so warming changes *when* keygen cost is paid, never what any
+/// caller observes. Duplicate specs are collapsed; already-cached keys
+/// cost a map probe.
 pub fn warm_keys(specs: &[(u64, usize)], threads: usize) {
     let mut work: Vec<(u64, usize)> = specs.to_vec();
     work.sort_unstable();
     work.dedup();
-    if work.is_empty() {
-        return;
-    }
-    let threads = threads.clamp(1, work.len());
-    if threads == 1 {
-        for &(seed, bits) in &work {
-            keypair(seed, bits);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(seed, bits)) = work.get(i) else { break };
-                keypair(seed, bits);
-            });
-        }
+    crate::par_for_each(&work, threads, |&(seed, bits)| {
+        keypair(seed, bits);
     });
 }
 

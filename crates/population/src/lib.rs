@@ -14,9 +14,9 @@
 //!   forgery, subject mutation, shared keys),
 //! * [`keys`] — deterministic per-product key material (cached; the
 //!   IopFail malware's single shared 512-bit leaf key lives here),
-//! * [`cache`] — the sharded, lock-striped substitute-chain cache one
-//!   [`PopulationModel`] shares across every factory and worker thread
-//!   (with the determinism contract that makes that safe),
+//! * [`cache`] — the substitute-chain cache (a `tlsfoe_crypto::Memo`)
+//!   one [`PopulationModel`] shares across every factory and worker
+//!   thread (with the determinism contract that makes that safe),
 //! * [`factory`] — substitute-certificate minting per product behaviour,
 //! * [`proxy`] — the actual TLS proxy: a netsim [`tlsfoe_netsim::net::Interceptor`]
 //!   that terminates TLS client-side with a substitute chain, optionally
@@ -36,10 +36,34 @@ pub mod keys;
 pub mod model;
 pub mod products;
 pub mod proxy;
-pub mod striped;
 
 pub use cache::{SubstituteCache, SubstituteEntry, SubstituteKey};
 pub use factory::SubstituteFactory;
 pub use model::{ClientProfile, PopulationModel, StudyEra};
 pub use products::{ProductId, ProductSpec, ProxyCategory, UpstreamPolicy};
 pub use proxy::TlsProxy;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Run `f` on every item of `work` across up to `threads` scoped OS
+/// threads (inline on one), each thread claiming the next unclaimed
+/// item, so one slow item (a 2048-bit keygen) delays only its own
+/// thread. The prewarm loop behind [`keys::warm_keys`] and
+/// [`PopulationModel::warm_substitutes`].
+pub(crate) fn par_for_each<T: Sync>(work: &[T], threads: usize, f: impl Fn(&T) + Sync) {
+    let threads = threads.clamp(1, work.len().max(1));
+    if threads == 1 {
+        work.iter().for_each(f);
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    f(item);
+                }
+            });
+        }
+    });
+}

@@ -93,7 +93,7 @@ impl PopulationModel {
     /// measure cold-mint cost, and for the per-study ablation knob
     /// (`StudyConfig::private_substitute_cache` in `tlsfoe_core`).
     pub fn with_private_cache(era: StudyEra, public_roots: Arc<RootStore>) -> PopulationModel {
-        Self::with_cache(era, public_roots, Arc::new(SubstituteCache::new()))
+        Self::with_cache(era, public_roots, Arc::new(SubstituteCache::unbounded()))
     }
 
     fn with_cache(
@@ -124,7 +124,7 @@ impl PopulationModel {
             substitutes,
             popular_whitelist: Arc::new(popular),
             public_roots,
-            verify_memo: Arc::new(VerifyMemo::new()),
+            verify_memo: Arc::new(VerifyMemo::default()),
             now: match era {
                 StudyEra::Study1 => Time::from_ymd(2014, 1, 15),
                 StudyEra::Study2 => Time::from_ymd(2014, 10, 10),
@@ -310,30 +310,11 @@ impl PopulationModel {
     /// factory's [`crate::SubstituteFactory::minted`] exactly once, and
     /// later sessions hit the cache instead of re-minting.
     pub fn warm_substitutes(&self, hosts: &[&str], threads: usize) {
-        let work = self.warmable_chains(hosts);
-        if work.is_empty() {
-            return;
-        }
         // The destination address is irrelevant for host-only mints (only
         // wildcard-IP subjects read it, and they are excluded above).
         let dst = Ipv4([0, 0, 0, 0]);
-        let mint = |&(product, host): &(ProductId, &str)| {
+        crate::par_for_each(&self.warmable_chains(hosts), threads, |&(product, host)| {
             self.factory(product).substitute_entry(host, dst, None);
-        };
-        let threads = threads.clamp(1, work.len());
-        if threads == 1 {
-            work.iter().for_each(mint);
-            return;
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(item) = work.get(i) else { break };
-                    mint(item);
-                });
-            }
         });
     }
 

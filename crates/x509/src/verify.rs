@@ -14,6 +14,8 @@
 //! ([`RootStore::inject_root`]), recorded so analyzers can distinguish
 //! factory roots from injected ones.
 
+use tlsfoe_crypto::memo::Memo;
+
 use crate::cert::Certificate;
 use crate::time::Time;
 use crate::X509Error;
@@ -134,17 +136,15 @@ impl RootStore {
     /// every anchor key in this store.
     ///
     /// [`RootStore::validate`]'s signature checks ride the process-wide
-    /// context LRU ([`tlsfoe_crypto::shared_ctx_cache`]) via
+    /// context memo ([`tlsfoe_crypto::ctx_for`]) via
     /// `RsaPublicKey::verify`, so warming is an optional latency
     /// optimization: it moves each anchor's one-time `R² mod n` division
-    /// out of the first validation. Even-modulus anchor keys (none exist
-    /// in a sane store) are skipped.
+    /// out of the first validation. An even-modulus anchor key (none
+    /// exists in a sane store) gets an error, which the memo never
+    /// stores.
     pub fn warm_verify_ctxs(&self) {
         for (cert, _) in &self.roots {
-            let key = &cert.tbs.spki.key;
-            if key.n.is_odd() {
-                let _ = tlsfoe_crypto::shared_ctx_cache().get(&key.n);
-            }
+            let _ = tlsfoe_crypto::ctx_for(&cert.tbs.spki.key.n);
         }
     }
 
@@ -170,8 +170,8 @@ impl RootStore {
     /// Signature checks (steps 2–3) are the hot path of every simulated
     /// impression; with `e = 65537` everywhere in the corpus they ride
     /// the crypto crate's short-exponent Montgomery verify *and* the
-    /// process-wide per-modulus context cache
-    /// ([`tlsfoe_crypto::shared_ctx_cache`]), so a full chain validation
+    /// process-wide per-modulus context memo
+    /// ([`tlsfoe_crypto::ctx_for`]), so a full chain validation
     /// costs tens of microseconds with no repeated `R² mod n`
     /// derivation. See [`RootStore::warm_verify_ctxs`] to pre-pay even
     /// the first-use cost.
@@ -221,34 +221,25 @@ impl RootStore {
     }
 }
 
-/// Upper bound on memoized chains — a study observes tens of distinct
-/// chains, so thousands of entries means something is off; stop growing
-/// rather than let a pathological workload hoard memory.
+/// Distinct `(host, now, chain)` verdicts a [`VerifyMemo`] stores. A
+/// study observes tens of distinct chains, so thousands means something
+/// is off; past the cap a verdict is computed and not stored, rather
+/// than let a pathological workload hoard memory.
 const VERIFY_MEMO_MAX: usize = 4096;
 
-struct VerifyEntry {
-    host: String,
-    now: Time,
-    chain_der: Vec<Vec<u8>>,
-    result: Result<(), ValidationError>,
-}
-
-#[derive(Default)]
-struct VerifyMemoInner {
-    buckets: std::collections::HashMap<u64, Vec<VerifyEntry>>,
-    entries: usize,
-}
+/// What a [`VerifyMemo`] verdict is a pure function of (for one store):
+/// the host, the validation time and the chain's DER, leaf first.
+type VerifyKey = (String, Time, Vec<Vec<u8>>);
 
 /// Chain-bytes → validation-result memo.
 ///
 /// The probe side of a study validates the upstream chain once per
 /// intercepted session, yet distinct chains number in the tens per run
-/// while sessions number in the millions — the same shape as the report
-/// server's upload-ingest memo, so this mirrors it: entries key on an
-/// FNV hash of `(host, now, chain DER)` and are compared by **full**
-/// equality on a bucket hit, never hash-only. The cached value is the
-/// complete [`ValidationError`] outcome, which is a pure function of the
-/// key for a fixed trust store.
+/// while sessions number in the millions. The memo is a [`Memo`] keyed
+/// by `(host, now, chain DER)`, compared by **full** equality on a hash
+/// hit, never hash-only. The cached value is the complete
+/// [`ValidationError`] outcome, which is a pure function of the key for
+/// a fixed trust store.
 ///
 /// A memo is dedicated to one [`RootStore`]: the store is *not* part of
 /// the key, so sharing a memo across stores would conflate their
@@ -259,46 +250,18 @@ struct VerifyMemoInner {
 /// message, and caching it would let a later byte-identical upload skip
 /// the parser whose behaviour (e.g. error detail) the caller may rely
 /// on. A regression test pins this down.
-#[derive(Default)]
 pub struct VerifyMemo {
-    inner: std::sync::Mutex<VerifyMemoInner>,
+    memo: Memo<VerifyKey, Result<(), ValidationError>>,
+}
+
+impl Default for VerifyMemo {
+    /// An empty memo.
+    fn default() -> VerifyMemo {
+        VerifyMemo { memo: Memo::new(VERIFY_MEMO_MAX) }
+    }
 }
 
 impl VerifyMemo {
-    /// An empty memo.
-    pub fn new() -> VerifyMemo {
-        VerifyMemo::default()
-    }
-
-    /// Number of memoized chains (diagnostics / tests).
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).entries
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn hash(host: &str, now: Time, chain_der: &[Vec<u8>]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut feed = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        feed(host.as_bytes());
-        feed(b"\0");
-        feed(&now.0.to_le_bytes());
-        for der in chain_der {
-            // Length prefix keeps (ab, c) distinct from (a, bc).
-            feed(&(der.len() as u64).to_le_bytes());
-            feed(der);
-        }
-        h
-    }
-
     /// Validate `chain_der` (leaf first, raw DER) against `store` for
     /// `host` at `now`, consulting and filling the memo.
     ///
@@ -314,34 +277,15 @@ impl VerifyMemo {
         host: &str,
         now: Time,
     ) -> Result<(), ValidationError> {
-        let key = Self::hash(host, now, chain_der);
-        {
-            let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = inner.buckets.get(&key).and_then(|bucket| {
-                bucket.iter().find(|e| e.now == now && e.host == host && e.chain_der == chain_der)
-            }) {
-                return hit.result.clone();
-            }
-        }
-        let mut parsed = Vec::with_capacity(chain_der.len());
-        for der in chain_der {
-            match Certificate::from_der(der) {
-                Ok(cert) => parsed.push(cert),
-                Err(e) => return Err(ValidationError::Malformed(e.to_string())),
-            }
-        }
-        let result = store.validate(&parsed, host, now);
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.entries < VERIFY_MEMO_MAX {
-            inner.entries += 1;
-            inner.buckets.entry(key).or_default().push(VerifyEntry {
-                host: host.to_string(),
-                now,
-                chain_der: chain_der.to_vec(),
-                result: result.clone(),
-            });
-        }
-        result
+        let key: VerifyKey = (host.to_string(), now, chain_der.to_vec());
+        self.memo.get_or_try_insert_with(&key, || {
+            let parsed = chain_der
+                .iter()
+                .map(|der| Certificate::from_der(der))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| ValidationError::Malformed(e.to_string()))?;
+            Ok(store.validate(&parsed, host, now))
+        })?
     }
 }
 
@@ -547,7 +491,7 @@ mod tests {
         let mut store = RootStore::new();
         store.add_factory_root(root);
         store.warm_verify_ctxs();
-        assert!(tlsfoe_crypto::shared_ctx_cache().contains(&rk.public.n));
+        assert!(tlsfoe_crypto::shared_ctx_cache().contains(rk.public.n.limbs()));
         // Validation (which verifies against the cached anchor context)
         // still succeeds.
         store.validate(&[leaf, intermediate], "h.example", now()).unwrap();
@@ -562,24 +506,24 @@ mod tests {
         let chain: Vec<Vec<u8>> =
             [&leaf, &intermediate].iter().map(|c| c.to_der().to_vec()).collect();
 
-        let memo = VerifyMemo::new();
-        assert!(memo.is_empty());
+        let memo = VerifyMemo::default();
+        assert!(memo.memo.is_empty());
         memo.validate_der(&store, &chain, "h.example", now()).unwrap();
-        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.memo.len(), 1);
         // Second identical call hits the memo (entry count is unchanged)
         // and returns the same verdict.
         memo.validate_der(&store, &chain, "h.example", now()).unwrap();
-        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.memo.len(), 1);
 
         // A failing verdict is memoized too, with the full error.
         let wrong = memo.validate_der(&store, &chain, "x.example", now());
         assert_eq!(wrong, Err(ValidationError::HostnameMismatch));
-        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.memo.len(), 2);
         assert_eq!(
             memo.validate_der(&store, &chain, "x.example", now()),
             Err(ValidationError::HostnameMismatch)
         );
-        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.memo.len(), 2);
         // The memo's verdicts match the direct path exactly.
         let parsed: Vec<Certificate> =
             chain.iter().map(|d| Certificate::from_der(d).unwrap()).collect();
@@ -597,7 +541,7 @@ mod tests {
         let mut store = RootStore::new();
         store.add_factory_root(root);
 
-        let memo = VerifyMemo::new();
+        let memo = VerifyMemo::default();
         // A chain with one unparseable element is rejected as Malformed
         // and leaves the memo untouched — byte-identical retries must
         // re-enter the parser, not replay a cached blob.
@@ -608,7 +552,7 @@ mod tests {
                 Err(ValidationError::Malformed(_)) => {}
                 other => panic!("expected Malformed, got {other:?}"),
             }
-            assert!(memo.is_empty(), "malformed chain must never be memoized");
+            assert!(memo.memo.is_empty(), "malformed chain must never be memoized");
         }
     }
 
