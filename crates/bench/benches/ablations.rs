@@ -1,13 +1,11 @@
 //! Design-choice ablations called out in DESIGN.md §5:
 //! * probe abort-after-Certificate vs byte-equality comparison strategy,
 //! * substitute-cert caching in proxies (cache hit vs fresh mint),
-//! * RSA sign/verify cost by key size (512/1024/2048 — the §5.2 sizes),
-//! * signing-ladder working memory: reused `ModpowScratch` vs a fresh
-//!   workspace allocated per signature (the mint-path tentpole).
+//! * RSA sign/verify cost by key size (512/1024/2048 — the §5.2 sizes).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tlsfoe_crypto::drbg::Drbg;
-use tlsfoe_crypto::{HashAlg, ModpowScratch, RsaKeyPair};
+use tlsfoe_crypto::{HashAlg, RsaKeyPair};
 use tlsfoe_netsim::Ipv4;
 use tlsfoe_population::factory::SubstituteFactory;
 use tlsfoe_population::products::{catalog, ProductId};
@@ -78,31 +76,5 @@ fn bench_rsa_keysize(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sign_scratch_vs_alloc(c: &mut Criterion) {
-    // The allocation ablation for the signing ladder: a reused workspace
-    // (what `RsaKeyPair::sign` gets from the thread-local scratch) vs
-    // paying a fresh table/buffer allocation per signature (the pre-PR-5
-    // behaviour). The delta is expected to be small next to the ~1300
-    // Montgomery multiplies a 1024-bit CRT signature performs — this
-    // bench exists to keep it from silently growing back.
-    let key = RsaKeyPair::generate(1024, &mut Drbg::new(0x5343_5254)).unwrap();
-    let msg = b"tbs certificate bytes stand-in";
-    let mut g = c.benchmark_group("sign_1024_workspace");
-    let mut reused = ModpowScratch::new();
-    g.bench_function("reused_scratch", |b| {
-        b.iter(|| key.sign_with(HashAlg::Sha1, msg, &mut reused).unwrap())
-    });
-    g.bench_function("fresh_alloc", |b| {
-        b.iter(|| key.sign_with(HashAlg::Sha1, msg, &mut ModpowScratch::new()).unwrap())
-    });
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_mismatch_strategies,
-    bench_proxy_cert_cache,
-    bench_rsa_keysize,
-    bench_sign_scratch_vs_alloc
-);
+criterion_group!(benches, bench_mismatch_strategies, bench_proxy_cert_cache, bench_rsa_keysize);
 criterion_main!(benches);

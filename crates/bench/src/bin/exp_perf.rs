@@ -2,12 +2,12 @@
 //!
 //! Times the primitives every simulated impression funnels through —
 //! full-width modular exponentiation (schoolbook vs Montgomery, fresh vs
-//! cached context), Montgomery multiply vs the squaring specialization,
-//! RSA sign (CRT vs direct) and verify (e = 65537) — at the paper's
-//! three key sizes, plus named end-to-end series (`keygen`, `mint`,
-//! `session_phase`, `session_throughput`, `million`), and writes
-//! machine-readable per-op times (min across sample blocks) so future
-//! PRs can diff perf trajectories in CI.
+//! cached context), one Montgomery modular multiply, RSA sign (CRT vs
+//! direct) and verify (e = 65537) — at the paper's three key sizes, plus
+//! named end-to-end series (`keygen`, `mint`, `session_phase`,
+//! `session_throughput`, `million`), and writes machine-readable per-op
+//! times (min across sample blocks) so future PRs can diff perf
+//! trajectories in CI.
 //!
 //! Flags:
 //!
@@ -17,12 +17,11 @@
 //!   if any metric regressed beyond tolerance;
 //! * `--tol <pct>` — override the gate tolerance (default 25).
 //!
-//! Pairs whose *ratio* matters (fresh-vs-cached context, mul-vs-sqr) are
-//! measured with interleaved sample blocks, so slow drift of the
-//! machine's clock (turbo decay, thermal throttling) biases both sides
-//! equally instead of penalizing whichever ran second — exactly the
-//! artifact that once made the cached context look slower than the
-//! uncached one.
+//! Pairs whose *ratio* matters (fresh-vs-cached context) are measured
+//! with interleaved sample blocks, so slow drift of the machine's clock
+//! (turbo decay, thermal throttling) biases both sides equally instead
+//! of penalizing whichever ran second — exactly the artifact that once
+//! made the cached context look slower than the uncached one.
 
 use std::time::Instant;
 
@@ -119,22 +118,21 @@ fn measure_keygen(quick: bool) -> Json {
 }
 
 /// Mint-path series: substitute-chain minting cold (fresh mint, one
-/// root-key RSA signature) and warm (cache hit), the allocation-free
-/// signing ladder against a reused [`tlsfoe_crypto::ModpowScratch`] vs a
-/// fresh workspace per call, signatures-per-mint accounting, and the
+/// root-key RSA signature) and warm (cache hit), one 1024-bit signature
+/// through [`RsaKeyPair::sign`], signatures-per-mint accounting, and the
 /// shared Montgomery-context cache's hit/miss counters (previously
-/// invisible). `mint_chain_ns` and the two sign metrics are gated by
+/// invisible). `mint_chain_ns` and `rsa_sign_1024_ns` are gated by
 /// `--check`; the warm hit and the counters are informational (the warm
 /// hit is ~100 ns of striped-map probe — 25% of that is pure flake on
 /// shared runners, same rationale as `keypair_1024_warm_hit`).
 fn measure_mint(quick: bool) -> Json {
-    use tlsfoe_crypto::{rsa, ModpowScratch};
+    use tlsfoe_crypto::rsa;
     use tlsfoe_netsim::Ipv4;
     use tlsfoe_population::factory::SubstituteFactory;
     use tlsfoe_population::products::{catalog, ProductId};
 
     let samples = if quick { 3 } else { 7 };
-    eprintln!("[exp_perf] measuring mint path (substitute minting, scratch signing)…");
+    eprintln!("[exp_perf] measuring mint path (substitute minting, signing)…");
     let specs = catalog();
     let idx = specs
         .iter()
@@ -161,32 +159,20 @@ fn measure_mint(quick: bool) -> Json {
         factory.substitute_chain("warm.example", dst, None);
     });
 
-    // Reused-scratch vs fresh-workspace signing, interleaved so clock
-    // drift cannot bias the ratio (this is the allocation ablation the
-    // tentpole exists for — a regression here means the ladder started
-    // allocating again).
-    let key = tlsfoe_crypto::RsaKeyPair::generate(1024, &mut Drbg::new(0x4d494e54)).unwrap();
+    let key = RsaKeyPair::generate(1024, &mut Drbg::new(0x4d494e54)).unwrap();
     let msg = b"tbs certificate bytes stand-in";
-    let mut reused = ModpowScratch::new();
-    let (sign_scratch, sign_alloc) = best_ns_paired(
-        samples,
-        || drop(key.sign_with(HashAlg::Sha1, msg, &mut reused).unwrap()),
-        || drop(key.sign_with(HashAlg::Sha1, msg, &mut ModpowScratch::new()).unwrap()),
-    );
+    let sign = best_ns(samples, || drop(key.sign(HashAlg::Sha1, msg).unwrap()));
 
     let (ctx_hits, ctx_misses) = tlsfoe_crypto::shared_ctx_cache().stats();
     println!(
-        "mint | chain cold {mint_cold:>9} ns | warm {mint_warm:>5} ns | sign 1024 scratch \
-         {sign_scratch:>7} ns vs alloc {sign_alloc:>7} ns ({:>5.2}x) | {signs_per_mint:.2} \
-         signatures/mint | ctx cache {ctx_hits} hits / {ctx_misses} misses",
-        sign_alloc as f64 / sign_scratch as f64,
+        "mint | chain cold {mint_cold:>9} ns | warm {mint_warm:>5} ns | sign 1024 {sign:>7} ns \
+         | {signs_per_mint:.2} signatures/mint | ctx cache {ctx_hits} hits / {ctx_misses} misses",
     );
     Json::obj(vec![
         ("mint_chain_ns", Json::Int(mint_cold as i64)),
         // NOT `_ns`-suffixed: informational, skipped by the gate.
         ("mint_chain_warm_hit", Json::Int(mint_warm as i64)),
-        ("rsa_sign_1024_ns", Json::Int(sign_scratch as i64)),
-        ("rsa_sign_1024_alloc_ns", Json::Int(sign_alloc as i64)),
+        ("rsa_sign_1024_ns", Json::Int(sign as i64)),
         ("signatures_per_mint", Json::Num((signs_per_mint * 100.0).round() / 100.0)),
         ("ctx_cache_hits", Json::Int(ctx_hits as i64)),
         ("ctx_cache_misses", Json::Int(ctx_misses as i64)),
@@ -304,27 +290,19 @@ fn measure(quick: bool) -> Json {
             || drop(MontgomeryCtx::new(n).unwrap().modpow(&base, &key.d).unwrap()),
             || drop(ctx.modpow(&base, &key.d).unwrap()),
         );
-        // Multiply vs the squaring specialization on in-range residues.
-        let (mont_mul, mont_sqr) = best_ns_paired(
-            samples,
-            || drop(ctx.mulmod(&base, &base).unwrap()),
-            || drop(ctx.sqrmod(&base).unwrap()),
-        );
+        let mont_mul = best_ns(samples, || drop(ctx.mulmod(&base, &base).unwrap()));
         let sign_crt = best_ns(samples, || drop(key.sign(HashAlg::Sha1, msg).unwrap()));
         let sign_no_crt = best_ns(samples, || drop(no_crt.sign(HashAlg::Sha1, msg).unwrap()));
         let verify = best_ns(samples, || key.public.verify(HashAlg::Sha1, msg, &sig).unwrap());
 
         println!(
             "{bits:>5} bits | modpow schoolbook {:>12} ns | montgomery {:>10} ns ({:>5.1}x) | \
-             cached ctx {:>10} ns | mul {:>7} ns vs sqr {:>7} ns ({:>4.2}x) | sign crt {:>9} ns | \
-             verify {:>7} ns",
+             cached ctx {:>10} ns | mul {:>7} ns | sign crt {:>9} ns | verify {:>7} ns",
             modpow_schoolbook,
             modpow_montgomery,
             modpow_schoolbook as f64 / modpow_montgomery as f64,
             modpow_cached_ctx,
             mont_mul,
-            mont_sqr,
-            mont_mul as f64 / mont_sqr as f64,
             sign_crt,
             verify,
         );
@@ -336,7 +314,6 @@ fn measure(quick: bool) -> Json {
                 ("modpow_montgomery_ns", Json::Int(modpow_montgomery as i64)),
                 ("modpow_montgomery_cached_ctx_ns", Json::Int(modpow_cached_ctx as i64)),
                 ("mont_mul_ns", Json::Int(mont_mul as i64)),
-                ("mont_sqr_ns", Json::Int(mont_sqr as i64)),
                 ("rsa_sign_crt_ns", Json::Int(sign_crt as i64)),
                 ("rsa_sign_no_crt_ns", Json::Int(sign_no_crt as i64)),
                 ("rsa_verify_e65537_ns", Json::Int(verify as i64)),

@@ -79,7 +79,7 @@ pub use bigint::Ubig;
 pub use ctxcache::{ctx_for, shared_ctx_cache};
 pub use drbg::{Drbg, RngCore64};
 pub use memo::Memo;
-pub use montgomery::{with_thread_scratch, ModpowPlan, ModpowScratch, MontgomeryCtx};
+pub use montgomery::MontgomeryCtx;
 pub use rsa::{RsaCrt, RsaKeyPair, RsaPublicKey};
 
 /// Digest algorithms supported by the workspace.

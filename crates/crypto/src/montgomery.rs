@@ -10,48 +10,29 @@
 //! * [`MontgomeryCtx`] precomputes, once per modulus, the Montgomery
 //!   constants `n′ = -n⁻¹ mod 2⁶⁴` and `R² mod n` (with `R = 2^(64·k)`
 //!   for a `k`-limb modulus);
-//! * multiplication uses CIOS (Coarsely Integrated Operand Scanning,
-//!   Koç–Acar–Kaliski 1996) over the existing little-endian `u64` limb
-//!   representation — one fused multiply/reduce pass, no division;
-//! * squaring has a dedicated fused-CIOS routine
-//!   ([`MontgomeryCtx::sqrmod`] / the private `mont_sqr`) that skips the
-//!   lower partial-product triangle (~25% fewer limb multiplies).
-//!   **Measured caveat:** on this pure-`u128` substrate the uniform
-//!   `mont_mul` inner loop pipelines so well (fixed trip counts, two
-//!   independent multiply chains) that the ladder is consistently ~10%
-//!   *faster* squaring via `mont_mul(a, a)` than via `mont_sqr`, whose
-//!   per-row segment boundaries defeat the loop predictor — so the
-//!   window ladder deliberately squares with `mont_mul`, and `sqrmod`
-//!   serves callers (Miller–Rabin's repeated-squaring tail) where the
-//!   two are measured at parity. `exp_perf` tracks `mont_mul_ns` vs
-//!   `mont_sqr_ns` so a toolchain shift that flips the balance shows up
-//!   in the perf trajectory;
-//! * exponentiation is fixed 4-bit-window Montgomery ladder for long
-//!   exponents, with a short-exponent binary path (no window table) that
-//!   makes `e = 65537` verification cheap;
-//! * the window ladder's working buffers live in a reusable
-//!   [`ModpowScratch`]: callers on the signing hot path thread one
-//!   workspace through any number of exponentiations
-//!   ([`MontgomeryCtx::modpow_with`]) and the inner loop performs zero
-//!   allocations; the convenience [`MontgomeryCtx::modpow`] borrows a
-//!   thread-local workspace ([`with_thread_scratch`]), so even ad-hoc
-//!   callers stop paying the per-call window-table allocation;
-//! * exponents that are exponentiated repeatedly (RSA CRT half-exponents)
-//!   can be *recoded once* into a [`ModpowPlan`] — the per-step window
-//!   extraction (`Ubig::bit` probes) happens at plan-build time, and
-//!   [`MontgomeryCtx::modpow_planned`] just walks the recoded windows.
-//!   The plan width is 4 or 5 bits; see `rsa::CRT_WINDOW_BITS` for the
-//!   measured decision between them;
-//! * leaving Montgomery form is a dedicated REDC pass (`mont_redc`,
-//!   `k²` limb multiplies) instead of a full `mont_mul` by plain 1
-//!   (`2k²`) — one free half-multiply per exponentiation;
+//! * one kernel multiplies and squares: CIOS (Coarsely Integrated Operand
+//!   Scanning, Koç–Acar–Kaliski 1996) over the existing little-endian
+//!   `u64` limb representation — one fused multiply/reduce pass, no
+//!   division;
+//! * one ladder exponentiates ([`MontgomeryCtx::modpow`]): plain
+//!   left-to-right binary for exponents of at most 64 bits, which makes
+//!   `e = 65537` verification cheap, and fixed 4-bit windows above;
+//!   base 2 alone gets a square-and-double ladder
+//!   ([`MontgomeryCtx::pow2mod`]) for Miller–Rabin's opening round;
+//! * results leave Montgomery form through a reduction-only pass
+//!   (`mont_redc`, `k²` limb multiplies) instead of a full multiply by
+//!   plain 1 (`2k²`);
 //! * operands already `< n` are copied, not re-divided.
 //!
+//! Each call allocates its own few `k`-limb buffers. A fused squaring
+//! kernel, 5-bit and per-key recoded windows, and a caller-owned ladder
+//! workspace were each built and measured no faster on this substrate
+//! (ROADMAP, "Standing negative results"), so none of them is here.
+//!
 //! Callers that verify or exponentiate repeatedly against the *same*
-//! modulus should fetch their context from
-//! [`crate::ctxcache::shared_ctx_cache`] instead of rebuilding it — the
-//! `R² mod n` division in [`MontgomeryCtx::new`] is the only division
-//! left on the hot path.
+//! modulus should fetch their context from [`crate::ctxcache::ctx_for`]
+//! instead of rebuilding it — the `R² mod n` division in
+//! [`MontgomeryCtx::new`] is the only division left on the hot path.
 //!
 //! Montgomery reduction requires an odd modulus; [`crate::Ubig::modpow`]
 //! transparently falls back to the schoolbook path for even moduli.
@@ -63,130 +44,6 @@ use crate::CryptoError;
 /// beats building the 4-bit window table (the table costs 14 multiplies;
 /// binary saves ~bits/4 of them). 65537 (17 bits) lands well below this.
 const WINDOW_THRESHOLD_BITS: usize = 64;
-
-/// Reusable working memory for [`MontgomeryCtx::modpow_with`] /
-/// [`MontgomeryCtx::modpow_planned`].
-///
-/// One `modpow` call needs a `k+2`-limb reduction scratch, three `k`-limb
-/// residues and (for long exponents) a `2^width · k`-limb window table.
-/// Allocating those per call costs several heap round-trips per
-/// signature; a `ModpowScratch` owns them across calls — buffers only
-/// ever grow, so a workspace that has signed once is allocation-free for
-/// every subsequent signature at the same (or smaller) key size.
-///
-/// The workspace carries no modulus state: it is just memory, safe to
-/// share across contexts of different widths (each call re-slices to its
-/// own `k`). Hot paths that cannot thread one explicitly (trait
-/// boundaries, shared `&self` mints) borrow the thread-local workspace
-/// via [`with_thread_scratch`].
-#[derive(Debug, Default)]
-pub struct ModpowScratch {
-    /// Reduction scratch (`k + 2` limbs).
-    t: Vec<u64>,
-    /// Running accumulator (`k` limbs).
-    acc: Vec<u64>,
-    /// Ping-pong partner of `acc` (`k` limbs).
-    tmp: Vec<u64>,
-    /// Montgomery form of the base (`k` limbs).
-    base: Vec<u64>,
-    /// Window table (`2^width · k` limbs, entry `w` at `w*k..(w+1)*k`).
-    table: Vec<u64>,
-}
-
-impl ModpowScratch {
-    /// An empty workspace; buffers are sized lazily by first use.
-    pub fn new() -> ModpowScratch {
-        ModpowScratch::default()
-    }
-
-    /// Ensure capacity for a `k`-limb modulus and `entries`-slot table.
-    fn ensure(&mut self, k: usize, entries: usize) {
-        if self.t.len() < k + 2 {
-            self.t.resize(k + 2, 0);
-        }
-        if self.acc.len() < k {
-            self.acc.resize(k, 0);
-            self.tmp.resize(k, 0);
-            self.base.resize(k, 0);
-        }
-        if self.table.len() < entries * k {
-            self.table.resize(entries * k, 0);
-        }
-    }
-}
-
-std::thread_local! {
-    static THREAD_SCRATCH: core::cell::RefCell<ModpowScratch> =
-        core::cell::RefCell::new(ModpowScratch::new());
-}
-
-/// Run `f` with this thread's shared [`ModpowScratch`].
-///
-/// This is what makes every signature in the process allocation-free
-/// without threading a workspace through every call chain: the first
-/// exponentiation on a thread sizes the buffers, every later one reuses
-/// them. Re-entrant calls (none exist today — exponentiation never signs)
-/// fall back to a fresh workspace rather than panicking on the borrow.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ModpowScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut ModpowScratch::new()),
-    })
-}
-
-/// A window recoding of one exponent, computed once and replayed by
-/// [`MontgomeryCtx::modpow_planned`].
-///
-/// The general ladder re-extracts each window from the exponent limbs on
-/// every call (`width` [`Ubig::bit`] probes per window — bounds-checked
-/// limb indexing in the innermost loop). RSA signing exponentiates the
-/// *same two* half-exponents (`d mod p-1`, `d mod q-1`) for the life of a
-/// key, so [`crate::rsa::RsaCrt`] recodes them once at key construction
-/// and every signature walks the precomputed byte array instead.
-#[derive(Debug, Clone)]
-pub struct ModpowPlan {
-    /// Window width in bits (4 or 5).
-    width: u8,
-    /// Window values, most-significant window first; the leading window
-    /// is non-zero.
-    windows: Vec<u8>,
-    /// Exponent bit length (for cost accounting / tests).
-    bits: usize,
-}
-
-impl ModpowPlan {
-    /// Recode `exp` into `width`-bit windows (`width` must be 4 or 5;
-    /// `exp` must be non-zero — RSA private half-exponents always are).
-    pub fn new(exp: &Ubig, width: u8) -> ModpowPlan {
-        assert!(width == 4 || width == 5, "supported plan widths are 4 and 5");
-        let bits = exp.bit_len();
-        assert!(bits > 0, "cannot plan a zero exponent");
-        let w = width as usize;
-        let count = bits.div_ceil(w);
-        let mut windows = Vec::with_capacity(count);
-        for i in (0..count).rev() {
-            let mut v = 0u8;
-            for b in 0..w {
-                if exp.bit(i * w + b) {
-                    v |= 1 << b;
-                }
-            }
-            windows.push(v);
-        }
-        debug_assert!(windows[0] != 0, "leading window contains the top bit");
-        ModpowPlan { width, windows, bits }
-    }
-
-    /// Window width in bits.
-    pub fn width(&self) -> u8 {
-        self.width
-    }
-
-    /// Bit length of the planned exponent.
-    pub fn bits(&self) -> usize {
-        self.bits
-    }
-}
 
 /// Precomputed per-modulus state for Montgomery arithmetic.
 ///
@@ -256,7 +113,7 @@ impl MontgomeryCtx {
     /// `aᵢ·b` and folds in the `m·n` reduction term, writing results one
     /// limb down — so the divide-by-2⁶⁴ shift costs nothing and `t` is
     /// touched exactly once per pass. `a`, `b` and `out` are `k`-limb
-    /// residues `< n`; `t` is a `k+2`-limb scratch buffer reused across
+    /// residues `< n`; `t` is a `k+1`-limb scratch buffer reused across
     /// calls. `out` must not alias `t`; aliasing `a`/`b` with `out` is
     /// fine (the product accumulates in `t` and is copied out at the end).
     fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
@@ -291,136 +148,6 @@ impl MontgomeryCtx {
         }
         // t < 2n here; one conditional subtraction normalizes to [0, n).
         cond_sub(&t[..k], t[k] != 0, n, out);
-    }
-
-    /// Fused CIOS Montgomery squaring: `out ← a²·R⁻¹ mod n`.
-    ///
-    /// Same row-shifted structure (and scratch contract) as
-    /// [`mont_mul`](Self::mont_mul), exploiting the symmetry
-    /// `a² = Σᵢ 2^{64i}·aᵢ·(aᵢ·2^{64i} + 2·Σ_{j>i} aⱼ·2^{64j})`:
-    /// row `i` contributes its diagonal `aᵢ²` at row-local position `i`
-    /// and *doubled* cross products for `j > i`, so positions `j < i`
-    /// carry only the reduction term — the lower product triangle
-    /// (~k²/2 of mont_mul's 2k² limb multiplies) is skipped entirely.
-    /// See the module docs for why the window ladder nonetheless squares
-    /// through `mont_mul`: the saved multiplies are measured to cost less
-    /// than the pipeline regularity they buy on this substrate.
-    ///
-    /// Doubling makes the product carry chain (`carry_a`) up to 65 bits
-    /// (`2·aᵢ·aⱼ ≥ 2¹²⁸` is possible), so it is tracked as `u128`; the
-    /// row recurrence then keeps intermediate `t` below `3n + ε` (top
-    /// limb ≤ 3) and the final value is exactly `(a² + M·n)/R < 2n`, so
-    /// the usual single conditional subtraction normalizes it.
-    /// `a` is a `k`-limb residue `< n`; `t` needs `k + 1` limbs; `out`
-    /// may alias `a` but not `t`.
-    fn mont_sqr(&self, a: &[u64], t: &mut [u64], out: &mut [u64]) {
-        let k = self.n.len();
-        debug_assert!(a.len() == k && out.len() == k && t.len() > k);
-        let n = &self.n[..k];
-        let a = &a[..k];
-        let t = &mut t[..k + 1];
-        t.fill(0);
-        for (i, &ai) in a.iter().enumerate() {
-            let ai128 = ai as u128;
-            // Row-local position 0: the only product term is row 0's
-            // diagonal a₀²; every later row starts with reduction only.
-            let (p_lo, p_hi): (u64, u128) = if i == 0 {
-                let d = ai128 * ai128;
-                (d as u64, d >> 64)
-            } else {
-                (0, 0)
-            };
-            let sum = t[0] as u128 + p_lo as u128;
-            let mut carry_a: u128 = (sum >> 64) + p_hi;
-            let m = (sum as u64).wrapping_mul(self.n0_inv);
-            let red = (sum as u64) as u128 + m as u128 * n[0] as u128;
-            debug_assert_eq!(red as u64, 0);
-            let mut carry_m = red >> 64;
-            // Positions 1..i: reduction term only (their products were
-            // already added, doubled, by earlier rows).
-            for j in 1..i {
-                let sum = t[j] as u128 + carry_a;
-                carry_a = sum >> 64;
-                let red = (sum as u64) as u128 + m as u128 * n[j] as u128 + carry_m;
-                carry_m = red >> 64;
-                t[j - 1] = red as u64;
-            }
-            // Position i (row ≥ 1): the diagonal aᵢ², not doubled.
-            if i >= 1 {
-                let d = ai128 * ai128;
-                let sum = t[i] as u128 + (d as u64) as u128 + carry_a;
-                carry_a = (sum >> 64) + (d >> 64);
-                let red = (sum as u64) as u128 + m as u128 * n[i] as u128 + carry_m;
-                carry_m = red >> 64;
-                t[i - 1] = red as u64;
-            }
-            // Positions i+1..k: doubled cross products 2·aᵢ·aⱼ. The
-            // doubled product spans 129 bits: low 64 go into the sum,
-            // the remaining 65 (d >> 63) ride the u128 carry.
-            for j in i + 1..k {
-                let d = ai128 * a[j] as u128;
-                let sum = t[j] as u128 + ((d << 1) as u64) as u128 + carry_a;
-                carry_a = (sum >> 64) + (d >> 63);
-                let red = (sum as u64) as u128 + m as u128 * n[j] as u128 + carry_m;
-                carry_m = red >> 64;
-                t[j - 1] = red as u64;
-            }
-            // Top limb: carry_a may exceed 64 bits here, so the top can
-            // briefly occupy two limbs (t[k] ≤ 3 mid-run, ≤ 1 at the end).
-            let top = t[k] as u128 + carry_a + carry_m;
-            t[k - 1] = top as u64;
-            t[k] = (top >> 64) as u64;
-        }
-        // Final value is (a² + M·n)/R < 2n; one conditional subtraction.
-        let (lo, hi) = t.split_at(k);
-        cond_sub(lo, hi[0] != 0, n, out);
-    }
-
-    /// `(a · b) mod n` through Montgomery form (mainly for tests and
-    /// one-off products; modpow batches conversions).
-    pub fn mulmod(&self, a: &Ubig, b: &Ubig) -> Result<Ubig, CryptoError> {
-        let k = self.n.len();
-        let am = self.reduced_limbs(a)?;
-        let bm = self.reduced_limbs(b)?;
-        let mut t = vec![0u64; k + 2];
-        let mut x = vec![0u64; k];
-        let mut y = vec![0u64; k];
-        self.mont_mul(&am, &self.r2, &mut t, &mut x); // a·R
-        self.mont_mul(&x, &bm, &mut t, &mut y); // a·b (b unconverted cancels the R)
-        Ok(Ubig::from_limbs(y))
-    }
-
-    /// `a² mod n` through the dedicated squaring routine.
-    ///
-    /// Exactly [`mulmod`](Self::mulmod)`(a, a)` but ~¾ the limb
-    /// multiplies; Miller–Rabin's repeated-squaring loop and the modpow
-    /// ladder both ride this.
-    pub fn sqrmod(&self, a: &Ubig) -> Result<Ubig, CryptoError> {
-        let k = self.n.len();
-        let am = self.reduced_limbs(a)?;
-        let mut t = vec![0u64; k + 2];
-        let mut x = vec![0u64; k];
-        let mut y = vec![0u64; k];
-        self.mont_sqr(&am, &mut t, &mut x); // a²·R⁻¹
-        self.mont_mul(&x, &self.r2, &mut t, &mut y); // a²
-        Ok(Ubig::from_limbs(y))
-    }
-
-    /// `v mod n` as exactly `k` limbs — without touching the division
-    /// machinery (or allocating a modulus clone) when `v < n` already,
-    /// which is every operand on the sign/verify hot paths.
-    fn reduced_limbs(&self, v: &Ubig) -> Result<Vec<u64>, CryptoError> {
-        let k = self.n.len();
-        let src = v.limbs();
-        let already_reduced = src.len() < k
-            || (src.len() == k && cmp_limbs(src, &self.n) == core::cmp::Ordering::Less);
-        if already_reduced {
-            let mut out = vec![0u64; k];
-            out[..src.len()].copy_from_slice(src);
-            Ok(out)
-        } else {
-            Ok(fixed_limbs(&v.rem(&self.modulus())?, k))
-        }
     }
 
     /// Dedicated Montgomery reduction: `out ← a·R⁻¹ mod n` for a `k`-limb
@@ -459,53 +186,44 @@ impl MontgomeryCtx {
         cond_sub(lo, hi[0] != 0, n, out);
     }
 
-    /// Write `v mod n` into `out[..k]` — without touching the division
-    /// machinery (or allocating) when `v < n` already, which is every
-    /// operand on the sign/verify hot paths.
-    fn stage_reduced(&self, v: &Ubig, out: &mut [u64]) -> Result<(), CryptoError> {
+    /// `v mod n` as exactly `k` limbs — without touching the division
+    /// machinery when `v < n` already.
+    fn residue(&self, v: &Ubig) -> Result<Vec<u64>, CryptoError> {
         let k = self.n.len();
         let src = v.limbs();
         let already_reduced = src.len() < k
             || (src.len() == k && cmp_limbs(src, &self.n) == core::cmp::Ordering::Less);
         if already_reduced {
-            out[..k].fill(0);
-            out[..src.len()].copy_from_slice(src);
+            Ok(fixed_limbs(v, k))
         } else {
-            let reduced = v.rem(&self.modulus())?;
-            let src = reduced.limbs();
-            out[..k].fill(0);
-            out[..src.len()].copy_from_slice(src);
+            Ok(fixed_limbs(&v.rem(&self.modulus())?, k))
         }
-        Ok(())
     }
 
-    /// Convert `base` into Montgomery form in `scratch.base`, reducing
-    /// mod `n` first when necessary (`scratch.acc` is used as staging).
-    fn base_to_mont(&self, base: &Ubig, scratch: &mut ModpowScratch) -> Result<(), CryptoError> {
-        let k = self.n.len();
-        self.stage_reduced(base, &mut scratch.acc)?;
-        let (acc, base_m) = (&scratch.acc[..k], &mut scratch.base[..k]);
-        self.mont_mul(acc, &self.r2, &mut scratch.t, base_m);
-        Ok(())
+    /// `v·R mod n`: `v` reduced and carried into Montgomery form.
+    fn to_mont(&self, v: &Ubig, t: &mut [u64]) -> Result<Vec<u64>, CryptoError> {
+        let plain = self.residue(v)?;
+        let mut out = vec![0u64; self.n.len()];
+        self.mont_mul(&plain, &self.r2, t, &mut out);
+        Ok(out)
     }
 
-    /// [`mulmod`](Self::mulmod) against caller-owned working memory —
-    /// the one-off products on the signing path (Garner recombination)
-    /// ride this so a CRT signature allocates nothing but its results.
-    pub fn mulmod_with(
-        &self,
-        a: &Ubig,
-        b: &Ubig,
-        scratch: &mut ModpowScratch,
-    ) -> Result<Ubig, CryptoError> {
+    /// `(a · b) mod n` through Montgomery form (one-off products: Garner
+    /// recombination, tests; modpow batches its conversions).
+    pub fn mulmod(&self, a: &Ubig, b: &Ubig) -> Result<Ubig, CryptoError> {
         let k = self.n.len();
-        scratch.ensure(k, 0);
-        self.base_to_mont(a, scratch)?; // scratch.base ← a·R
-        self.stage_reduced(b, &mut scratch.acc)?;
-        let ModpowScratch { t, acc, tmp, base, .. } = scratch;
+        let mut t = vec![0u64; k + 1];
+        let a_mont = self.to_mont(a, &mut t)?;
+        let b_plain = self.residue(b)?;
+        let mut out = vec![0u64; k];
         // a·R times plain b: the stray R cancels, leaving a·b mod n.
-        self.mont_mul(&base[..k], &acc[..k], t, &mut tmp[..k]);
-        Ok(Ubig::from_limbs(tmp[..k].to_vec()))
+        self.mont_mul(&a_mont, &b_plain, &mut t, &mut out);
+        Ok(Ubig::from_limbs(out))
+    }
+
+    /// `a² mod n` — Miller–Rabin's repeated-squaring step.
+    pub fn sqrmod(&self, a: &Ubig) -> Result<Ubig, CryptoError> {
+        self.mulmod(a, a)
     }
 
     /// `base^exp mod n`, division-free.
@@ -514,23 +232,7 @@ impl MontgomeryCtx {
     /// of at most [`WINDOW_THRESHOLD_BITS`] bits use plain left-to-right
     /// binary, which is cheaper than amortizing the table — that is the
     /// fast path RSA verification with `e = 65537` takes.
-    ///
-    /// Working memory is borrowed from the thread-local [`ModpowScratch`];
-    /// callers that already hold one should use
-    /// [`modpow_with`](Self::modpow_with) directly.
     pub fn modpow(&self, base: &Ubig, exp: &Ubig) -> Result<Ubig, CryptoError> {
-        with_thread_scratch(|scratch| self.modpow_with(base, exp, scratch))
-    }
-
-    /// [`modpow`](Self::modpow) against caller-owned working memory: the
-    /// entire exponentiation performs no allocation beyond the returned
-    /// result (once `scratch` has grown to this width).
-    pub fn modpow_with(
-        &self,
-        base: &Ubig,
-        exp: &Ubig,
-        scratch: &mut ModpowScratch,
-    ) -> Result<Ubig, CryptoError> {
         let k = self.n.len();
         if k == 1 && self.n[0] == 1 {
             return Ok(Ubig::zero());
@@ -539,101 +241,56 @@ impl MontgomeryCtx {
             return Ok(Ubig::one());
         }
         let bits = exp.bit_len();
-        scratch.ensure(k, if bits <= WINDOW_THRESHOLD_BITS { 0 } else { 16 });
-        self.base_to_mont(base, scratch)?;
-
-        let ModpowScratch { t, acc, tmp, base: base_buf, table } = scratch;
-        let (mut acc, mut tmp) = (&mut acc[..k], &mut tmp[..k]);
-        let base_m = &base_buf[..k];
+        let mut t = vec![0u64; k + 1];
+        let base_m = self.to_mont(base, &mut t)?;
+        let mut tmp = vec![0u64; k];
+        let mut acc;
         if bits <= WINDOW_THRESHOLD_BITS {
             // Short-exponent path: binary ladder, no table.
-            acc.copy_from_slice(base_m);
+            acc = base_m.clone();
             for i in (0..bits - 1).rev() {
-                self.mont_mul(acc, acc, t, tmp);
+                self.mont_mul(&acc, &acc, &mut t, &mut tmp);
                 if exp.bit(i) {
-                    self.mont_mul(tmp, base_m, t, acc);
+                    self.mont_mul(&tmp, &base_m, &mut t, &mut acc);
                 } else {
-                    acc.copy_from_slice(tmp);
+                    core::mem::swap(&mut acc, &mut tmp);
                 }
             }
         } else {
             // Fixed 4-bit windows, most-significant first, extracted from
             // the exponent limbs as the ladder walks.
-            self.fill_table(base_m, t, &mut table[..16 * k], 16);
+            let table = self.window_table(&base_m, &mut t);
+            let entry = |w: u8| &table[w as usize * k..(w as usize + 1) * k];
             let windows = bits.div_ceil(4);
-            let top = nibble(exp, windows - 1);
-            acc.copy_from_slice(&table[top as usize * k..(top as usize + 1) * k]);
+            acc = entry(nibble(exp, windows - 1)).to_vec();
             for w in (0..windows - 1).rev() {
                 for _ in 0..4 {
-                    self.mont_mul(acc, acc, t, tmp);
+                    self.mont_mul(&acc, &acc, &mut t, &mut tmp);
                     core::mem::swap(&mut acc, &mut tmp);
                 }
-                let nib = nibble(exp, w) as usize;
+                let nib = nibble(exp, w);
                 if nib != 0 {
-                    self.mont_mul(acc, &table[nib * k..(nib + 1) * k], t, tmp);
+                    self.mont_mul(&acc, entry(nib), &mut t, &mut tmp);
                     core::mem::swap(&mut acc, &mut tmp);
                 }
             }
         }
-
-        // Leave Montgomery form with the reduction-only pass. (`acc` is
-        // whichever ping-pong buffer holds the result after the swaps.)
-        let mut out = vec![0u64; k];
-        self.mont_redc(acc, t, &mut out);
-        Ok(Ubig::from_limbs(out))
+        self.mont_redc(&acc, &mut t, &mut tmp);
+        Ok(Ubig::from_limbs(tmp))
     }
 
-    /// `base^plan mod n`: replay a precomputed window recoding.
-    ///
-    /// Identical result to [`modpow_with`](Self::modpow_with) with the
-    /// planned exponent — the ladder just skips the per-window bit
-    /// extraction and drives a `width`-bit table instead. This is the
-    /// per-signature inner loop of `rsa::RsaCrt`.
-    pub fn modpow_planned(
-        &self,
-        base: &Ubig,
-        plan: &ModpowPlan,
-        scratch: &mut ModpowScratch,
-    ) -> Result<Ubig, CryptoError> {
+    /// The 16-entry window table of Montgomery powers of `base_m`: entry
+    /// `w` (limbs `w·k..(w+1)·k`) holds `base^w · R mod n`.
+    fn window_table(&self, base_m: &[u64], t: &mut [u64]) -> Vec<u64> {
         let k = self.n.len();
-        if k == 1 && self.n[0] == 1 {
-            return Ok(Ubig::zero());
-        }
-        let width = plan.width as usize;
-        let entries = 1usize << width;
-        scratch.ensure(k, entries);
-        self.base_to_mont(base, scratch)?;
-
-        let ModpowScratch { t, acc, tmp, base: base_buf, table } = scratch;
-        let (mut acc, mut tmp) = (&mut acc[..k], &mut tmp[..k]);
-        self.fill_table(&base_buf[..k], t, &mut table[..entries * k], entries);
-        let top = plan.windows[0] as usize;
-        acc.copy_from_slice(&table[top * k..(top + 1) * k]);
-        for &w in &plan.windows[1..] {
-            for _ in 0..width {
-                self.mont_mul(acc, acc, t, tmp);
-                core::mem::swap(&mut acc, &mut tmp);
-            }
-            if w != 0 {
-                self.mont_mul(acc, &table[w as usize * k..(w as usize + 1) * k], t, tmp);
-                core::mem::swap(&mut acc, &mut tmp);
-            }
-        }
-        let mut out = vec![0u64; k];
-        self.mont_redc(acc, t, &mut out);
-        Ok(Ubig::from_limbs(out))
-    }
-
-    /// Fill the window `table` with `entries` Montgomery powers of
-    /// `base_m`: entry `w` (at `w·k..`) holds `base^w · R mod n`.
-    fn fill_table(&self, base_m: &[u64], t: &mut [u64], table: &mut [u64], entries: usize) {
-        let k = self.n.len();
+        let mut table = vec![0u64; 16 * k];
         table[..k].copy_from_slice(&self.one);
         table[k..2 * k].copy_from_slice(base_m);
-        for w in 2..entries {
+        for w in 2..16 {
             let (lo, hi) = table.split_at_mut(w * k);
             self.mont_mul(&lo[(w - 1) * k..], base_m, t, &mut hi[..k]);
         }
+        table
     }
 
     /// `2^exp mod n` via a square-and-*double* ladder.
@@ -655,11 +312,10 @@ impl MontgomeryCtx {
         if exp.is_zero() {
             return Ok(Ubig::one());
         }
-        let mut t = vec![0u64; k + 2];
-        let mut acc = vec![0u64; k];
+        let mut t = vec![0u64; k + 1];
         let mut tmp = vec![0u64; k];
         // Top exponent bit is always set: acc = 2̃ = double(1̃).
-        acc.copy_from_slice(&self.one);
+        let mut acc = self.one.clone();
         mod_double(&mut acc, &self.n);
         for i in (0..exp.bit_len() - 1).rev() {
             self.mont_mul(&acc, &acc, &mut t, &mut tmp);
@@ -668,10 +324,7 @@ impl MontgomeryCtx {
                 mod_double(&mut acc, &self.n);
             }
         }
-        // Leave Montgomery form: multiply by 1 (the plain integer).
-        let mut one_plain = vec![0u64; k];
-        one_plain[0] = 1;
-        self.mont_mul(&acc, &one_plain, &mut t, &mut tmp);
+        self.mont_redc(&acc, &mut t, &mut tmp);
         Ok(Ubig::from_limbs(tmp))
     }
 }
@@ -851,8 +504,8 @@ mod tests {
 
     #[test]
     fn sqrmod_matches_mulmod_self_product() {
-        // The determinism contract of the squaring specialization:
-        // mont_sqr(x) ≡ mont_mul(x, x) for every input, at every width.
+        // Squares of operands wider than the modulus must match the
+        // schoolbook product at every width.
         let mut rng = Drbg::new(0x5351_5541_5245);
         for limbs in 1..=9 {
             for _ in 0..8 {
@@ -916,116 +569,6 @@ mod tests {
         let three = MontgomeryCtx::new(&Ubig::from_u64(3)).unwrap();
         assert_eq!(three.pow2mod(&Ubig::from_u64(5)).unwrap(), Ubig::from_u64(2));
         assert_eq!(three.pow2mod(&Ubig::from_u64(6)).unwrap(), Ubig::one());
-    }
-
-    #[test]
-    fn planned_modpow_matches_general_ladder() {
-        // The per-key plan contract: replaying a recoded exponent through
-        // one shared scratch must be indistinguishable from the general
-        // ladder, at both supported widths, across operand widths, and
-        // with the SAME workspace reused between differently-sized moduli
-        // (the thread-local usage pattern).
-        let mut rng = Drbg::new(0x504c_414e);
-        let mut scratch = ModpowScratch::new();
-        for limbs in 1..=9 {
-            for _ in 0..6 {
-                let m = random_odd(&mut rng, limbs);
-                let a = random_ubig(&mut rng, limbs + 1);
-                let mut e = random_ubig(&mut rng, limbs.max(2));
-                e.set_bit(limbs.max(2) * 64 - 7); // non-trivial window count
-                let ctx = MontgomeryCtx::new(&m).unwrap();
-                let reference = ctx.modpow(&a, &e).unwrap();
-                for width in [4u8, 5] {
-                    let plan = ModpowPlan::new(&e, width);
-                    assert_eq!(plan.width(), width);
-                    assert_eq!(plan.bits(), e.bit_len());
-                    assert_eq!(
-                        ctx.modpow_planned(&a, &plan, &mut scratch).unwrap(),
-                        reference,
-                        "limbs={limbs} width={width} m={m:?} a={a:?} e={e:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn modpow_with_matches_modpow_across_scratch_reuse() {
-        // One workspace, alternating widths and short/long exponents —
-        // stale buffer contents from a previous call must never leak into
-        // the next result.
-        let mut rng = Drbg::new(0x5343_5241);
-        let mut scratch = ModpowScratch::new();
-        for round in 0..12 {
-            let limbs = 1 + (round * 5) % 9;
-            let m = random_odd(&mut rng, limbs);
-            let a = random_ubig(&mut rng, limbs);
-            let e = if round % 2 == 0 {
-                Ubig::from_u64(rng.next_u64()) // short (binary) path
-            } else {
-                random_ubig(&mut rng, limbs) // window path
-            };
-            let ctx = MontgomeryCtx::new(&m).unwrap();
-            assert_eq!(
-                ctx.modpow_with(&a, &e, &mut scratch).unwrap(),
-                a.modpow_schoolbook(&e, &m).unwrap(),
-                "round={round} limbs={limbs}"
-            );
-        }
-    }
-
-    #[test]
-    fn planned_modpow_edge_cases() {
-        let ctx = MontgomeryCtx::new(&Ubig::from_u64(1_000_003)).unwrap();
-        let mut scratch = ModpowScratch::new();
-        // Zero base, exponent one, modulus one.
-        let e = Ubig::from_u64(13);
-        let plan = ModpowPlan::new(&e, 4);
-        assert_eq!(ctx.modpow_planned(&Ubig::zero(), &plan, &mut scratch).unwrap(), Ubig::zero());
-        let one_exp = ModpowPlan::new(&Ubig::one(), 5);
-        assert_eq!(
-            ctx.modpow_planned(&Ubig::from_u64(7), &one_exp, &mut scratch).unwrap(),
-            Ubig::from_u64(7)
-        );
-        let unit = MontgomeryCtx::new(&Ubig::one()).unwrap();
-        assert_eq!(
-            unit.modpow_planned(&Ubig::from_u64(5), &plan, &mut scratch).unwrap(),
-            Ubig::zero()
-        );
-    }
-
-    #[test]
-    fn mulmod_with_matches_mulmod() {
-        let mut rng = Drbg::new(0x4d55_4c57);
-        let mut scratch = ModpowScratch::new();
-        for limbs in 1..=6 {
-            let m = random_odd(&mut rng, limbs);
-            let a = random_ubig(&mut rng, limbs + 1); // exercises staging rem
-            let b = random_ubig(&mut rng, limbs);
-            let ctx = MontgomeryCtx::new(&m).unwrap();
-            assert_eq!(
-                ctx.mulmod_with(&a, &b, &mut scratch).unwrap(),
-                ctx.mulmod(&a, &b).unwrap(),
-                "limbs={limbs}"
-            );
-        }
-    }
-
-    #[test]
-    fn thread_scratch_is_reused_and_reentrancy_safe() {
-        let ctx = MontgomeryCtx::new(&Ubig::from_u64(497)).unwrap();
-        let r = with_thread_scratch(|outer| {
-            // A nested borrow must fall back to a fresh workspace instead
-            // of panicking (no such caller exists today — this pins the
-            // contract).
-            let nested = with_thread_scratch(|inner| {
-                ctx.modpow_with(&Ubig::from_u64(4), &Ubig::from_u64(13), inner).unwrap()
-            });
-            let direct = ctx.modpow_with(&Ubig::from_u64(4), &Ubig::from_u64(13), outer).unwrap();
-            assert_eq!(nested, direct);
-            direct
-        });
-        assert_eq!(r, Ubig::from_u64(445));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::bigint::Ubig;
 use crate::drbg::RngCore64;
-use crate::montgomery::{with_thread_scratch, ModpowPlan, ModpowScratch, MontgomeryCtx};
+use crate::montgomery::MontgomeryCtx;
 use crate::{CryptoError, HashAlg};
 
 /// Public RSA key: modulus and exponent.
@@ -40,19 +40,6 @@ pub struct RsaKeyPair {
     pub crt: Option<RsaCrt>,
 }
 
-/// Window width for the precomputed CRT half-exponent plans.
-///
-/// Measured decision (this substrate; ROADMAP's mint-path section):
-/// 5-bit windows trade 16 extra table multiplies for ~20 fewer window
-/// multiplies — arithmetic says ~0.3% fewer Montgomery multiplies on a
-/// 512-bit exponent, and the measured ladder agrees it's a wash: 5-bit
-/// is **+1.3% / −0.6% / −0.8%** vs 4-bit at 512/1024/2048-bit
-/// half-exponents (min-of-blocks, interleaved). An honest tie, recorded
-/// as a negative result; 4 stays because it wins (within noise) at the
-/// 512-bit half-exponents that dominate minting, halves the table's
-/// scratch footprint, and shares the general `modpow` ladder's width.
-pub const CRT_WINDOW_BITS: u8 = 4;
-
 /// Precomputed Chinese-Remainder-Theorem private-key material.
 ///
 /// Signing with CRT performs two half-size Montgomery exponentiations
@@ -60,15 +47,14 @@ pub const CRT_WINDOW_BITS: u8 = 4;
 /// one full-size exponentiation mod `n` — ~4× less work, since
 /// exponentiation cost grows roughly cubically with operand size. The
 /// Montgomery contexts for both primes are built once here and reused by
-/// every signature, and the half-exponents are window-recoded once into
-/// [`ModpowPlan`]s ([`CRT_WINDOW_BITS`]-bit windows) so per-signature
-/// ladders replay a byte array instead of re-extracting exponent bits.
+/// every signature; both half-exponentiations run the general
+/// [`MontgomeryCtx::modpow`] ladder.
 #[derive(Debug, Clone)]
 pub struct RsaCrt {
-    /// Window recoding of `d mod (p-1)`, computed once per key.
-    dp_plan: ModpowPlan,
-    /// Window recoding of `d mod (q-1)`, computed once per key.
-    dq_plan: ModpowPlan,
+    /// `d mod (p-1)`.
+    dp: Ubig,
+    /// `d mod (q-1)`.
+    dq: Ubig,
     /// `q⁻¹ mod p` (Garner's coefficient).
     qinv: Ubig,
     /// Prime factor `p` (cached to keep the per-signature recombination
@@ -86,11 +72,9 @@ impl RsaCrt {
     /// Precompute CRT parameters from the factors and private exponent.
     pub fn new(p: &Ubig, q: &Ubig, d: &Ubig) -> Result<RsaCrt, CryptoError> {
         let one = Ubig::one();
-        let dp = d.rem(&p.sub(&one))?;
-        let dq = d.rem(&q.sub(&one))?;
         Ok(RsaCrt {
-            dp_plan: ModpowPlan::new(&dp, CRT_WINDOW_BITS),
-            dq_plan: ModpowPlan::new(&dq, CRT_WINDOW_BITS),
+            dp: d.rem(&p.sub(&one))?,
+            dq: d.rem(&q.sub(&one))?,
             qinv: q.modinv(p)?,
             p: p.clone(),
             q: q.clone(),
@@ -99,26 +83,13 @@ impl RsaCrt {
         })
     }
 
-    /// `m^d mod pq` via Garner's recombination (thread-local scratch).
+    /// `m^d mod pq` via Garner's recombination.
     ///
     /// Produces exactly the value a direct `m.modpow(d, n)` would, so CRT
     /// and non-CRT signatures are byte-identical.
     pub fn private_exp(&self, m: &Ubig) -> Result<Ubig, CryptoError> {
-        with_thread_scratch(|scratch| self.private_exp_with(m, scratch))
-    }
-
-    /// [`private_exp`](Self::private_exp) against caller-owned working
-    /// memory: both half-exponentiations replay the per-key window plans
-    /// through `scratch`, and the recombination's modular product rides
-    /// the same buffers — no allocation beyond the intermediate `Ubig`
-    /// results.
-    pub fn private_exp_with(
-        &self,
-        m: &Ubig,
-        scratch: &mut ModpowScratch,
-    ) -> Result<Ubig, CryptoError> {
-        let m1 = self.p_ctx.modpow_planned(m, &self.dp_plan, scratch)?;
-        let m2 = self.q_ctx.modpow_planned(m, &self.dq_plan, scratch)?;
+        let m1 = self.p_ctx.modpow(m, &self.dp)?;
+        let m2 = self.q_ctx.modpow(m, &self.dq)?;
         // h = qinv · (m1 − m2) mod p. For generated keys p and q share a
         // bit length, so m2 < q < 2p and reducing m2 mod p is one
         // comparison and at most one subtraction; hand-assembled keys
@@ -137,15 +108,9 @@ impl RsaCrt {
             Some(d) => d,
             None => m1.add(&self.p).sub(&m2_mod_p),
         };
-        let h = self.p_ctx.mulmod_with(&self.qinv, &diff, scratch)?;
+        let h = self.p_ctx.mulmod(&self.qinv, &diff)?;
         // s = m2 + q·h  (already < pq)
         Ok(m2.add(&self.q.mul(&h)))
-    }
-
-    /// The plans' window width (for benches asserting the measured
-    /// 4-vs-5 decision stays what ROADMAP records).
-    pub fn window_bits(&self) -> u8 {
-        self.dp_plan.width()
     }
 }
 
@@ -332,7 +297,7 @@ pub struct KeygenStats {
 }
 
 /// Process-wide count of RSA signatures produced (every
-/// [`RsaKeyPair::sign_with`] call). `exp_perf`'s mint series divides the
+/// [`RsaKeyPair::sign`] call). `exp_perf`'s mint series divides the
 /// delta across a minting run by the chains minted to report
 /// signatures-per-mint — the unit cost the substitute prewarm amortizes.
 static SIGNATURES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -559,21 +524,8 @@ impl RsaKeyPair {
     /// Returns the signature as a big-endian byte string exactly as long
     /// as the modulus. Keys with precomputed [`RsaCrt`] material (all
     /// generated keys) take the CRT fast path; the result is byte-
-    /// identical either way. Working memory is the thread-local
-    /// [`ModpowScratch`], so bulk signing (certificate minting) performs
-    /// no per-signature ladder allocations; callers that own a workspace
-    /// can thread it explicitly via [`RsaKeyPair::sign_with`].
+    /// identical either way.
     pub fn sign(&self, alg: HashAlg, message: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        with_thread_scratch(|scratch| self.sign_with(alg, message, scratch))
-    }
-
-    /// [`sign`](Self::sign) against caller-owned working memory.
-    pub fn sign_with(
-        &self,
-        alg: HashAlg,
-        message: &[u8],
-        scratch: &mut ModpowScratch,
-    ) -> Result<Vec<u8>, CryptoError> {
         SIGNATURES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let k = self.public.n.bit_len().div_ceil(8);
         let em = pkcs1v15_encode(alg, message, k)?;
@@ -582,16 +534,8 @@ impl RsaKeyPair {
             return Err(CryptoError::MessageTooLong);
         }
         let s = match &self.crt {
-            Some(crt) => crt.private_exp_with(&m, scratch)?,
-            // Non-CRT fallback: same dispatch as `Ubig::modpow` (shared
-            // context for odd moduli, schoolbook otherwise) but driven
-            // through the caller's scratch — going through `Ubig::modpow`
-            // here would re-enter the thread-local workspace and fall
-            // back to a fresh allocation per signature.
-            None if self.public.n.is_odd() => {
-                crate::ctxcache::ctx_for(&self.public.n)?.modpow_with(&m, &self.d, scratch)?
-            }
-            None => m.modpow_schoolbook(&self.d, &self.public.n)?,
+            Some(crt) => crt.private_exp(&m)?,
+            None => m.modpow(&self.d, &self.public.n)?,
         };
         s.to_bytes_be_padded(k).ok_or(CryptoError::MessageTooLong)
     }
@@ -815,22 +759,31 @@ mod tests {
     }
 
     #[test]
-    fn scratch_and_thread_local_signatures_byte_identical() {
-        // The allocation-free plumbing (explicit scratch, thread-local
-        // scratch, plan-driven CRT ladders) must not change a single
-        // signature byte — including when one workspace is shared across
-        // keys of different sizes.
-        let mut rng = Drbg::new(23);
-        let k512 = RsaKeyPair::generate(512, &mut rng).unwrap();
-        let k768 = RsaKeyPair::generate(768, &mut rng).unwrap();
-        let mut scratch = ModpowScratch::new();
-        for key in [&k512, &k768] {
-            assert_eq!(key.crt.as_ref().unwrap().window_bits(), CRT_WINDOW_BITS);
+    fn crt_matches_direct_for_lopsided_factors() {
+        // Generated keys draw both primes at half the modulus width with
+        // the top two bits set, so q < 2p and Garner's `m2 mod p` never
+        // needs a real division. Hand-assembled keys whose factors differ
+        // in size take that branch (p smaller) or skip it (p larger).
+        let mut rng = Drbg::new(25);
+        for (p_bits, q_bits) in [(256usize, 512usize), (512, 256)] {
+            let e = Ubig::from_u64(65537);
+            let (p, q, d) = loop {
+                let p = gen_prime(p_bits, &mut rng).unwrap();
+                let q = gen_prime(q_bits, &mut rng).unwrap();
+                let phi = p.sub(&Ubig::one()).mul(&q.sub(&Ubig::one()));
+                if let Ok(d) = e.modinv(&phi) {
+                    break (p, q, d);
+                }
+            };
+            let public = RsaPublicKey { n: p.mul(&q), e };
+            let direct = RsaKeyPair { public, d, p, q, crt: None };
+            let mut key = direct.clone();
+            key.precompute_crt().unwrap();
+            let msg = b"lopsided factors";
             for alg in [HashAlg::Sha1, HashAlg::Sha256] {
-                let via_thread = key.sign(alg, b"scratch equivalence").unwrap();
-                let via_scratch = key.sign_with(alg, b"scratch equivalence", &mut scratch).unwrap();
-                assert_eq!(via_thread, via_scratch);
-                key.public.verify(alg, b"scratch equivalence", &via_thread).unwrap();
+                let sig = key.sign(alg, msg).unwrap();
+                assert_eq!(sig, direct.sign(alg, msg).unwrap(), "p={p_bits} q={q_bits}");
+                key.public.verify(alg, msg, &sig).unwrap();
             }
         }
     }

@@ -118,11 +118,7 @@ impl CertificateBuilder {
     /// The RSA signature takes the issuer key's CRT/Montgomery fast path
     /// when its precomputed material is present (all generated keys), so
     /// bulk minting — every substitute certificate in a study run — pays
-    /// two half-size division-free exponentiations per certificate. Those
-    /// ladders replay the key's precomputed window plans through the
-    /// signing thread's shared `ModpowScratch`
-    /// (`tlsfoe_crypto::with_thread_scratch`), so repeated minting
-    /// allocates nothing per signature beyond the output buffers.
+    /// two half-size division-free exponentiations per certificate.
     pub fn sign(
         self,
         subject_key: &RsaPublicKey,
