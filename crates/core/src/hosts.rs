@@ -152,10 +152,10 @@ fn catalog_entries(
 /// slot per era-active product and host, never a slot no host selects).
 /// `run_study` warms these together with the era's roots
 /// (`tlsfoe_population::keys::product_key_specs`) in one parallel
-/// `tlsfoe_population::keys::warm_keys` pass, so neither
-/// [`HostCatalog::build`]'s host loop nor an interception inside a drive
-/// generates a key. Derived from the same constants the build consumes
-/// ([`CA_KEY_SPEC`], [`host_key_spec`], [`catalog_entries`]).
+/// `tlsfoe_population::keys::warm_keys` pass, so neither the catalog
+/// build's host loop nor an interception inside a drive generates a
+/// key. Derived from the same private constants the build consumes
+/// (`CA_KEY_SPEC`, `host_key_spec`, `catalog_entries`).
 pub fn prewarm_key_specs(
     baseline: bool,
     era: tlsfoe_population::model::StudyEra,

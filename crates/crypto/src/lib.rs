@@ -142,6 +142,9 @@ pub enum CryptoError {
     BadSignature,
     /// Key generation could not find a prime within the attempt budget.
     PrimeGenFailed,
+    /// A key-generation hint did not replay to a key: its candidate was
+    /// not prime or its primes did not assemble (a stale or wrong hint).
+    HintRejected,
     /// A key parameter was invalid (e.g. modulus too small for padding).
     InvalidKey(&'static str),
 }
@@ -155,6 +158,7 @@ impl core::fmt::Display for CryptoError {
             CryptoError::MessageTooLong => write!(f, "message too long for RSA modulus"),
             CryptoError::BadSignature => write!(f, "signature verification failed"),
             CryptoError::PrimeGenFailed => write!(f, "prime generation failed"),
+            CryptoError::HintRejected => write!(f, "key-generation hint rejected"),
             CryptoError::InvalidKey(why) => write!(f, "invalid key: {why}"),
         }
     }

@@ -229,7 +229,7 @@ impl MontgomeryCtx {
     /// `base^exp mod n`, division-free.
     ///
     /// Long exponents use a fixed 4-bit window (16-entry table); exponents
-    /// of at most [`WINDOW_THRESHOLD_BITS`] bits use plain left-to-right
+    /// of at most `WINDOW_THRESHOLD_BITS` (64) bits use plain left-to-right
     /// binary, which is cheaper than amortizing the table — that is the
     /// fast path RSA verification with `e = 65537` takes.
     pub fn modpow(&self, base: &Ubig, exp: &Ubig) -> Result<Ubig, CryptoError> {

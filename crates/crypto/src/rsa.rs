@@ -283,17 +283,28 @@ pub fn is_probable_prime(n: &Ubig, rounds: usize, rng: &mut dyn RngCore64) -> bo
 /// the fixed base-2 round (`base2_rejects`) without touching the
 /// random-witness machinery. `exp_perf` reports them and ROADMAP records
 /// them per PR.
+///
+/// A prime replayed from a hint ([`RsaKeyPair::from_hint`]) counts in
+/// `primes` and `hinted`, and its one Miller–Rabin run in `mr_runs`,
+/// but it examines no sieve candidate: when every prime is hinted,
+/// `mr_runs / primes` reads exactly 1.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KeygenStats {
     /// Odd candidates examined by the incremental sieve.
     pub candidates: u64,
     /// Candidates that survived the small-prime sieve (each costs one
-    /// Miller–Rabin run, starting with the fixed base-2 round).
+    /// Miller–Rabin run, starting with the fixed base-2 round), plus
+    /// hinted candidates tested.
     pub mr_runs: u64,
     /// Sieve survivors rejected by the base-2 round alone.
     pub base2_rejects: u64,
-    /// Primes returned.
+    /// Primes returned, searched or hinted.
     pub primes: u64,
+    /// Primes replayed from a hint instead of searched.
+    pub hinted: u64,
+    /// Hints whose candidate was not a prime, or whose primes did not
+    /// assemble into a key.
+    pub hint_rejects: u64,
 }
 
 /// Process-wide count of RSA signatures produced (every
@@ -311,6 +322,8 @@ static KG_CANDIDATES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 static KG_MR_RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static KG_BASE2_REJECTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static KG_PRIMES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static KG_HINTED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static KG_HINT_REJECTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Snapshot of the process-wide [`gen_prime`] counters.
 pub fn keygen_stats() -> KeygenStats {
@@ -320,6 +333,21 @@ pub fn keygen_stats() -> KeygenStats {
         mr_runs: KG_MR_RUNS.load(Relaxed),
         base2_rejects: KG_BASE2_REJECTS.load(Relaxed),
         primes: KG_PRIMES.load(Relaxed),
+        hinted: KG_HINTED.load(Relaxed),
+        hint_rejects: KG_HINT_REJECTS.load(Relaxed),
+    }
+}
+
+impl KeygenStats {
+    /// Add one search's or replay's counts to the process-wide counters.
+    fn publish(&self) {
+        use std::sync::atomic::Ordering::Relaxed;
+        KG_CANDIDATES.fetch_add(self.candidates, Relaxed);
+        KG_MR_RUNS.fetch_add(self.mr_runs, Relaxed);
+        KG_BASE2_REJECTS.fetch_add(self.base2_rejects, Relaxed);
+        KG_PRIMES.fetch_add(self.primes, Relaxed);
+        KG_HINTED.fetch_add(self.hinted, Relaxed);
+        KG_HINT_REJECTS.fetch_add(self.hint_rejects, Relaxed);
     }
 }
 
@@ -327,7 +355,8 @@ pub fn keygen_stats() -> KeygenStats {
 /// prime gap among odd `bits`-bit numbers is ~`bits·ln2/2` (≈ 710/2 at
 /// 1024 bits), so 2¹⁴ steps make a windowless redraw vanishingly rare
 /// while keeping each interval short enough that the search still lands
-/// near its uniformly drawn start.
+/// near its uniformly drawn start. A hint's offset is a step in this
+/// window, so it always fits a `u16`.
 const SIEVE_ODD_STEPS: usize = 1 << 14;
 
 /// Exclusive bound on the sieving primes. Much larger than the 60-entry
@@ -388,12 +417,43 @@ fn sieve_table() -> &'static SieveTable {
     })
 }
 
+/// Random-base Miller–Rabin rounds for a `bits`-bit search candidate.
+///
+/// Sized for *random* candidates (which these are): by the
+/// Damgård–Landrock–Pomerance average-case bounds, 8 rounds on random
+/// 512-bit candidates leave error far below 2⁻¹⁰⁰ (worst-case
+/// adversarial 4⁻ᵗ analysis does not apply to sieve output), matching
+/// FIPS 186-4 Table C.2's regime for RSA prime generation. Below 512
+/// bits — toy sizes reachable only from tests — stay generous.
+fn mr_rounds(bits: usize) -> usize {
+    if bits >= 1024 {
+        5
+    } else if bits >= 512 {
+        8
+    } else {
+        16
+    }
+}
+
+/// Draw a search window's start: `bits` random bits with the top two
+/// set (so `p·q` has full size) and the low bit set (odd).
+fn window_start(bits: usize, rng: &mut dyn RngCore64) -> Ubig {
+    let mut bytes = vec![0u8; bits.div_ceil(8)];
+    rng.fill_bytes(&mut bytes);
+    // Clear any excess high bits before forcing the exact bit length.
+    let mut start = Ubig::from_bytes_be(&bytes).rem(&Ubig::one().shl(bits)).expect("nonzero");
+    start.set_bit(bits - 1);
+    start.set_bit(bits - 2);
+    start.set_bit(0);
+    start
+}
+
 /// Generate a random prime with exactly `bits` bits.
 ///
 /// Incremental sieved search: draw one random odd start per attempt
 /// (top two bits forced, as before, so `p·q` has full size), then sieve
-/// the window of [`SIEVE_ODD_STEPS`] odd candidates `start + 2j` in one
-/// pass — the residue of `start` modulo each packed prime product is
+/// the window of `SIEVE_ODD_STEPS` (2¹⁴) odd candidates `start + 2j` in
+/// one pass — the residue of `start` modulo each packed prime product is
 /// taken once, expanded to per-prime residues, and each prime marks its
 /// multiples through the window with cheap `u64` strides. Only unmarked
 /// candidates pay for bigint work: one add to materialize the
@@ -404,40 +464,39 @@ fn sieve_table() -> &'static SieveTable {
 /// shared.
 ///
 /// Deterministic per RNG state, like every generation routine here: the
-/// population key cache relies on `(seed, bits) → key` being pure.
+/// population key cache relies on `(seed, bits) → key` being pure. The
+/// search is also replayable. Base-2 rejects draw nothing from the RNG,
+/// so when the prime lies in the first window and no composite before
+/// it reached a random base, the RNG has given only the window start
+/// and the prime's own Miller–Rabin bases; the prime's offset `j` then
+/// reproduces it with one Miller–Rabin run. [`RsaKeyPair::generate_with_hint`]
+/// reports those offsets and [`RsaKeyPair::from_hint`] replays them.
+/// `tlsfoe_population::keys` keeps a committed table of them for the
+/// fixed key set the studies use, and falls back to this search for a
+/// key without a hint or with a rejected one.
 pub fn gen_prime(bits: usize, rng: &mut dyn RngCore64) -> Result<Ubig, CryptoError> {
+    search_prime(bits, rng).map(|(prime, _)| prime)
+}
+
+/// The sieved search behind [`gen_prime`], which also reports the
+/// prime's hint: its odd-step offset in the first window, or `None` if
+/// the search restarted a window or drew random Miller–Rabin bases
+/// before reaching it.
+fn search_prime(bits: usize, rng: &mut dyn RngCore64) -> Result<(Ubig, Option<u16>), CryptoError> {
     assert!(bits >= 16, "prime sizes below 16 bits are not supported");
-    let byte_len = bits.div_ceil(8);
-    // MR round counts sized for *random* candidates (which these are):
-    // by the Damgård–Landrock–Pomerance average-case bounds, 8 rounds on
-    // random 512-bit candidates leave error far below 2⁻¹⁰⁰ (worst-case
-    // adversarial 4⁻ᵗ analysis does not apply to sieve output), matching
-    // FIPS 186-4 Table C.2's regime for RSA prime generation. Below 512
-    // bits — toy sizes reachable only from tests — stay generous.
-    let rounds = if bits >= 1024 {
-        5
-    } else if bits >= 512 {
-        8
-    } else {
-        16
-    };
+    let rounds = mr_rounds(bits);
     let table = sieve_table();
     // Sieving primes must stay below the candidates (which are ≥
     // 2^(bits-1)); only bits = 16 can collide with the 2¹⁶ table bound.
     let max_sieve_prime = if bits > 16 { u64::MAX } else { 1u64 << (bits - 1) };
     let mut stats = KeygenStats::default();
     let mut found = None;
+    // Whether the RNG has so far given only the first window's start.
+    let mut replayable = true;
     let mut composite = vec![false; SIEVE_ODD_STEPS];
-    'attempt: for _ in 0..1024 {
-        let mut bytes = vec![0u8; byte_len];
-        rng.fill_bytes(&mut bytes);
-        let mut start = Ubig::from_bytes_be(&bytes);
-        // Force exact bit length: clear any excess high bits, set the top
-        // two bits (so p*q has full size) and the low bit (odd).
-        start = start.rem(&Ubig::one().shl(bits)).expect("nonzero");
-        start.set_bit(bits - 1);
-        start.set_bit(bits - 2);
-        start.set_bit(0);
+    'attempt: for attempt in 0..1024 {
+        replayable &= attempt == 0;
+        let start = window_start(bits, rng);
         // Mark every window slot a sieving prime divides: slot j holds
         // start + 2j, so p strikes j ≡ -start·2⁻¹ ≡ (p - r)·(p+1)/2
         // (mod p), where r = start mod p comes from the packed-product
@@ -473,17 +532,68 @@ pub fn gen_prime(bits: usize, rng: &mut dyn RngCore64) -> Result<Ubig, CryptoErr
             stats.base2_rejects += base2_reject as u64;
             if probably_prime {
                 stats.primes += 1;
-                found = Some(candidate);
+                let hint = if replayable { u16::try_from(j).ok() } else { None };
+                found = Some((candidate, hint));
                 break 'attempt;
             }
+            // A composite that passed base 2 died to random bases, which
+            // a replay would not draw.
+            replayable &= base2_reject;
         }
     }
-    use std::sync::atomic::Ordering::Relaxed;
-    KG_CANDIDATES.fetch_add(stats.candidates, Relaxed);
-    KG_MR_RUNS.fetch_add(stats.mr_runs, Relaxed);
-    KG_BASE2_REJECTS.fetch_add(stats.base2_rejects, Relaxed);
-    KG_PRIMES.fetch_add(stats.primes, Relaxed);
+    stats.publish();
     found.ok_or(CryptoError::PrimeGenFailed)
+}
+
+/// Replay a [`search_prime`] hint: draw the window start the search
+/// drew, take its `offset`-th odd step and run the search's Miller–Rabin
+/// rounds on it, so a correct hint returns the searched prime and leaves
+/// `rng` where the search left it. A step outside the window or the bit
+/// length, or one that is not prime, is [`CryptoError::HintRejected`].
+fn prime_from_hint(bits: usize, offset: u16, rng: &mut dyn RngCore64) -> Result<Ubig, CryptoError> {
+    assert!(bits >= 16, "prime sizes below 16 bits are not supported");
+    let candidate = window_start(bits, rng).add(&Ubig::from_u64(2 * u64::from(offset)));
+    // The small-prime check draws nothing, so a wrong hint that the sieve
+    // would have struck is rejected without a ladder.
+    let testable = usize::from(offset) < SIEVE_ODD_STEPS
+        && candidate.bit_len() == bits
+        && !has_small_factor(&candidate);
+    let prime = testable && mr_probable_prime(&candidate, mr_rounds(bits), rng).0;
+    KeygenStats {
+        mr_runs: testable as u64,
+        primes: prime as u64,
+        hinted: prime as u64,
+        hint_rejects: !prime as u64,
+        ..KeygenStats::default()
+    }
+    .publish();
+    prime.then_some(candidate).ok_or(CryptoError::HintRejected)
+}
+
+/// The two prime sizes of a `bits`-bit modulus.
+fn prime_bits(bits: usize) -> (usize, usize) {
+    assert!(bits >= 256, "modulus sizes below 256 bits are not supported");
+    (bits / 2, bits - bits / 2)
+}
+
+/// Assemble a key pair with `e = 65537` from its primes, or `None` if
+/// the pair is unusable — `p = q`, a modulus short of `bits`, or `e`
+/// not coprime with φ — and generation must draw another.
+fn assemble(p: Ubig, q: Ubig, bits: usize) -> Result<Option<RsaKeyPair>, CryptoError> {
+    if p == q {
+        return Ok(None);
+    }
+    let n = p.mul(&q);
+    if n.bit_len() != bits {
+        return Ok(None);
+    }
+    let e = Ubig::from_u64(65537);
+    let phi = p.sub(&Ubig::one()).mul(&q.sub(&Ubig::one()));
+    let Ok(d) = e.modinv(&phi) else {
+        return Ok(None); // e not coprime with phi; rare
+    };
+    let crt = Some(RsaCrt::new(&p, &q, &d)?);
+    Ok(Some(RsaKeyPair { public: RsaPublicKey { n, e }, d, p, q, crt }))
 }
 
 impl RsaKeyPair {
@@ -492,26 +602,57 @@ impl RsaKeyPair {
     /// Deterministic given the RNG state — the population simulator relies
     /// on this to give each interception product a stable root key.
     pub fn generate(bits: usize, rng: &mut dyn RngCore64) -> Result<Self, CryptoError> {
-        assert!(bits >= 256, "modulus sizes below 256 bits are not supported");
-        let e = Ubig::from_u64(65537);
+        Self::generate_with_hint(bits, rng).map(|(key, _)| key)
+    }
+
+    /// [`RsaKeyPair::generate`], also returning the hint that
+    /// [`RsaKeyPair::from_hint`] replays to the same key: each prime's
+    /// odd-step offset in its first search window. The hint is `None`
+    /// if either prime's search restarted a window or drew random
+    /// Miller–Rabin bases before the prime, or if the first `(p, q)`
+    /// pair was unusable and generation drew again.
+    pub fn generate_with_hint(
+        bits: usize,
+        rng: &mut dyn RngCore64,
+    ) -> Result<(Self, Option<[u16; 2]>), CryptoError> {
+        let (p_bits, q_bits) = prime_bits(bits);
+        let mut first_pair = true;
         loop {
-            let p = gen_prime(bits / 2, rng)?;
-            let q = gen_prime(bits - bits / 2, rng)?;
-            if p == q {
-                continue;
+            let (p, p_hint) = search_prime(p_bits, rng)?;
+            let (q, q_hint) = search_prime(q_bits, rng)?;
+            if let Some(key) = assemble(p, q, bits)? {
+                let hint = p_hint.zip(q_hint).filter(|_| first_pair);
+                return Ok((key, hint.map(|(p, q)| [p, q])));
             }
-            let n = p.mul(&q);
-            if n.bit_len() != bits {
-                continue;
-            }
-            let phi = p.sub(&Ubig::one()).mul(&q.sub(&Ubig::one()));
-            let d = match e.modinv(&phi) {
-                Ok(d) => d,
-                Err(_) => continue, // e not coprime with phi; rare — retry
-            };
-            let crt = Some(RsaCrt::new(&p, &q, &d)?);
-            return Ok(RsaKeyPair { public: RsaPublicKey { n, e }, d, p, q, crt });
+            first_pair = false;
         }
+    }
+
+    /// The key [`RsaKeyPair::generate_with_hint`] returns with the hint
+    /// `[p_hint, q_hint]`, rebuilt from an RNG in the same state without
+    /// the prime search.
+    ///
+    /// Each prime is the hinted step of its search's first window,
+    /// tested with the search's Miller–Rabin rounds; the RNG gives the
+    /// same values as to the search and ends in the same state, and the
+    /// primes are assembled exactly as `generate` assembles them. A hint
+    /// whose step is not prime, or whose primes do not make a key, is
+    /// [`CryptoError::HintRejected`]. A wrong hint that lands on other
+    /// primes yields a different key; only a comparison with the search
+    /// can tell.
+    pub fn from_hint(
+        bits: usize,
+        [p_hint, q_hint]: [u16; 2],
+        rng: &mut dyn RngCore64,
+    ) -> Result<Self, CryptoError> {
+        let (p_bits, q_bits) = prime_bits(bits);
+        let p = prime_from_hint(p_bits, p_hint, rng)?;
+        let q = prime_from_hint(q_bits, q_hint, rng)?;
+        let key = assemble(p, q, bits)?;
+        if key.is_none() {
+            KeygenStats { hint_rejects: 1, ..KeygenStats::default() }.publish();
+        }
+        key.ok_or(CryptoError::HintRejected)
     }
 
     /// Modulus size in bits (the paper's "public key size").
@@ -685,6 +826,67 @@ mod tests {
             mr_runs * 3 <= candidates,
             "sieve passed {mr_runs} of {candidates} candidates to Miller–Rabin"
         );
+    }
+
+    #[test]
+    fn hints_replay_to_the_searched_key_and_rng_state() {
+        // Over arbitrary seeds: whatever hint the search reports, replaying
+        // it from a fresh RNG in the same state gives the same key and
+        // leaves the RNG where the search left it.
+        let mut seeds = Drbg::new(0x4817);
+        let mut replayed = 0;
+        for bits in [512usize, 768, 1024] {
+            for _ in 0..3 {
+                let seed = seeds.next_u64();
+                let mut searched_rng = Drbg::new(seed);
+                let (key, hint) = RsaKeyPair::generate_with_hint(bits, &mut searched_rng).unwrap();
+                let Some(hint) = hint else { continue };
+                let mut replay_rng = Drbg::new(seed);
+                let replay = RsaKeyPair::from_hint(bits, hint, &mut replay_rng).unwrap();
+                assert_eq!(
+                    (&replay.public, &replay.d, &replay.p, &replay.q),
+                    (&key.public, &key.d, &key.p, &key.q),
+                    "bits={bits} seed={seed:#x} hint={hint:?}"
+                );
+                for _ in 0..4 {
+                    assert_eq!(replay_rng.next_u64(), searched_rng.next_u64(), "seed={seed:#x}");
+                }
+                replayed += 1;
+            }
+        }
+        // A search is unreplayable only after a window restart or a
+        // composite that passed base 2, both rare.
+        assert!(replayed >= 7, "only {replayed} of 9 searches were replayable");
+    }
+
+    #[test]
+    fn wrong_hints_are_rejected() {
+        // Offset − 1 is always rejected: the search passed that step, so
+        // it is composite. Offset + 1 and the swapped offsets are other
+        // odd numbers near the primes, composite for this seed; a wrong
+        // hint that lands on another prime gives a different key, which
+        // only a comparison with the search catches.
+        let seed = 0x3A11;
+        let (key, hint) = RsaKeyPair::generate_with_hint(512, &mut Drbg::new(seed)).unwrap();
+        let [p, q] = hint.unwrap();
+        assert!(p > 0 && p != q, "hint {:?}", [p, q]);
+        let before = keygen_stats();
+        let wrong = [[p + 1, q], [p - 1, q], [p, q + 1], [q, p]];
+        for hint in wrong {
+            let result = RsaKeyPair::from_hint(512, hint, &mut Drbg::new(seed));
+            assert!(
+                matches!(result, Err(CryptoError::HintRejected)),
+                "hint {hint:?} (searched {:?}) must be rejected",
+                [p, q]
+            );
+        }
+        let rejects = keygen_stats().hint_rejects - before.hint_rejects;
+        assert!(rejects >= wrong.len() as u64, "{rejects} rejects counted");
+        // An offset past the window is rejected before any test.
+        let far = u16::try_from(SIEVE_ODD_STEPS).unwrap();
+        assert!(RsaKeyPair::from_hint(512, [far, q], &mut Drbg::new(seed)).is_err());
+        let right = RsaKeyPair::from_hint(512, [p, q], &mut Drbg::new(seed)).unwrap();
+        assert_eq!(right.public, key.public);
     }
 
     #[test]

@@ -9,11 +9,23 @@
 //! * a count below its entry also fails, telling the author to run
 //!   `tlsfoe-lint --update-allowlist` — so paid-down debt is locked in
 //!   and cannot silently regrow to the stale ceiling.
+//!
+//! Under `crates/netsim/` the rule is hard: a file there may not carry
+//! an entry (parsing rejects one and `--update-allowlist` refuses to
+//! write one), so every counted site there fails `--check`.
 
 use std::collections::BTreeMap;
 
 use crate::report::Finding;
 use crate::rules::panicfree::PanicCounts;
+
+/// Path prefixes where `panic-free` is a hard rule: no allowlist entry.
+const HARD_RULE_PREFIXES: &[&str] = &["crates/netsim/"];
+
+/// The hard-rule prefix `path` falls under, if any.
+fn hard_rule_prefix(path: &str) -> Option<&'static str> {
+    HARD_RULE_PREFIXES.iter().copied().find(|prefix| path.starts_with(prefix))
+}
 
 /// Parsed allowlist: path → allowed counts, ordered for deterministic
 /// rendering.
@@ -34,6 +46,13 @@ impl Allowlist {
             }
             let mut parts = line.split_whitespace();
             let path = parts.next().ok_or_else(|| format!("line {}: empty", ln + 1))?;
+            if let Some(prefix) = hard_rule_prefix(path) {
+                return Err(format!(
+                    "line {}: `{path}` may not have an entry: panic-free is a hard rule under \
+                     `{prefix}`",
+                    ln + 1
+                ));
+            }
             let mut counts = PanicCounts::default();
             for kv in parts {
                 let (k, v) = kv
@@ -70,15 +89,21 @@ impl Allowlist {
     }
 
     /// Build an allowlist that exactly matches the measured counts
-    /// (zero-count files are omitted).
-    pub fn from_counts(counts: &BTreeMap<String, PanicCounts>) -> Allowlist {
-        Allowlist {
-            entries: counts
-                .iter()
-                .filter(|(_, c)| !c.is_zero())
-                .map(|(p, c)| (p.clone(), *c))
-                .collect(),
+    /// (zero-count files are omitted). Fails if a file under a
+    /// hard-rule prefix has any counted site: those are removed, never
+    /// allowlisted.
+    pub fn from_counts(counts: &BTreeMap<String, PanicCounts>) -> Result<Allowlist, String> {
+        let entries: BTreeMap<String, PanicCounts> =
+            counts.iter().filter(|(_, c)| !c.is_zero()).map(|(p, c)| (p.clone(), *c)).collect();
+        for path in entries.keys() {
+            if let Some(prefix) = hard_rule_prefix(path) {
+                return Err(format!(
+                    "`{path}` has panic sites, and panic-free is a hard rule under `{prefix}`: \
+                     remove them instead of allowlisting them"
+                ));
+            }
         }
+        Ok(Allowlist { entries })
     }
 
     /// Compare measured counts against the allowlist; every mismatch is
@@ -175,6 +200,25 @@ mod tests {
         let f = a.compare(&measured);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("exceeds allowlist ceiling 0"));
+    }
+
+    #[test]
+    fn netsim_is_a_hard_rule() {
+        let path = "crates/netsim/src/net.rs";
+        let err = Allowlist::parse(&format!("{path} expect=0 panic=0 index=1")).unwrap_err();
+        assert!(err.contains("hard rule"), "{err}");
+        let mut measured = BTreeMap::new();
+        measured.insert(path.to_string(), counts(0, 0, 0));
+        assert_eq!(Allowlist::from_counts(&measured).unwrap(), Allowlist::default());
+        measured.insert(path.to_string(), counts(1, 0, 0));
+        let err = Allowlist::from_counts(&measured).unwrap_err();
+        assert!(err.contains("hard rule"), "{err}");
+        // With no entry possible, any counted site fails the check.
+        let f = Allowlist::default().compare(&measured);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("exceeds allowlist ceiling 0"));
+        // Other crates keep the ratchet.
+        assert!(Allowlist::parse("crates/core/src/store.rs expect=1 panic=0 index=0").is_ok());
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<WorkspaceReport> {
 /// Regenerate the allowlist to exactly match the current tree.
 pub fn update_allowlist(root: &Path) -> io::Result<usize> {
     let rep = lint_workspace(root)?;
-    let fresh = Allowlist::from_counts(&rep.panic_counts);
+    let fresh = Allowlist::from_counts(&rep.panic_counts).map_err(io::Error::other)?;
     fs::write(root.join(ALLOWLIST_PATH), fresh.render())?;
     Ok(rep.panic_counts.values().filter(|c| !c.is_zero()).count())
 }

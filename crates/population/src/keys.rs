@@ -41,12 +41,33 @@
 //! seeded from nothing else), which is what makes both the sharing and
 //! the [`warm_keys`] parallel prewarm safe: study output can never
 //! depend on which thread generated a key first.
+//!
+//! ## Generation from hints
+//!
+//! Every key a study warms comes from a constant `(seed, bits)` spec,
+//! so that key set is fixed. [`KEY_HINTS`] is a sorted const table,
+//! generated by the `tlsfoe-bench` bin `key_hints`, that holds each such
+//! key's two prime offsets (`RsaKeyPair::generate_with_hint`). A cache
+//! miss looks `(seed, bits)` up there and replays the hint with
+//! `RsaKeyPair::from_hint`: the same window starts, one Miller–Rabin
+//! run per prime and the same DRBG draws, so it yields the searched key
+//! without the search. A spec without an entry (tests' arbitrary seeds,
+//! `exp_perf`'s keygen series) or with a rejected hint falls back to
+//! the full search with a fresh DRBG; `tlsfoe_crypto::rsa::keygen_stats`
+//! counts hinted primes and rejected hints.
+//!
+//! `key_hints --check` (run in CI) fails when the table differs from a
+//! fresh search. Whoever changes a key spec, the product catalog or the
+//! prime search reruns
+//! `cargo run --release -p tlsfoe-bench --bin key_hints -- --write`.
 
 use std::sync::{Arc, OnceLock};
 
 use tlsfoe_crypto::drbg::Drbg;
 use tlsfoe_crypto::memo::Memo;
 use tlsfoe_crypto::RsaKeyPair;
+
+pub use crate::key_hints::KEY_HINTS;
 
 use crate::factory::leaf_slot;
 use crate::model::StudyEra;
@@ -64,13 +85,30 @@ fn cache() -> &'static Memo<(u64, usize), Arc<RsaKeyPair>> {
 /// a keygen.
 pub fn keypair(seed: u64, bits: usize) -> Arc<RsaKeyPair> {
     cache().get_or_insert_with((seed, bits), || {
-        let generated = Arc::new(
-            RsaKeyPair::generate(bits, &mut Drbg::new(seed.wrapping_mul(0x9e37_79b9)))
-                .expect("RSA keygen failed"),
-        );
+        let generated = Arc::new(generate(seed, bits, hint(seed, bits)));
         debug_assert!(generated.crt.is_some(), "generate precomputes CRT");
         generated
     })
+}
+
+/// The DRBG key `(seed, bits)` is generated from, for any `bits`.
+pub fn key_drbg(seed: u64) -> Drbg {
+    Drbg::new(seed.wrapping_mul(0x9e37_79b9))
+}
+
+/// The [`KEY_HINTS`] entry for `(seed, bits)`, if the table has one.
+fn hint(seed: u64, bits: usize) -> Option<[u16; 2]> {
+    let i = KEY_HINTS.binary_search_by_key(&(seed, bits), |&(s, b, _)| (s, b)).ok()?;
+    KEY_HINTS.get(i).map(|&(_, _, hint)| hint)
+}
+
+/// Key `(seed, bits)`, replayed from `hint` when that holds and searched
+/// with a fresh DRBG otherwise.
+fn generate(seed: u64, bits: usize, hint: Option<[u16; 2]>) -> RsaKeyPair {
+    hint.and_then(|hint| RsaKeyPair::from_hint(bits, hint, &mut key_drbg(seed)).ok())
+        .unwrap_or_else(|| {
+            RsaKeyPair::generate(bits, &mut key_drbg(seed)).expect("RSA keygen failed")
+        })
 }
 
 /// `(hits, misses)` counters (for warm/cold assertions in tests/benches).
@@ -228,10 +266,35 @@ mod tests {
         // lazy first touch (pure function of (seed, bits)).
         warm_keys(&[(0xF1A7_0003, 512)], 2);
         let warmed = keypair(0xF1A7_0003, 512);
-        let reference =
-            RsaKeyPair::generate(512, &mut Drbg::new(0xF1A7_0003u64.wrapping_mul(0x9e37_79b9)))
-                .unwrap();
+        let reference = RsaKeyPair::generate(512, &mut key_drbg(0xF1A7_0003)).unwrap();
         assert_eq!(warmed.public, reference.public);
+    }
+
+    #[test]
+    fn rejected_hint_falls_back_to_the_search() {
+        // A wrong hint (here offset + 1 for p, the step after p) must
+        // cost only the rejected replay: the miss still returns the
+        // searched key, and the rejection is counted.
+        use tlsfoe_crypto::rsa::keygen_stats;
+        let seed = 0xF1A7_0004;
+        let (searched, reported) =
+            RsaKeyPair::generate_with_hint(512, &mut key_drbg(seed)).unwrap();
+        let [p, q] = reported.unwrap();
+        let before = keygen_stats().hint_rejects;
+        let key = generate(seed, 512, Some([p + 1, q]));
+        assert!(keygen_stats().hint_rejects > before, "the rejected hint must be counted");
+        assert_eq!((key.public, key.p, key.q), (searched.public, searched.p, searched.q));
+        // An arbitrary seed has no table entry, so `keypair` searches.
+        assert_eq!(hint(seed, 512), None);
+    }
+
+    #[test]
+    fn hint_table_is_sorted_and_unique() {
+        // `hint` binary-searches the table by `(seed, bits)`.
+        assert!(KEY_HINTS.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        for &(seed, bits, entry) in KEY_HINTS {
+            assert_eq!(hint(seed, bits), Some(entry));
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 pub mod cache;
 pub mod factory;
+mod key_hints;
 pub mod keys;
 pub mod model;
 pub mod products;

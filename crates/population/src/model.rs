@@ -318,11 +318,11 @@ impl PopulationModel {
         });
     }
 
-    /// Number of `(product, host)` chains [`warm_substitutes`]
-    /// (`PopulationModel::warm_substitutes`) would mint for `hosts` —
-    /// the exact-accounting denominator for tests and `exp_perf`. Shares
-    /// [`warmable_chains`](Self::warmable_chains) with the warm itself,
-    /// so the two can never disagree about what counts.
+    /// Number of `(product, host)` chains
+    /// [`warm_substitutes`](Self::warm_substitutes) would mint for
+    /// `hosts` — the exact-accounting denominator for tests and
+    /// `exp_perf`. Shares the private `warmable_chains` enumeration with
+    /// the warm itself, so the two can never disagree about what counts.
     pub fn warm_substitute_count(&self, hosts: &[&str]) -> usize {
         self.warmable_chains(hosts).len()
     }

@@ -4,13 +4,19 @@
 //! `keys::product_key_specs` (the era's product roots) — are every key
 //! the study touches, so no drive ever generates one.
 //!
+//! Warming study 1 also replays every key from the committed hint
+//! table (`keys::KEY_HINTS`): no hint is rejected and no prime is
+//! searched.
+//!
 //! This lives in its own integration-test binary on purpose: the key
-//! cache's miss counter (`tlsfoe::population::keys::stats`) is
+//! cache's miss counter (`tlsfoe::population::keys::stats`) and the
+//! keygen counters (`tlsfoe::crypto::rsa::keygen_stats`) are
 //! process-wide, and a sibling test generating keys concurrently would
-//! race it.
+//! race them.
 
 use tlsfoe::core::hosts::prewarm_key_specs;
 use tlsfoe::core::study::{run_study, StudyConfig};
+use tlsfoe::crypto::rsa::keygen_stats;
 use tlsfoe::population::keys;
 use tlsfoe::population::model::StudyEra;
 
@@ -23,7 +29,17 @@ fn warmed_keys_cover_every_study_drive() {
     for baseline in [false, true] {
         let mut specs = prewarm_key_specs(baseline, StudyEra::Study1);
         specs.extend(keys::product_key_specs(StudyEra::Study1));
+        let before = keygen_stats();
         keys::warm_keys(&specs, 2);
+        let after = keygen_stats();
+        let primes = after.primes - before.primes;
+        assert!(baseline || primes > 0, "the first warm must generate keys");
+        assert_eq!(after.hint_rejects, before.hint_rejects, "baseline {baseline}: hint rejected");
+        assert_eq!(
+            (after.hinted - before.hinted, after.mr_runs - before.mr_runs),
+            (primes, primes),
+            "baseline {baseline}: warming searched for a prime instead of replaying its hint"
+        );
         for threads in [1, 2] {
             // A high boost intercepts most sessions, so nearly every
             // study-1 product mints with the leaf its host selects.
