@@ -67,7 +67,7 @@ impl<F: FnMut(PostRequest) + Send> HttpPostServer<F> {
 
     fn try_parse(&mut self) -> Option<PostRequest> {
         let header_end = self.buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
-        let header = String::from_utf8_lossy(&self.buf[..header_end]).into_owned();
+        let header = String::from_utf8_lossy(self.buf.get(..header_end)?).into_owned();
         let mut lines = header.lines();
         let request_line = lines.next()?;
         let mut parts = request_line.split_whitespace();
@@ -79,10 +79,10 @@ impl<F: FnMut(PostRequest) + Send> HttpPostServer<F> {
             .filter_map(|l| l.split_once(':'))
             .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
             .and_then(|(_, v)| v.trim().parse().ok())?;
-        if self.buf.len() < header_end + content_length {
-            return None; // body incomplete
-        }
-        let body = self.buf[header_end..header_end + content_length].to_vec();
+        // A length past `usize::MAX` is malformed: no body can end there.
+        let body_end = header_end.checked_add(content_length)?;
+        // `None` while the body is incomplete.
+        let body = self.buf.get(header_end..body_end)?.to_vec();
         Some(PostRequest { path, body })
     }
 }
@@ -180,5 +180,16 @@ mod tests {
         let mut server = HttpPostServer::new(|_| ());
         server.buf.extend_from_slice(b"POST /r HTTP/1.0\r\n\r\nbody");
         assert!(server.try_parse().is_none());
+    }
+
+    #[test]
+    fn overflowing_content_length_ignored() {
+        // The header end plus this length does not fit in a usize.
+        for len in [usize::MAX, usize::MAX - 3] {
+            let mut server = HttpPostServer::new(|_| panic!("handler must not fire"));
+            let req = format!("POST /r HTTP/1.0\r\nContent-Length: {len}\r\n\r\nbody");
+            server.buf.extend_from_slice(req.as_bytes());
+            assert!(server.try_parse().is_none(), "Content-Length: {len}");
+        }
     }
 }

@@ -52,7 +52,8 @@ use crate::report::{Database, ProbeFailureRecord, ReportServer};
 
 /// Default number of concurrent sessions batched into one event-loop
 /// drive. Results are bit-identical for any batch size (see module
-/// docs); larger batches amortize heap churn across more sessions.
+/// docs); a larger batch shares each drive's fixed steps, such as the
+/// stalled-side reap over the whole slab, among more sessions.
 pub const DEFAULT_BATCH: usize = 64;
 
 /// Why a probe session gave up — the typed taxonomy recorded on
@@ -601,11 +602,11 @@ impl ReportingProbe {
             let o = self.outcome.lock();
             // Re-encode the captured DER chain as concatenated PEM — the
             // exact §3.2 wire format.
-            let mut text = String::new();
+            let mut body = Vec::new();
             for der in &o.chain_der {
-                text.push_str(&pem::pem_encode(der));
+                pem::pem_encode_into(der, &mut body);
             }
-            text.into_bytes()
+            body
         };
         let ok = Shared::new(false);
         // `att=` rides along only on retried attempts, keeping first-

@@ -43,10 +43,10 @@ impl PanicCounts {
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Identifiers that can directly precede `[` without forming an index
-/// expression (`&mut [u8]`, `return [..]`, `match x`, ...).
+/// expression (`&mut [u8]`, `return [..]`, `let [a, b] = ..`, ...).
 const NON_INDEX_PREFIX: &[&str] = &[
     "mut", "dyn", "impl", "as", "in", "return", "else", "match", "if", "use", "pub", "where",
-    "move", "ref", "break", "const", "static", "crate",
+    "move", "ref", "break", "const", "static", "crate", "let",
 ];
 
 pub(crate) fn check(f: &SourceFile, out: &mut Vec<Finding>) -> Option<PanicCounts> {

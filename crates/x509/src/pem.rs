@@ -8,26 +8,71 @@
 use crate::cert::Certificate;
 use crate::X509Error;
 
-const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+/// The character of one 6-bit value (standard alphabet); the inverse of
+/// [`b64_value`].
+const fn b64_char(v: usize) -> u8 {
+    match v {
+        0..=25 => b'A' + v as u8,
+        26..=51 => b'a' + (v - 26) as u8,
+        52..=61 => b'0' + (v - 52) as u8,
+        62 => b'+',
+        _ => b'/',
+    }
+}
+
+/// Both characters of every 12-bit value `v`: `[char(v >> 6), char(v & 63)]`.
+/// A 3-byte group is two such halves, so it encodes in two lookups.
+const B64_PAIRS: [[u8; 2]; 4096] = {
+    let mut table = [[0; 2]; 4096];
+    let mut v = 0;
+    while v < 4096 {
+        table[v] = [b64_char(v >> 6), b64_char(v & 63)];
+        v += 1;
+    }
+    table
+};
+
+/// The four characters of one 3-byte group.
+fn encode_group(&[b0, b1, b2]: &[u8; 3]) -> [u8; 4] {
+    let triple = usize::from(b0) << 16 | usize::from(b1) << 8 | usize::from(b2);
+    let pair = |v: usize| B64_PAIRS.get(v).copied().unwrap_or_default();
+    let [c0, c1] = pair(triple >> 12);
+    let [c2, c3] = pair(triple & 0xfff);
+    [c0, c1, c2, c3]
+}
+
+/// Append the base64 of `data` (padded, unwrapped) to `out`.
+fn push_base64(data: &[u8], out: &mut Vec<u8>) {
+    let (groups, rest) = data.as_chunks::<3>();
+    for group in groups {
+        out.extend_from_slice(&encode_group(group));
+    }
+    // A short last group encodes as if zero-padded, then `=` replaces
+    // the characters that carry no input bits.
+    match *rest {
+        [b0] => {
+            let [c0, c1, ..] = encode_group(&[b0, 0, 0]);
+            out.extend_from_slice(&[c0, c1, b'=', b'=']);
+        }
+        [b0, b1] => {
+            let [c0, c1, c2, _] = encode_group(&[b0, b1, 0]);
+            out.extend_from_slice(&[c0, c1, c2, b'=']);
+        }
+        _ => {}
+    }
+}
+
+/// `bytes` as a `String`. Base64 and PEM armor are ASCII, so this takes
+/// the buffer over without copying.
+fn ascii_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
 
 /// Base64-encode (standard alphabet, with padding).
 pub fn base64_encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
-        let b2 = chunk.get(2).copied().unwrap_or(0) as u32;
-        let triple = (b0 << 16) | (b1 << 8) | b2;
-        out.push(B64_ALPHABET[(triple >> 18) as usize & 0x3f] as char);
-        out.push(B64_ALPHABET[(triple >> 12) as usize & 0x3f] as char);
-        out.push(if chunk.len() > 1 {
-            B64_ALPHABET[(triple >> 6) as usize & 0x3f] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 { B64_ALPHABET[triple as usize & 0x3f] as char } else { '=' });
-    }
-    out
+    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    push_base64(data, &mut out);
+    ascii_string(out)
 }
 
 fn b64_value(c: u8) -> Option<u32> {
@@ -72,24 +117,51 @@ pub fn base64_decode(text: &str) -> Result<Vec<u8>, X509Error> {
     Ok(out)
 }
 
+const BEGIN: &str = "-----BEGIN CERTIFICATE-----";
+const END: &str = "-----END CERTIFICATE-----";
+/// Input bytes per full 64-column body line.
+const LINE_BYTES: usize = 48;
+
+/// Length of [`pem_encode`]'s output for `der_len` bytes of DER: the
+/// armor lines, the base64 and one newline per body line.
+fn pem_len(der_len: usize) -> usize {
+    BEGIN.len() + 1 + der_len.div_ceil(3) * 4 + der_len.div_ceil(LINE_BYTES) + END.len() + 1
+}
+
+/// Append `der` in `-----BEGIN CERTIFICATE-----` armor, with 64-column
+/// body lines, to `out`: the bytes of [`pem_encode`], without building
+/// a `String`.
+pub fn pem_encode_into(der: &[u8], out: &mut Vec<u8>) {
+    out.reserve(pem_len(der.len()));
+    out.extend_from_slice(BEGIN.as_bytes());
+    out.push(b'\n');
+    let (lines, last) = der.as_chunks::<LINE_BYTES>();
+    for line in lines {
+        // 16 groups overwrite the first 64 bytes; the newline stays.
+        let mut text = [b'\n'; LINE_BYTES / 3 * 4 + 1];
+        for (quad, group) in text.as_chunks_mut::<4>().0.iter_mut().zip(line.as_chunks::<3>().0) {
+            *quad = encode_group(group);
+        }
+        out.extend_from_slice(&text);
+    }
+    if !last.is_empty() {
+        push_base64(last, out);
+        out.push(b'\n');
+    }
+    out.extend_from_slice(END.as_bytes());
+    out.push(b'\n');
+}
+
 /// Wrap DER bytes in `-----BEGIN CERTIFICATE-----` armor with 64-column
 /// body lines.
 pub fn pem_encode(der: &[u8]) -> String {
-    let b64 = base64_encode(der);
-    let mut out = String::with_capacity(b64.len() + 64);
-    out.push_str("-----BEGIN CERTIFICATE-----\n");
-    for chunk in b64.as_bytes().chunks(64) {
-        out.push_str(core::str::from_utf8(chunk).expect("base64 is ASCII"));
-        out.push('\n');
-    }
-    out.push_str("-----END CERTIFICATE-----\n");
-    out
+    let mut out = Vec::new();
+    pem_encode_into(der, &mut out);
+    ascii_string(out)
 }
 
 /// Extract every PEM certificate block from `text`, returning DER blobs.
 pub fn pem_decode_all(text: &str) -> Result<Vec<Vec<u8>>, X509Error> {
-    const BEGIN: &str = "-----BEGIN CERTIFICATE-----";
-    const END: &str = "-----END CERTIFICATE-----";
     let mut out = Vec::new();
     let mut rest = text;
     while let Some(start) = rest.find(BEGIN) {
@@ -103,7 +175,11 @@ pub fn pem_decode_all(text: &str) -> Result<Vec<Vec<u8>>, X509Error> {
 
 /// Encode a chain as concatenated PEM — the probe's report body format.
 pub fn encode_certificates(chain: &[Certificate]) -> String {
-    chain.iter().map(|c| pem_encode(c.to_der())).collect()
+    let mut out = Vec::new();
+    for cert in chain {
+        pem_encode_into(cert.to_der(), &mut out);
+    }
+    ascii_string(out)
 }
 
 /// Decode a concatenated-PEM report body back into certificates.
@@ -159,6 +235,14 @@ mod tests {
         assert!(pem.ends_with("-----END CERTIFICATE-----\n"));
         let blocks = pem_decode_all(&pem).unwrap();
         assert_eq!(blocks, vec![der]);
+    }
+
+    #[test]
+    fn pem_len_is_the_exact_output_length() {
+        for len in 0..200 {
+            let der: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(pem_encode(&der).len(), pem_len(len), "len {len}");
+        }
     }
 
     #[test]

@@ -24,6 +24,10 @@ fn rng(label: &str) -> Drbg {
 
 fn random_bytes(rng: &mut Drbg, max_len: usize) -> Vec<u8> {
     let len = rng.gen_range(max_len as u64 + 1) as usize;
+    random_bytes_of(rng, len)
+}
+
+fn random_bytes_of(rng: &mut Drbg, len: usize) -> Vec<u8> {
     let mut out = vec![0u8; len];
     rng.fill_bytes(&mut out);
     out
@@ -307,6 +311,62 @@ fn base64_roundtrip() {
         let data = random_bytes(&mut rng, 500);
         let enc = pem::base64_encode(&data);
         assert_eq!(pem::base64_decode(&enc).unwrap(), data);
+    }
+}
+
+/// The per-character base64 encoder the table-driven one replaced: one
+/// `char` pushed per output character.
+fn reference_base64(data: &[u8]) -> String {
+    const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
+    for chunk in data.chunks(3) {
+        let b0 = chunk[0] as u32;
+        let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
+        let b2 = chunk.get(2).copied().unwrap_or(0) as u32;
+        let triple = (b0 << 16) | (b1 << 8) | b2;
+        out.push(ALPHABET[(triple >> 18) as usize & 0x3f] as char);
+        out.push(ALPHABET[(triple >> 12) as usize & 0x3f] as char);
+        out.push(if chunk.len() > 1 {
+            ALPHABET[(triple >> 6) as usize & 0x3f] as char
+        } else {
+            '='
+        });
+        out.push(if chunk.len() > 2 { ALPHABET[triple as usize & 0x3f] as char } else { '=' });
+    }
+    out
+}
+
+/// The PEM armor the one-pass encoder replaced: base64 first, then cut
+/// into 64-character lines.
+fn reference_pem(der: &[u8]) -> String {
+    let b64 = reference_base64(der);
+    let mut out = String::from("-----BEGIN CERTIFICATE-----\n");
+    for chunk in b64.as_bytes().chunks(64) {
+        out.push_str(std::str::from_utf8(chunk).unwrap());
+        out.push('\n');
+    }
+    out.push_str("-----END CERTIFICATE-----\n");
+    out
+}
+
+#[test]
+fn base64_and_pem_match_the_per_char_reference() {
+    // Every length up to 200 covers each residue mod 3 (padding) and
+    // mod 48 (a partial last PEM line); random bodies up to 3 KB cover
+    // certificate-sized inputs.
+    let mut rng = rng("pem-reference");
+    let mut inputs: Vec<Vec<u8>> = (0..=200).map(|len| random_bytes_of(&mut rng, len)).collect();
+    inputs.extend((0..CASES).map(|_| random_bytes(&mut rng, 3 * 1024)));
+    for data in &inputs {
+        let len = data.len();
+        assert_eq!(pem::base64_encode(data), reference_base64(data), "base64, len {len}");
+        let want = reference_pem(data);
+        assert_eq!(pem::pem_encode(data), want, "pem_encode, len {len}");
+        // `pem_encode_into` appends: what was already there stays.
+        let prefix = b"prefix\n".to_vec();
+        let mut out = prefix.clone();
+        pem::pem_encode_into(data, &mut out);
+        assert_eq!(out, [prefix, want.into_bytes()].concat(), "pem_encode_into, len {len}");
     }
 }
 
