@@ -10,10 +10,15 @@
 //! This module replaces it with a sealed, append-only, struct-of-arrays
 //! [`Database`]:
 //!
-//! * **Columnar rows** — impression / client / country / host / category
-//!   / proxied / attempts each live in their own dense column, so a
-//!   million un-proxied records cost ~30 bytes each instead of a padded
-//!   112-byte row plus a heap `Option<SubstituteInfo>`.
+//! * **Columnar rows** — impression / client / country / host / proxied
+//!   / attempts / evidence each live in their own dense column, so a
+//!   record costs 27 bytes instead of a padded 112-byte row plus a heap
+//!   `Option<SubstituteInfo>`: impression 8, client address 4, country
+//!   4 (`Option<CountryCode>`), host 2, proxied 1, attempts 4 and
+//!   evidence id 4. The host column holds a `u16` id into a
+//!   per-database dictionary of the `(host, category)` pairs its rows
+//!   name (one for study 1, 18 for study 2); a `&'static str` host
+//!   column plus a category column cost 17 of a former 42 bytes.
 //! * **Interned substitute evidence** — the full [`SubstituteInfo`]
 //!   (including the captured DER chain) is deduplicated through an
 //!   interning table: records store a `u32` id, and the ~40 study-1 /
@@ -29,12 +34,13 @@
 //!
 //! Determinism contract (unchanged from the row-vec era): records are
 //! append-ordered; [`Database::finish_batch`] stable-sorts each batch's
-//! tail by impression ordinal; [`Database::merge`] concatenates shards in
-//! shard order and re-interns evidence — so a study's `Database` compares
-//! equal (full logical contents, every DER byte) across thread counts,
-//! batch sizes, warm-vs-lazy caches and fault schedules. `PartialEq`
-//! compares *logical* records, never intern ids, so equality is
-//! independent of which shard first minted a chain.
+//! tail by impression ordinal; [`Database::merge`] appends shards in
+//! shard order and re-interns evidence and hosts — so a study's
+//! `Database` compares equal (full logical contents, every DER byte)
+//! across thread counts, batch sizes, warm-vs-lazy caches and fault
+//! schedules. `PartialEq` compares *logical* records, never intern or
+//! host ids, so equality is independent of which shard first minted a
+//! chain or saw a host.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -215,6 +221,35 @@ impl SubstituteInterner {
     }
 }
 
+/// Dictionary of the `(host, category)` pairs a database's rows name.
+///
+/// Rows store a `u16` id into it. Ids are assigned in first-push order,
+/// so two shards may number the same host differently;
+/// [`Database::merge`] remaps them, and equality compares the pairs,
+/// never the ids. A catalog probes at most 18 hosts, so [`HostDict::id`]
+/// scans the entries instead of hashing.
+#[derive(Debug, Default)]
+struct HostDict {
+    entries: Vec<(&'static str, HostCategory)>,
+}
+
+impl HostDict {
+    fn id(&mut self, host: &'static str, category: HostCategory) -> u16 {
+        let pair = (host, category);
+        if let Some(id) = self.entries.iter().position(|e| *e == pair) {
+            return id as u16;
+        }
+        let id = self.entries.len();
+        assert!(id <= usize::from(u16::MAX), "host dictionary full");
+        self.entries.push(pair);
+        id as u16
+    }
+
+    fn get(&self, id: u16) -> (&'static str, HostCategory) {
+        self.entries[usize::from(id)]
+    }
+}
+
 /// Start-of-batch bookmark handed out by [`Database::mark`] and consumed
 /// by [`Database::finish_batch`].
 #[derive(Debug, Clone, Copy)]
@@ -240,13 +275,14 @@ pub struct Database {
     impressions: Vec<u64>,
     client_ips: Vec<Ipv4>,
     countries: Vec<Option<CountryCode>>,
-    hosts: Vec<&'static str>,
-    categories: Vec<HostCategory>,
+    /// Host id per record, into `host_dict`.
+    host_ids: Vec<u16>,
     proxied_col: Vec<bool>,
     attempts_col: Vec<u32>,
     /// Intern id per record (`SUB_NONE` = no evidence).
     substitute_ids: Vec<u32>,
     intern: SubstituteInterner,
+    host_dict: HostDict,
     proxied_count: u64,
     malformed: u64,
     failures: Vec<ProbeFailureRecord>,
@@ -268,15 +304,15 @@ impl Database {
         db
     }
 
-    /// Append one measurement: shred the row into columns and intern its
-    /// substitute evidence (a duplicate chain costs one hash probe and a
-    /// `u32`, not a deep clone).
+    /// Append one measurement: shred the row into columns, look its host
+    /// up in the host dictionary and intern its substitute evidence (a
+    /// duplicate chain costs one hash probe and a `u32`, not a deep
+    /// clone).
     pub fn push(&mut self, r: MeasurementRecord) {
         self.impressions.push(r.impression);
         self.client_ips.push(r.client_ip);
         self.countries.push(r.country);
-        self.hosts.push(r.host);
-        self.categories.push(r.category);
+        self.host_ids.push(self.host_dict.id(r.host, r.category));
         self.proxied_col.push(r.proxied);
         self.attempts_col.push(r.attempts);
         self.proxied_count += u64::from(r.proxied);
@@ -346,12 +382,13 @@ impl Database {
 
     /// Zero-copy view of record `i`.
     pub fn get(&self, i: usize) -> RecordView<'_> {
+        let (host, category) = self.host_dict.get(self.host_ids[i]);
         RecordView {
             impression: self.impressions[i],
             client_ip: self.client_ips[i],
             country: self.countries[i],
-            host: self.hosts[i],
-            category: self.categories[i],
+            host,
+            category,
             proxied: self.proxied_col[i],
             substitute: self.intern.get(self.substitute_ids[i]),
             attempts: self.attempts_col[i],
@@ -428,8 +465,7 @@ impl Database {
                 permute_tail(&mut self.impressions[start..], &order);
                 permute_tail(&mut self.client_ips[start..], &order);
                 permute_tail(&mut self.countries[start..], &order);
-                permute_tail(&mut self.hosts[start..], &order);
-                permute_tail(&mut self.categories[start..], &order);
+                permute_tail(&mut self.host_ids[start..], &order);
                 permute_tail(&mut self.proxied_col[start..], &order);
                 permute_tail(&mut self.attempts_col[start..], &order);
                 permute_tail(&mut self.substitute_ids[start..], &order);
@@ -439,11 +475,14 @@ impl Database {
     }
 
     /// Merge another database (for sharded studies): columns are
-    /// concatenated in shard order and the other shard's evidence is
-    /// re-interned, so chains minted by several shards end up stored
-    /// once and id divergence between shards cannot leak into the
-    /// merged store.
+    /// concatenated in shard order, and the other shard's evidence is
+    /// re-interned and its hosts looked up in this store's dictionary,
+    /// so chains minted by several shards end up stored once and id
+    /// divergence between shards cannot leak into the merged store.
     pub fn merge(&mut self, other: Database) {
+        let host_remap: Vec<u16> =
+            other.host_dict.entries.into_iter().map(|(h, c)| self.host_dict.id(h, c)).collect();
+        self.host_ids.extend(other.host_ids.into_iter().map(|id| host_remap[usize::from(id)]));
         let remap: Vec<u32> =
             other.intern.entries.into_iter().map(|info| self.intern.intern(info)).collect();
         self.substitute_ids.extend(other.substitute_ids.into_iter().map(|id| {
@@ -456,8 +495,6 @@ impl Database {
         self.impressions.extend(other.impressions);
         self.client_ips.extend(other.client_ips);
         self.countries.extend(other.countries);
-        self.hosts.extend(other.hosts);
-        self.categories.extend(other.categories);
         self.proxied_col.extend(other.proxied_col);
         self.attempts_col.extend(other.attempts_col);
         self.proxied_count += other.proxied_count;
@@ -595,6 +632,14 @@ mod tests {
         }
     }
 
+    /// A record probing `(host, category)`.
+    fn rec_at(imp: u64, (host, category): (&'static str, HostCategory)) -> MeasurementRecord {
+        MeasurementRecord { host, category, ..rec(imp, None) }
+    }
+
+    const QQ: (&str, HostCategory) = ("qq.com", HostCategory::Popular);
+    const BYU: (&str, HostCategory) = ("tlsresearch.byu.edu", HostCategory::Authors);
+
     #[test]
     fn interning_stores_duplicate_evidence_once() {
         let mut db = Database::new();
@@ -622,7 +667,12 @@ mod tests {
         db.push(rec(0, None));
         let mark = db.mark();
         for imp in [5u64, 3, 9, 3, 1] {
-            db.push(rec(imp, (imp == 3).then(|| sub(imp as u8))));
+            let pair = if imp == 9 || imp == 1 { QQ } else { BYU };
+            db.push(MeasurementRecord {
+                substitute: (imp == 3).then(|| sub(imp as u8)),
+                proxied: imp == 3,
+                ..rec_at(imp, pair)
+            });
         }
         db.push_failure(ProbeFailureRecord {
             impression: 7,
@@ -641,10 +691,12 @@ mod tests {
         db.finish_batch(mark);
         let imps: Vec<u64> = db.iter().map(|r| r.impression).collect();
         assert_eq!(imps, [0, 1, 3, 3, 5, 9], "tail sorted, head untouched");
-        // The substitute column moved with its rows.
+        // The substitute and host columns moved with their rows.
         assert_eq!(db.get(2).substitute, Some(&sub(3)));
         assert_eq!(db.get(3).substitute, Some(&sub(3)));
         assert!(db.get(4).substitute.is_none());
+        let hosts: Vec<_> = db.iter().map(|r| (r.host, r.category)).collect();
+        assert_eq!(hosts, [BYU, QQ, BYU, BYU, BYU, QQ]);
         let fail_imps: Vec<u64> = db.failures().iter().map(|f| f.impression).collect();
         assert_eq!(fail_imps, [2, 7]);
     }
@@ -665,6 +717,26 @@ mod tests {
         assert_eq!(a.get(0).substitute, Some(&sub(1)));
         assert_eq!(a.get(2).substitute, Some(&sub(2)));
         assert_eq!(a.get(3).substitute, Some(&sub(1)));
+    }
+
+    #[test]
+    fn merge_remaps_host_ids_across_shards() {
+        // Shard A sees BYU then QQ; shard B sees QQ then BYU, so each
+        // numbers the pairs the other way round.
+        let rows = [(0, BYU), (1, QQ), (2, QQ), (3, BYU), (4, QQ)];
+        let mut a = Database::new();
+        let mut b = Database::new();
+        for &(imp, pair) in &rows {
+            let shard = if imp < 2 { &mut a } else { &mut b };
+            shard.push(rec_at(imp, pair));
+        }
+        a.merge(b);
+        let in_order = Database::from_records(rows.iter().map(|&(imp, pair)| rec_at(imp, pair)));
+        assert_eq!(a, in_order);
+        for (i, &(imp, pair)) in rows.iter().enumerate() {
+            let r = a.get(i);
+            assert_eq!((r.impression, r.host, r.category), (imp, pair.0, pair.1), "row {i}");
+        }
     }
 
     #[test]

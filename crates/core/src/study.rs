@@ -17,8 +17,8 @@
 //! built once per run and results are bit-identical regardless of thread
 //! count (the cache's determinism contract, `tlsfoe_population::cache`,
 //! is what makes the sharing safe). Each shard owns one long-lived
-//! network and a private [`Database`]; the shards' databases are merged
-//! in shard order.
+//! network and a private [`Database`]; shards 1.. are merged into shard
+//! 0's database in shard order.
 
 use std::sync::Arc;
 
@@ -351,13 +351,21 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
     });
     // Every shard's partial database is merged before the budget check:
     // a tripped shard loses its remaining range, never its siblings'
-    // work (graceful degradation, not fail-fast).
-    let mut db = Database::new();
+    // work (graceful degradation, not fail-fast). Shards 1.. merge into
+    // shard 0's database: a one-shard drive then copies no column, and a
+    // sharded one never holds a second copy of shard 0's.
     let mut shard_failures = Vec::new();
-    for (shard_db, failure) in results {
-        db.merge(shard_db);
-        shard_failures.extend(failure);
-    }
+    let db = results
+        .into_iter()
+        .map(|(shard_db, failure)| {
+            shard_failures.extend(failure);
+            shard_db
+        })
+        .reduce(|mut db, shard_db| {
+            db.merge(shard_db);
+            db
+        })
+        .unwrap_or_default();
     if shard_failures.len() as u64 > cfg.shard_fault_budget {
         return Err(StudyError::FaultBudget {
             failures: shard_failures,

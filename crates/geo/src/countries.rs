@@ -5,6 +5,8 @@
 //! modelled by synthetic `T##` territory codes so the simulated studies
 //! can, like the real ones, observe proxied users in 140+ countries.
 
+use std::sync::OnceLock;
+
 /// A compact country identifier (interned index into the registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryCode(pub u16);
@@ -60,19 +62,29 @@ pub fn territory_count() -> u16 {
 }
 
 /// Look up registry info for a code index.
+///
+/// Tail territories resolve to `T##` / `Territory #` strings built once
+/// per process, so every lookup of one code returns the same
+/// `&'static str`s and allocates nothing.
 pub fn info(code: CountryCode) -> Country {
-    let idx = code.0 as usize;
-    if idx < NAMED.len() {
-        NAMED[idx].clone()
-    } else {
-        let tail_index = idx - NAMED.len();
-        assert!((tail_index as u16) < TAIL_COUNT, "country code {idx} out of registry");
-        // Synthetic territories get stable generated codes/names. The
-        // leaked &'static str is bounded by TAIL_COUNT distinct values.
-        let code: &'static str = Box::leak(format!("T{tail_index:02}").into_boxed_str());
-        let name: &'static str = Box::leak(format!("Territory {tail_index}").into_boxed_str());
-        Country { code, name }
+    let idx = usize::from(code.0);
+    if let Some(named) = NAMED.get(idx) {
+        return named.clone();
     }
+    let tail_index = idx - NAMED.len();
+    assert!(tail_index < usize::from(TAIL_COUNT), "country code {idx} out of registry");
+    let (code, name) = &tail_names()[tail_index];
+    Country { code, name }
+}
+
+/// The synthetic tail's `(code, name)` pairs, index `i` holding
+/// `("T{i:02}", "Territory {i}")`; built on first use and kept for the
+/// life of the process.
+fn tail_names() -> &'static [(String, String)] {
+    static TAIL: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    TAIL.get_or_init(|| {
+        (0..TAIL_COUNT).map(|i| (format!("T{i:02}"), format!("Territory {i}"))).collect()
+    })
 }
 
 /// Find a named country's code index by its two-letter code.
@@ -111,6 +123,22 @@ mod tests {
         let b = info(CountryCode(NAMED.len() as u16 + 1));
         assert_ne!(a.code, b.code);
         assert!(a.code.starts_with('T'));
+    }
+
+    #[test]
+    fn tail_registry_is_built_once_with_stable_bytes() {
+        // Tables 3/7, the Figure 7 heatmap and the JSONL export print
+        // these bytes; every lookup must hand back the same strings
+        // rather than a fresh allocation.
+        for i in 0..TAIL_COUNT {
+            let code = CountryCode(NAMED.len() as u16 + i);
+            let first = info(code);
+            assert_eq!(first.code, format!("T{i:02}"));
+            assert_eq!(first.name, format!("Territory {i}"));
+            let again = info(code);
+            assert!(std::ptr::eq(first.code, again.code), "code of tail {i} reallocated");
+            assert!(std::ptr::eq(first.name, again.name), "name of tail {i} reallocated");
+        }
     }
 
     #[test]
