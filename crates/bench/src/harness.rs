@@ -1,40 +1,21 @@
-//! Wall-clock measurement harness for the perf experiments.
+//! Wall-clock timing helpers for `exp_perf`.
 //!
 //! `tlsfoe-bench` is a tooling crate — exempt from the workspace
 //! determinism lint — so `std::time::Instant` is allowed here (and only
 //! in crates like this one; the simulation crates must stay
 //! wall-clock-free).
 //!
-//! Two layers:
-//!
-//! * generic min-of-blocks timing helpers ([`calibrate`], [`best_ns`],
-//!   [`best_ns_paired`]) shared by `exp_perf` — minimum across sample
-//!   blocks, because external interference only ever adds time;
-//! * the session-phase breakdown ([`measure_session_phases`]): one
-//!   measured impression cut into its pipeline phases — **dial** (TCP
-//!   setup + ClientHello framing), **handshake** (serve + parse the
-//!   certificate flight and abort), **upload** (HTTP POST of the PEM
-//!   chain), **ingest** (report-server classification + columnar
-//!   append) — each driven through the same public APIs the studies
-//!   use, so a regression in any layer of the per-session fast path
-//!   shows up in the phase that owns it.
+//! [`best_ns`] and [`best_ns_paired`] time calibrated ~20 ms sample
+//! blocks and take the minimum across them, because external
+//! interference only ever adds time; [`best_ns_paired`] also gives the
+//! two closures' ratio from adjacent blocks. The session phases are
+//! timed by the `benchmark/` package (`benchmark/src/phases.rs`), not
+//! here.
 
 use std::time::Instant;
 
-use tlsfoe_core::hosts::HostCatalog;
-use tlsfoe_core::http::{HttpPostClient, HttpPostServer};
-use tlsfoe_core::report::ReportServer;
-use tlsfoe_core::store::Database;
-use tlsfoe_crypto::drbg::Drbg;
-use tlsfoe_crypto::RsaKeyPair;
-use tlsfoe_geo::GeoDb;
-use tlsfoe_netsim::{Ipv4, Network, NetworkConfig, Shared};
-use tlsfoe_tls::probe::{ProbeClient, ProbeOutcome, ProbeState};
-use tlsfoe_tls::server::{ServerConfig, TlsCertServer};
-use tlsfoe_x509::{pem, Certificate, CertificateBuilder, NameBuilder};
-
 /// Iterations of `f` that fit ~20 ms, time-bounded calibration.
-pub fn calibrate(f: &mut impl FnMut()) -> u64 {
+fn calibrate(f: &mut impl FnMut()) -> u64 {
     let mut iters = 1u64;
     loop {
         let start = Instant::now();
@@ -51,7 +32,7 @@ pub fn calibrate(f: &mut impl FnMut()) -> u64 {
 }
 
 /// Mean ns/iteration of one timed block of `iters` calls.
-pub fn sample_ns(iters: u64, f: &mut impl FnMut()) -> u64 {
+fn sample_ns(iters: u64, f: &mut impl FnMut()) -> u64 {
     let start = Instant::now();
     for _ in 0..iters {
         f();
@@ -65,7 +46,7 @@ pub fn sample_ns(iters: u64, f: &mut impl FnMut()) -> u64 {
 /// observed to spike >80% on shared runners when a noisy neighbour
 /// overlapped most of a metric's sampling window, which is exactly the
 /// false-positive a CI perf gate cannot afford.
-pub fn best(v: Vec<u64>) -> u64 {
+fn best(v: Vec<u64>) -> u64 {
     v.into_iter().min().unwrap_or(u64::MAX)
 }
 
@@ -75,9 +56,27 @@ pub fn best_ns(samples: usize, mut f: impl FnMut()) -> u64 {
     best((0..samples).map(|_| sample_ns(iters, &mut f)).collect())
 }
 
-/// Best ns/iteration of two closures, sample blocks interleaved
-/// `f,g,f,g,…` so clock drift cannot bias their ratio.
-pub fn best_ns_paired(samples: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> (u64, u64) {
+/// Two closures timed by [`best_ns_paired`].
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Best (minimum) ns/iteration of `f`.
+    pub f_ns: u64,
+    /// Best (minimum) ns/iteration of `g`.
+    pub g_ns: u64,
+    /// Median, over the sample pairs, of `f`'s ns/iteration over `g`'s
+    /// in the adjacent block.
+    pub ratio: f64,
+}
+
+/// Time two closures in sample blocks interleaved `f,g,f,g,…`.
+///
+/// The ratio is the median of per-pair ratios, not the ratio of the
+/// two bests: adjacent blocks share the machine's state, so a slow
+/// stretch that covers every block of one side but spares one block of
+/// the other moves a ratio of bests and not the median. With both
+/// closures doing the same work, on a shared 2-vCPU VM, 96 ratios of
+/// bests read 0.69–1.22 (10 beyond ±10%) and 96 medians 0.90–1.17 (3).
+pub fn best_ns_paired(samples: usize, mut f: impl FnMut(), mut g: impl FnMut()) -> Paired {
     let fi = calibrate(&mut f);
     let gi = calibrate(&mut g);
     let mut fs = Vec::with_capacity(samples);
@@ -86,148 +85,9 @@ pub fn best_ns_paired(samples: usize, mut f: impl FnMut(), mut g: impl FnMut()) 
         fs.push(sample_ns(fi, &mut f));
         gs.push(sample_ns(gi, &mut g));
     }
-    (best(fs), best(gs))
-}
-
-/// Per-phase best (minimum across sample blocks) ns per session, from
-/// [`measure_session_phases`].
-#[derive(Debug, Clone, Copy)]
-pub struct SessionPhases {
-    /// Connection setup + ClientHello encode/send (probe `on_open`).
-    pub dial_ns: u64,
-    /// Serving and parsing the certificate flight, through the §3.2
-    /// close_notify abort (the TLS framing fast path lives here).
-    pub handshake_ns: u64,
-    /// HTTP POST of the captured PEM chain to the report endpoint
-    /// (client request framing + server request parse).
-    pub upload_ns: u64,
-    /// `ReportServer::ingest` of that body in the memo-warm steady
-    /// state: classification lookup + columnar append.
-    pub ingest_ns: u64,
-}
-
-/// Probes driven per timed block: enough to amortise per-block setup,
-/// small enough that a block stays in the low milliseconds.
-const PHASE_BATCH: usize = 64;
-
-fn die<T, E: std::fmt::Debug>(result: Result<T, E>) -> T {
-    crate::or_die(result.map_err(|e| format!("{e:?}")))
-}
-
-/// The served chain: 512-bit throwaway keys (cheap to build; framing
-/// cost, which is what the phases time, does not depend on key size).
-fn phase_chain() -> Vec<Certificate> {
-    let ca = die(RsaKeyPair::generate(512, &mut Drbg::new(0x7068_6173)));
-    let leaf_key = die(RsaKeyPair::generate(512, &mut Drbg::new(0x7068_6174)));
-    let ca_name = NameBuilder::new().organization("Phase CA").build();
-    let ca_cert = die(CertificateBuilder::new().subject(ca_name.clone()).ca(None).self_sign(&ca));
-    let leaf = die(CertificateBuilder::new()
-        .issuer(ca_name)
-        .subject(NameBuilder::new().common_name("phase.example").build())
-        .san_dns(&["phase.example"])
-        .sign(&leaf_key.public, &ca));
-    vec![leaf, ca_cert]
-}
-
-/// Measure the dial / handshake / upload / ingest phase costs, taking
-/// the minimum of `samples` blocks per phase.
-pub fn measure_session_phases(samples: usize) -> SessionPhases {
-    let samples = samples.max(1);
-    let config = ServerConfig::new(phase_chain());
-    let srv = Ipv4([203, 0, 113, 77]);
-
-    // Dial + handshake: a block dials PHASE_BATCH probes (timed), then
-    // drives the event loop to completion (timed) — the same two steps
-    // a study session interleaves, separated here so a regression names
-    // its phase.
-    let mut dial = Vec::with_capacity(samples);
-    let mut handshake = Vec::with_capacity(samples);
-    for block in 0..samples {
-        let mut net = Network::new(NetworkConfig::default(), 7 + block as u64);
-        let cfg = config.clone();
-        net.listen(srv, 443, Box::new(move |_| Box::new(TlsCertServer::new(cfg.clone()))));
-        let outcomes: Vec<_> = (0..PHASE_BATCH).map(|_| ProbeOutcome::new()).collect();
-        let start = Instant::now();
-        for (i, outcome) in outcomes.iter().enumerate() {
-            die(net.dial_from(
-                Ipv4([198, 51, 100, (i % 200 + 1) as u8]),
-                srv,
-                443,
-                Box::new(ProbeClient::new("phase.example", [0x11; 32], outcome.clone())),
-            ));
-        }
-        dial.push(start.elapsed().as_nanos() as u64 / PHASE_BATCH as u64);
-        let start = Instant::now();
-        die(net.run());
-        handshake.push(start.elapsed().as_nanos() as u64 / PHASE_BATCH as u64);
-        for outcome in &outcomes {
-            if outcome.lock().state != ProbeState::Done {
-                die::<(), _>(Err("phase probe did not capture a certificate"));
-            }
-        }
-    }
-
-    // Upload: POST the PEM body the probe above would upload. The body
-    // clone inside the timed loop is deliberate — a real session builds
-    // its own body per upload.
-    let body = pem::encode_certificates(&config.chain).into_bytes();
-    let mut upload = Vec::with_capacity(samples);
-    for block in 0..samples {
-        let mut net = Network::new(NetworkConfig::default(), 70 + block as u64);
-        net.listen(srv, 80, Box::new(move |_| Box::new(HttpPostServer::new(|_req| {}))));
-        let oks: Vec<_> = (0..PHASE_BATCH).map(|_| Shared::new(false)).collect();
-        let start = Instant::now();
-        for (i, ok) in oks.iter().enumerate() {
-            die(net.dial_from(
-                Ipv4([198, 51, 100, (i % 200 + 1) as u8]),
-                srv,
-                80,
-                Box::new(HttpPostClient::new(
-                    "/report?host=phase.example",
-                    body.clone(),
-                    ok.clone(),
-                )),
-            ));
-        }
-        die(net.run());
-        upload.push(start.elapsed().as_nanos() as u64 / PHASE_BATCH as u64);
-        for ok in &oks {
-            if !*ok.lock() {
-                die::<(), _>(Err("phase upload did not get a 200"));
-            }
-        }
-    }
-
-    // Ingest: the report server classifying the authoritative host's own
-    // chain — steady state, so the memo is warm after the first call and
-    // each timed call is a memo lookup plus a columnar append.
-    let catalog = HostCatalog::study1();
-    let db = Shared::new(Database::new());
-    let server = ReportServer::new(&catalog, GeoDb::allocate(1000), db);
-    let ingest_body = pem::encode_certificates(&catalog.hosts[0].chain).into_bytes();
-    let path = format!("/report?host={}", catalog.hosts[0].name);
-    let client = Ipv4([11, 0, 0, 0]);
-    server.ingest(client, &path, &ingest_body);
-    let ingest_ns = best_ns(samples, || server.ingest(client, &path, &ingest_body));
-
-    SessionPhases {
-        dial_ns: best(dial),
-        handshake_ns: best(handshake),
-        upload_ns: best(upload),
-        ingest_ns,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn phases_measure_nonzero_and_finite() {
-        let p = measure_session_phases(1);
-        for ns in [p.dial_ns, p.handshake_ns, p.upload_ns, p.ingest_ns] {
-            assert!(ns > 0, "phase measured as zero: {p:?}");
-            assert!(ns < u64::MAX, "phase never sampled: {p:?}");
-        }
-    }
+    let mut ratios: Vec<f64> =
+        fs.iter().zip(&gs).map(|(&f, &g)| f as f64 / g.max(1) as f64).collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios.get(ratios.len() / 2).copied().unwrap_or(f64::NAN);
+    Paired { f_ns: best(fs), g_ns: best(gs), ratio }
 }

@@ -1,7 +1,8 @@
 //! # tlsfoe-bench
 //!
-//! Experiment harnesses (one `exp_*` binary per paper table/figure) and
-//! Criterion performance benches.
+//! Experiment harnesses (one `exp_*` binary per paper table/figure),
+//! `exp_perf` with its self-checking perf gate ([`perf_gate`]), and the
+//! `key_hints` tool.
 //!
 //! Every experiment accepts the environment variables:
 //!
@@ -12,9 +13,6 @@
 //! * `TLSFOE_THREADS` — shards per study, one OS thread each (default:
 //!   all cores; studies under 256 impressions run as one shard; results
 //!   are bit-identical for any value),
-//! * `TLSFOE_BATCH` — concurrent sessions per event-loop drive on each
-//!   shard's long-lived network (default 64; results are bit-identical
-//!   for any value),
 //! * `TLSFOE_PRIVATE_MINT` — set to give every study a private
 //!   substitute cache instead of the process-wide one (perf ablation;
 //!   restores the seed's per-study re-minting, results unchanged).
@@ -50,14 +48,6 @@ pub fn threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
-/// Sessions per event-loop drive (`TLSFOE_BATCH`, default 64).
-pub fn batch() -> usize {
-    std::env::var("TLSFOE_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(tlsfoe_core::session::DEFAULT_BATCH)
-}
-
 /// Study config for an era at the environment's scale.
 pub fn config(era: StudyEra) -> StudyConfig {
     StudyConfig {
@@ -67,7 +57,7 @@ pub fn config(era: StudyEra) -> StudyConfig {
         threads: threads(),
         baseline: false,
         proxy_boost: 1.0,
-        batch: batch(),
+        batch: tlsfoe_core::session::DEFAULT_BATCH,
         faults: tlsfoe_netsim::FaultProfile::none(),
         retry: tlsfoe_core::session::RetryPolicy::disabled(),
         shard_fault_budget: 0,

@@ -1,141 +1,132 @@
-//! The CI perf-regression gate: diff a fresh `BENCH_crypto.json` against
-//! a committed baseline.
+//! The perf gate `exp_perf` runs on its own output.
 //!
-//! `exp_perf --check BENCH_baseline.json` measures as usual, then feeds
-//! both documents through [`compare`]: every `*_ns` metric in the
-//! baseline must also exist in the current run and must not exceed the
-//! baseline by more than the tolerance (default
-//! [`DEFAULT_TOLERANCE_PCT`]%). Metrics present only in the current run
-//! are ignored, so new benchmarks can land before the baseline is
-//! refreshed; metrics *missing* from the current run are an error, so
-//! the gate cannot be silently weakened by deleting a benchmark.
+//! The gate reads no absolute time, so it judges the code, not the
+//! host: a nanosecond baseline compares this run against one recorded
+//! on another machine, and a shared VM's vCPUs alone swing about 2× in
+//! speed. Each check is one of two kinds.
 //!
-//! Min-of-sample-blocks aggregation (see `exp_perf`) plus a generous
-//! tolerance keep the gate usable on noisy shared CI runners while
-//! still catching the order-of-magnitude regressions (a dropped cache,
-//! an accidental schoolbook fallback) it exists for.
+//! * [`Rule::Exact`]: a deterministic count of work the code does:
+//!   signatures per mint, context-memo misses, the candidates and
+//!   Miller–Rabin runs of one fixed prime search, and the interned
+//!   chains of one fixed study. No host can move these; a code change
+//!   that moves one on purpose updates its constant here.
+//! * [`Rule::Floor`]: the ratio of two timings taken in one process
+//!   with interleaved sample blocks
+//!   ([`crate::harness::best_ns_paired`]), so the host's speed cancels
+//!   out. Each ratio compares a path with its optimisation against the
+//!   same work without it, and each floor sits below every reading of
+//!   the working code and above the reading with that optimisation
+//!   switched off.
+//!
+//! A metric missing from the document fails its check, so deleting a
+//! measurement cannot pass the gate.
 
 use tlsfoe_core::json::Json;
 
-/// Default regression tolerance: fail when a metric is >25% slower.
-pub const DEFAULT_TOLERANCE_PCT: f64 = 25.0;
-
-/// One metric's baseline-vs-current comparison.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Metric group: a key size ("512", "1024", "2048") from the
-    /// document's `sizes` object, or a named series (e.g.
-    /// "session_throughput") from its `series` object.
-    pub size: String,
-    /// Metric name (e.g. `rsa_sign_crt_ns`).
-    pub metric: String,
-    /// Baseline per-op time, nanoseconds.
-    pub baseline_ns: i64,
-    /// Current per-op time, nanoseconds.
-    pub current_ns: i64,
-    /// Percent change (positive = slower).
-    pub delta_pct: f64,
-    /// True when the change exceeds the tolerance.
-    pub regressed: bool,
+/// What a check requires of its metric.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rule {
+    /// The metric equals this count.
+    Exact(f64),
+    /// The metric, a ratio of paired timings, is at least this.
+    Floor(f64),
 }
 
-/// A full gate run.
-#[derive(Debug, Clone)]
-pub struct Comparison {
-    /// Every compared metric, baseline order.
-    pub rows: Vec<Row>,
-    /// The tolerance the rows were judged against.
-    pub tolerance_pct: f64,
+/// Every check: a metric's dotted path in the `exp_perf` document and
+/// the rule it must meet.
+pub const CHECKS: &[(&str, Rule)] = &[
+    // CRT signing: two half-size exponentiations instead of one
+    // full-size one.
+    ("sizes.512.sign_no_crt_over_crt", Rule::Floor(1.8)),
+    ("sizes.1024.sign_no_crt_over_crt", Rule::Floor(1.8)),
+    ("sizes.2048.sign_no_crt_over_crt", Rule::Floor(1.8)),
+    // `Ubig::modpow`, the entry point signing and verifying use: the
+    // Montgomery ladder on a memoized context against square-and-multiply
+    // with a division per step.
+    ("sizes.512.modpow_schoolbook_over_modpow", Rule::Floor(1.8)),
+    ("sizes.1024.modpow_schoolbook_over_modpow", Rule::Floor(1.8)),
+    ("sizes.2048.modpow_schoolbook_over_modpow", Rule::Floor(1.8)),
+    // The process-wide key cache: a hit against a prime search.
+    ("series.keygen.keypair_cold_over_warm", Rule::Floor(1_000.0)),
+    // One fixed, untimed search: `gen_prime(512)` plus one 1024-bit
+    // keypair, three primes. Cutting the sieve raises the Miller–Rabin
+    // runs; a hint replay instead of the search drops both.
+    ("series.keygen.sieve_primes", Rule::Exact(3.0)),
+    ("series.keygen.sieve_candidates", Rule::Exact(305.0)),
+    ("series.keygen.sieve_mr_runs", Rule::Exact(48.0)),
+    // The substitute cache: a hit against a fresh mint.
+    ("series.mint.mint_cold_over_warm", Rule::Floor(1_000.0)),
+    // A fresh mint signs its leaf once, with the product's root key.
+    ("series.mint.signatures_per_mint", Rule::Exact(1.0)),
+    // One shared Montgomery context per modulus: the three `sizes`
+    // moduli miss once each, and nothing else reaches the memo.
+    ("series.mint.ctx_cache_misses", Rule::Exact(3.0)),
+    // Chain interning in the columnar store, on the ~10⁵-impression
+    // study-1 cell.
+    ("series.million.distinct_substitute_chains", Rule::Exact(25.0)),
+    ("series.million.interned_chain_kb", Rule::Exact(37.0)),
+    ("series.million.rowwise_chain_kb", Rule::Exact(382.0)),
+];
+
+/// One check's result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Outcome {
+    /// The metric's dotted path.
+    pub path: &'static str,
+    /// What the metric must meet.
+    pub rule: Rule,
+    /// The metric's value, or `None` if the document lacks it.
+    pub value: Option<f64>,
 }
 
-impl Comparison {
-    /// The rows that exceeded the tolerance.
-    pub fn regressions(&self) -> Vec<&Row> {
-        self.rows.iter().filter(|r| r.regressed).collect()
-    }
-}
-
-/// Compare a current `exp_perf` document against a baseline document.
-///
-/// Walks every integer `*_ns` metric under the baseline's `sizes`
-/// object (per-key-size crypto metrics) and its optional `series`
-/// object (named end-to-end series like `session_throughput`). Errors
-/// when either document is structurally unexpected or a baseline metric
-/// is missing from the current run.
-pub fn compare(baseline: &Json, current: &Json, tolerance_pct: f64) -> Result<Comparison, String> {
-    let mut rows = Vec::new();
-    if baseline.get("sizes").is_none() {
-        return Err("baseline has no `sizes` object".to_string());
-    }
-    for group in ["sizes", "series"] {
-        let base_group = match baseline.get(group) {
-            Some(Json::Obj(members)) => members,
-            Some(_) => return Err(format!("baseline `{group}` is not an object")),
-            None => continue, // `series` is optional in older baselines
-        };
-        for (name, base_metrics) in base_group {
-            let Json::Obj(base_metrics) = base_metrics else {
-                return Err(format!("baseline {group}.{name} is not an object"));
-            };
-            let cur_metrics = current
-                .get(group)
-                .and_then(|s| s.get(name))
-                .ok_or_else(|| format!("current run is missing {group}.{name}"))?;
-            for (metric, base_val) in base_metrics {
-                if !metric.ends_with("_ns") {
-                    continue; // derived ratios are informational, not gated
-                }
-                let Some(baseline_ns) = base_val.as_i64() else {
-                    return Err(format!("baseline {name}.{metric} is not an integer"));
-                };
-                let current_ns = cur_metrics
-                    .get(metric)
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| format!("current run is missing {name}.{metric}"))?;
-                let delta_pct = if baseline_ns > 0 {
-                    (current_ns - baseline_ns) as f64 / baseline_ns as f64 * 100.0
-                } else {
-                    0.0
-                };
-                rows.push(Row {
-                    size: name.clone(),
-                    metric: metric.clone(),
-                    baseline_ns,
-                    current_ns,
-                    delta_pct,
-                    regressed: delta_pct > tolerance_pct,
-                });
-            }
+impl Outcome {
+    /// Whether the metric is present and meets its rule.
+    pub fn passed(&self) -> bool {
+        match (self.value, self.rule) {
+            (Some(v), Rule::Exact(want)) => v == want,
+            (Some(v), Rule::Floor(min)) => v >= min,
+            (None, _) => false,
         }
     }
-    if rows.is_empty() {
-        return Err("baseline contains no *_ns metrics to gate on".to_string());
-    }
-    Ok(Comparison { rows, tolerance_pct })
 }
 
-/// Render the comparison as the table the CI log shows.
-pub fn render_table(cmp: &Comparison) -> String {
-    let mut out = format!(
-        "perf gate (tolerance +{:.0}%)\n{:>18}  {:<34} {:>14} {:>14} {:>9}  verdict\n",
-        cmp.tolerance_pct, "group", "metric", "baseline ns", "current ns", "delta"
-    );
-    for r in &cmp.rows {
-        out.push_str(&format!(
-            "{:>18}  {:<34} {:>14} {:>14} {:>+8.1}%  {}\n",
-            r.size,
-            r.metric,
-            r.baseline_ns,
-            r.current_ns,
-            r.delta_pct,
-            if r.regressed { "REGRESSED" } else { "ok" }
-        ));
+/// The number at `path` (dot-separated object keys) in `doc`.
+fn lookup(doc: &Json, path: &str) -> Option<f64> {
+    match path.split('.').try_fold(doc, |v, key| v.get(key))? {
+        Json::Int(i) => Some(*i as f64),
+        Json::Num(n) => Some(*n),
+        _ => None,
     }
-    let n = cmp.regressions().len();
-    if n == 0 {
-        out.push_str("perf gate: PASS — no metric regressed beyond tolerance\n");
+}
+
+/// Run every check in [`CHECKS`] against an `exp_perf` document.
+pub fn evaluate(doc: &Json) -> Vec<Outcome> {
+    CHECKS.iter().map(|&(path, rule)| Outcome { path, rule, value: lookup(doc, path) }).collect()
+}
+
+/// The table `exp_perf` prints: one line per check, then a verdict
+/// naming every failed check.
+pub fn render(outcomes: &[Outcome]) -> String {
+    let mut out = format!("perf gate\n{:<44} {:>12} {:>12}  verdict\n", "metric", "rule", "value");
+    for o in outcomes {
+        let rule = match o.rule {
+            Rule::Exact(want) => format!("= {want}"),
+            Rule::Floor(min) => format!(">= {min}"),
+        };
+        let value = o.value.map_or_else(|| "missing".to_string(), |v| v.to_string());
+        let verdict = if o.passed() { "ok" } else { "FAIL" };
+        out.push_str(&format!("{:<44} {rule:>12} {value:>12}  {verdict}\n", o.path));
+    }
+    let failed: Vec<_> = outcomes.iter().filter(|o| !o.passed()).map(|o| o.path).collect();
+    if failed.is_empty() {
+        out.push_str(&format!("perf gate: PASS ({} checks)\n", outcomes.len()));
     } else {
-        out.push_str(&format!("perf gate: FAIL — {n} metric(s) regressed beyond tolerance\n"));
+        out.push_str(&format!(
+            "perf gate: FAIL ({} of {} checks): {}\n",
+            failed.len(),
+            outcomes.len(),
+            failed.join(", ")
+        ));
     }
     out
 }
@@ -144,124 +135,56 @@ pub fn render_table(cmp: &Comparison) -> String {
 mod tests {
     use super::*;
 
-    fn doc(sign_ns: i64, verify_ns: i64) -> Json {
-        Json::obj(vec![(
-            "sizes",
-            Json::obj(vec![(
-                "1024",
-                Json::obj(vec![
-                    ("rsa_sign_crt_ns", Json::Int(sign_ns)),
-                    ("rsa_verify_e65537_ns", Json::Int(verify_ns)),
-                    ("speedup_sign_vs_schoolbook_modpow", Json::Num(9.3)),
-                ]),
-            )]),
-        )])
+    /// A `BENCH_crypto.json` as `exp_perf` writes it.
+    const TODAY: &str = include_str!("perf_gate_fixture.json");
+
+    fn failed(text: &str) -> Vec<&'static str> {
+        let doc = Json::parse(text.trim()).expect("fixture parses");
+        evaluate(&doc).into_iter().filter(|o| !o.passed()).map(|o| o.path).collect()
+    }
+
+    /// `TODAY` with `from` replaced by `to`, which must occur once.
+    fn edited(from: &str, to: &str) -> String {
+        assert_eq!(TODAY.matches(from).count(), 1, "{from:?} must occur once in the fixture");
+        TODAY.replace(from, to)
     }
 
     #[test]
-    fn identical_runs_pass() {
-        let cmp = compare(&doc(180_000, 10_000), &doc(180_000, 10_000), 25.0).unwrap();
-        assert_eq!(cmp.rows.len(), 2, "only *_ns metrics are gated");
-        assert!(cmp.regressions().is_empty());
-        assert!(render_table(&cmp).contains("PASS"));
+    fn todays_document_passes() {
+        let doc = Json::parse(TODAY.trim()).expect("fixture parses");
+        let outcomes = evaluate(&doc);
+        assert_eq!(outcomes.len(), CHECKS.len());
+        assert!(outcomes.iter().all(Outcome::passed), "{}", render(&outcomes));
+        assert!(render(&outcomes).contains("perf gate: PASS"));
     }
 
     #[test]
-    fn small_drift_within_tolerance_passes() {
-        let cmp = compare(&doc(180_000, 10_000), &doc(200_000, 12_000), 25.0).unwrap();
-        assert!(cmp.regressions().is_empty());
-    }
-
-    #[test]
-    fn injected_regression_fails_the_gate() {
-        // The acceptance scenario: a >25% slowdown on one metric must
-        // flip the gate to FAIL.
-        let cmp = compare(&doc(180_000, 10_000), &doc(180_000, 14_000), 25.0).unwrap();
-        let regs = cmp.regressions();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].metric, "rsa_verify_e65537_ns");
-        assert!(regs[0].delta_pct > 25.0);
-        assert!(render_table(&cmp).contains("FAIL"));
-        assert!(render_table(&cmp).contains("REGRESSED"));
-    }
-
-    #[test]
-    fn improvements_always_pass() {
-        let cmp = compare(&doc(180_000, 10_000), &doc(90_000, 2_000), 25.0).unwrap();
-        assert!(cmp.regressions().is_empty());
-    }
-
-    #[test]
-    fn missing_metric_in_current_is_an_error() {
-        let mut current = doc(180_000, 10_000);
-        if let Json::Obj(sizes) = current.get("sizes").unwrap().clone() {
-            let trimmed: Vec<_> = sizes
-                .into_iter()
-                .map(|(size, v)| {
-                    let Json::Obj(metrics) = v else { unreachable!() };
-                    (
-                        size,
-                        Json::Obj(
-                            metrics.into_iter().filter(|(k, _)| k != "rsa_sign_crt_ns").collect(),
-                        ),
-                    )
-                })
-                .collect();
-            current = Json::Obj(vec![("sizes".to_string(), Json::Obj(trimmed))]);
+    fn count_off_by_one_fails() {
+        for (from, to, path) in [
+            (r#""ctx_cache_misses":3"#, r#""ctx_cache_misses":4"#, "series.mint.ctx_cache_misses"),
+            (r#""sieve_mr_runs":48"#, r#""sieve_mr_runs":49"#, "series.keygen.sieve_mr_runs"),
+        ] {
+            assert_eq!(failed(&edited(from, to)), [path]);
         }
-        let err = compare(&doc(180_000, 10_000), &current, 25.0).unwrap_err();
-        assert!(err.contains("rsa_sign_crt_ns"), "{err}");
     }
 
     #[test]
-    fn new_metrics_in_current_are_ignored() {
-        let mut current = doc(180_000, 10_000);
-        if let Json::Obj(ref mut members) = current {
-            if let Json::Obj(ref mut sizes) = members[0].1 {
-                if let Json::Obj(ref mut metrics) = sizes[0].1 {
-                    metrics.push(("brand_new_ns".to_string(), Json::Int(1)));
-                }
-            }
-        }
-        let cmp = compare(&doc(180_000, 10_000), &current, 25.0).unwrap();
-        assert_eq!(cmp.rows.len(), 2);
+    fn ratio_under_its_floor_fails() {
+        let text = edited(r#""sign_no_crt_over_crt":3.43"#, r#""sign_no_crt_over_crt":1.02"#);
+        assert_eq!(failed(&text), ["sizes.1024.sign_no_crt_over_crt"]);
     }
 
     #[test]
-    fn series_group_is_gated_like_sizes() {
-        let with_series = |session_ns: i64| {
-            let Json::Obj(mut members) = doc(180_000, 10_000) else { unreachable!() };
-            members.push((
-                "series".to_string(),
-                Json::obj(vec![(
-                    "session_throughput",
-                    Json::obj(vec![
-                        ("session_ns", Json::Int(session_ns)),
-                        ("sessions_per_sec", Json::Num(1e9 / session_ns as f64)),
-                    ]),
-                )]),
-            ));
-            Json::Obj(members)
-        };
-        let cmp = compare(&with_series(17_000), &with_series(18_000), 25.0).unwrap();
-        assert_eq!(cmp.rows.len(), 3, "series metrics join the gate");
-        assert!(cmp.regressions().is_empty());
-        let cmp = compare(&with_series(17_000), &with_series(25_000), 25.0).unwrap();
-        let regs = cmp.regressions();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].size, "session_throughput");
-        assert_eq!(regs[0].metric, "session_ns");
-        // A baseline WITH a series but a current run missing it cannot
-        // silently weaken the gate...
-        let err = compare(&with_series(17_000), &doc(180_000, 10_000), 25.0).unwrap_err();
-        assert!(err.contains("session_throughput"), "{err}");
-        // ...but an old baseline without `series` still gates fine.
-        assert!(compare(&doc(180_000, 10_000), &with_series(17_000), 25.0).is_ok());
-    }
-
-    #[test]
-    fn malformed_baseline_rejected() {
-        assert!(compare(&Json::Null, &doc(1, 1), 25.0).is_err());
-        assert!(compare(&Json::obj(vec![("sizes", Json::obj(vec![]))]), &doc(1, 1), 25.0).is_err());
+    fn missing_metric_is_an_error_not_a_pass() {
+        let text = edited(r#""distinct_substitute_chains":25,"#, "");
+        assert_eq!(failed(&text), ["series.million.distinct_substitute_chains"]);
+        let doc = Json::parse(text.trim()).expect("edited fixture parses");
+        let table = render(&evaluate(&doc));
+        assert!(table.contains("missing"), "{table}");
+        assert!(table.contains("FAIL (1 of"), "{table}");
+        // A value of the wrong type counts as missing too.
+        assert!(!failed(&edited(r#""signatures_per_mint":1"#, r#""signatures_per_mint":"1""#))
+            .is_empty());
+        assert_eq!(failed("{}").len(), CHECKS.len());
     }
 }

@@ -76,10 +76,13 @@ impl Json {
     }
 
     /// Parse a complete JSON document (trailing garbage is an error).
+    ///
+    /// Arrays and objects nest at most 128 deep; deeper input is an
+    /// error, so hostile nesting cannot overflow the stack.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing bytes at offset {}", p.pos));
@@ -143,6 +146,10 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts, far
+/// above any document the workspace writes.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -181,8 +188,13 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
+    /// Parse one value inside `depth` enclosing arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        let b = self.peek().ok_or("unexpected end of input")?;
+        if matches!(b, b'[' | b'{') && depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+        }
+        match b {
             b'n' => self.literal("null", Json::Null),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -197,7 +209,7 @@ impl Parser<'_> {
                 }
                 loop {
                     self.skip_ws();
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -223,7 +235,7 @@ impl Parser<'_> {
                     self.skip_ws();
                     self.eat(b':')?;
                     self.skip_ws();
-                    let val = self.value()?;
+                    let val = self.value(depth + 1)?;
                     members.push((key, val));
                     self.skip_ws();
                     match self.peek() {
@@ -370,6 +382,15 @@ mod tests {
         let v = Json::parse(r#"{"s":"café \/ ok","n":-12.5e2}"#).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some("café / ok"));
         assert_eq!(v.get("n"), Some(&Json::Num(-1250.0)));
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err().contains("nesting deeper"));
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

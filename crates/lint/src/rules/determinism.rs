@@ -5,8 +5,8 @@
 //! bit-identity contract every scale PR is asserted against. One
 //! `Instant::now()` in a library crate quietly breaks that across
 //! machines; this rule catches the whole class at CI time. Tooling
-//! crates (`bench`, `criterion`, `lint`) are exempt: measuring wall
-//! time is their job.
+//! crates (`bench`, `lint`) are exempt: measuring wall time is their
+//! job.
 
 use crate::report::Finding;
 use crate::source::{FileClass, SourceFile};

@@ -20,17 +20,17 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "x509",
 ];
 
-/// Crates that are tooling, not simulation: benches, the vendored
-/// criterion shim, and the linter itself. Wall-clock and env reads are
-/// their job, so the determinism/panic rules skip them.
-pub const TOOLING_CRATES: &[&str] = &["bench", "criterion", "lint"];
+/// Crates that are tooling, not simulation: the experiment and perf
+/// binaries, and the linter itself. Wall-clock and env reads are their
+/// job, so the determinism/panic rules skip them.
+pub const TOOLING_CRATES: &[&str] = &["bench", "lint"];
 
 /// What kind of file this is, derived from its workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// `crates/<deterministic>/src/**` or the umbrella `src/lib.rs`.
     Library,
-    /// `crates/{bench,criterion,lint}/**` — exempt from determinism
+    /// `crates/{bench,lint}/**` — exempt from determinism
     /// and panic-freedom rules.
     Tooling,
     /// Integration tests (`tests/**`, `crates/*/tests/**`) and
