@@ -154,8 +154,8 @@ impl ReportServer {
     pub fn listener(self: Arc<Self>) -> tlsfoe_netsim::net::ListenerFactory {
         Box::new(move |info: DialInfo| {
             let server = self.clone();
-            Box::new(HttpPostServer::new(move |req: PostRequest| {
-                server.ingest(info.client, &req.path, &req.body);
+            Box::new(HttpPostServer::new(move |req: PostRequest<'_>| {
+                server.ingest(info.client, &req.path, req.body);
             }))
         })
     }

@@ -32,6 +32,7 @@
 //!   back to injection order.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -182,7 +183,14 @@ impl Default for RetryPolicy {
 /// Per-worker session runner owning the shard's one long-lived network.
 pub struct SessionRunner {
     catalog: Arc<HostCatalog>,
+    /// The authors' host address (the catalog's first host), which
+    /// serves the policy file every session fetches.
+    authors_ip: Ipv4,
     db: Shared<Database>,
+    /// The `200 OK` flag every upload of this runner writes and nobody
+    /// reads: the report server records what arrives, not what the
+    /// client saw acknowledged.
+    upload_ok: Shared<bool>,
     authors_completion: Option<f64>,
     net: Network,
     batch_size: usize,
@@ -213,7 +221,9 @@ impl SessionRunner {
         net.listen(catalog.report_server, 80, report_server.listener());
         SessionRunner {
             catalog,
+            authors_ip,
             db,
+            upload_ok: Shared::new(false),
             authors_completion: None,
             net,
             batch_size: DEFAULT_BATCH,
@@ -357,9 +367,13 @@ impl SessionRunner {
         // 1. Policy fetch (the Flash runtime's precondition). With a
         // policy deadline configured, a stalled or blackholed fetch
         // resolves to `PolicyFetchResult::Timeout` instead of hanging.
-        let authors_ip = self.catalog.hosts[0].ip;
-        let _ =
-            fetch_policy(&mut self.net, profile.ip, authors_ip, 80, self.retry.policy_timeout_us);
+        let _ = fetch_policy(
+            &mut self.net,
+            profile.ip,
+            self.authors_ip,
+            80,
+            self.retry.policy_timeout_us,
+        );
 
         // 2. Completion-gated probes, authors' host first then the rest.
         let mut attempted = 0;
@@ -380,6 +394,7 @@ impl SessionRunner {
                 host_name: host.name,
                 client_ip: profile.ip,
                 report_server: self.catalog.report_server,
+                upload_ok: self.upload_ok.clone(),
                 impression,
                 attempt: 1,
                 reported: false,
@@ -401,6 +416,7 @@ impl SessionRunner {
                     host_ip: host.ip,
                     client_ip: profile.ip,
                     report_server: self.catalog.report_server,
+                    upload_ok: self.upload_ok.clone(),
                     impression,
                     policy: self.retry.clone(),
                     db: self.db.clone(),
@@ -483,6 +499,7 @@ struct ProbeCtx {
     host_ip: Ipv4,
     client_ip: Ipv4,
     report_server: Ipv4,
+    upload_ok: Shared<bool>,
     impression: u64,
     policy: RetryPolicy,
     db: Shared<Database>,
@@ -546,6 +563,7 @@ fn redial_probe(net: &mut Network, ctx: Arc<ProbeCtx>) {
         host_name: ctx.host_name,
         client_ip: ctx.client_ip,
         report_server: ctx.report_server,
+        upload_ok: ctx.upload_ok.clone(),
         impression: ctx.impression,
         attempt: ctx.attempts.load(Ordering::Relaxed),
         reported: false,
@@ -577,6 +595,8 @@ struct ReportingProbe {
     host_name: &'static str,
     client_ip: Ipv4,
     report_server: Ipv4,
+    /// The runner's shared upload flag (see [`SessionRunner`]).
+    upload_ok: Shared<bool>,
     impression: u64,
     /// 1-based attempt ordinal; >1 only when the retry layer redialed.
     attempt: u32,
@@ -601,28 +621,34 @@ impl ReportingProbe {
         let body = {
             let o = self.outcome.lock();
             // Re-encode the captured DER chain as concatenated PEM — the
-            // exact §3.2 wire format.
-            let mut body = Vec::new();
+            // exact §3.2 wire format — into a body sized for it.
+            let mut body =
+                Vec::with_capacity(o.chain_der.iter().map(|der| pem::pem_len(der.len())).sum());
             for der in &o.chain_der {
                 pem::pem_encode_into(der, &mut body);
             }
             body
         };
-        let ok = Shared::new(false);
         // `att=` rides along only on retried attempts, keeping first-
-        // attempt wire bytes identical to the retry-free build.
-        let mut path = format!("/report?host={}&imp={}", self.host_name, self.impression);
+        // attempt wire bytes identical to the retry-free build. The
+        // capacity covers the longest path: two decimal `u64`s at most.
+        let mut path = String::with_capacity(UPLOAD_PATH_LEN + self.host_name.len());
+        let _ = write!(path, "/report?host={}&imp={}", self.host_name, self.impression);
         if self.attempt > 1 {
-            path.push_str(&format!("&att={}", self.attempt));
+            let _ = write!(path, "&att={}", self.attempt);
         }
         let _ = io.dial_with_source(
             self.client_ip,
             self.report_server,
             80,
-            Box::new(HttpPostClient::new(&path, body, ok)),
+            Box::new(HttpPostClient::new(path, body, self.upload_ok.clone())),
         );
     }
 }
+
+/// The upload path's length beside its host name, at most:
+/// `/report?host=` `&imp=` and `&att=` with their decimal values.
+const UPLOAD_PATH_LEN: usize = "/report?host=&imp=&att=".len() + 2 * 20;
 
 impl Conduit for ReportingProbe {
     fn on_open(&mut self, io: &mut IoCtx<'_>) {

@@ -10,9 +10,10 @@
 //!   `tlsfoe-lint --update-allowlist` — so paid-down debt is locked in
 //!   and cannot silently regrow to the stale ceiling.
 //!
-//! Under `crates/netsim/` the rule is hard: a file there may not carry
-//! an entry (parsing rejects one and `--update-allowlist` refuses to
-//! write one), so every counted site there fails `--check`.
+//! Under `crates/netsim/` and `crates/tls/` the rule is hard: a file
+//! there may not carry an entry (parsing rejects one and
+//! `--update-allowlist` refuses to write one), so every counted site
+//! there fails `--check`. Both crates read untrusted frames in place.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +21,7 @@ use crate::report::Finding;
 use crate::rules::panicfree::PanicCounts;
 
 /// Path prefixes where `panic-free` is a hard rule: no allowlist entry.
-const HARD_RULE_PREFIXES: &[&str] = &["crates/netsim/"];
+const HARD_RULE_PREFIXES: &[&str] = &["crates/netsim/", "crates/tls/"];
 
 /// The hard-rule prefix `path` falls under, if any.
 fn hard_rule_prefix(path: &str) -> Option<&'static str> {
@@ -204,6 +205,12 @@ mod tests {
 
     #[test]
     fn netsim_is_a_hard_rule() {
+        // The TLS parsers read untrusted frames in place: same rule.
+        let tls = "crates/tls/src/server.rs";
+        let err = Allowlist::parse(&format!("{tls} expect=0 panic=0 index=1")).unwrap_err();
+        assert!(err.contains("hard rule") && err.contains("`crates/tls/`"), "{err}");
+        let tls_counts = BTreeMap::from([(tls.to_string(), counts(0, 0, 1))]);
+        assert!(Allowlist::from_counts(&tls_counts).unwrap_err().contains("hard rule"));
         let path = "crates/netsim/src/net.rs";
         let err = Allowlist::parse(&format!("{path} expect=0 panic=0 index=1")).unwrap_err();
         assert!(err.contains("hard rule"), "{err}");

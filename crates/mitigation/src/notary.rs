@@ -58,7 +58,7 @@ impl Notary {
                     vp,
                     dst,
                     443,
-                    Box::new(ProbeClient::new(host, [0x33; 32], outcome.clone())),
+                    Box::new(ProbeClient::new(host.to_owned(), [0x33; 32], outcome.clone())),
                 )
                 .ok()?;
                 Some(outcome)

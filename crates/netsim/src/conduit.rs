@@ -5,6 +5,8 @@
 //! the event-driven style of embedded TCP/IP stacks: the network calls
 //! `on_open` / `on_data` / `on_close`, and the conduit reacts through the
 //! [`IoCtx`] it is handed (send bytes, dial further connections, close).
+//! Each send is one frame; [`IoCtx::send_with`] writes it in place into
+//! a buffer the network recycles from delivered frames.
 //!
 //! Multi-connection actors — a TLS proxy holds a client-side and an
 //! upstream connection; a measurement probe runs a policy fetch, many TLS
@@ -129,16 +131,28 @@ impl IoCtx<'_> {
         self.current
     }
 
-    /// Send bytes to the peer of the current connection.
+    /// Send bytes to the peer of the current connection, as one frame.
     pub fn send(&mut self, bytes: &[u8]) {
+        self.send_with(|frame| frame.extend_from_slice(bytes));
+    }
+
+    /// Send one frame to the peer of the current connection, written by
+    /// `fill` into an empty recycled buffer — a conduit encodes its
+    /// message straight into the frame instead of into a buffer of its
+    /// own that [`IoCtx::send`] would copy.
+    ///
+    /// `fill` must be pure: it runs only when the frame survives the
+    /// link's loss draw, so a lost frame never runs it (see the
+    /// [`crate::net`] module docs).
+    pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
         let tok = self.current;
-        self.net.queue_send(tok, bytes);
+        self.net.queue_send_with(tok, fill);
     }
 
     /// Send bytes on another connection this actor owns (e.g. a proxy
     /// relaying from its client side to its upstream side).
     pub fn send_on(&mut self, token: ConnToken, bytes: &[u8]) {
-        self.net.queue_send(token, bytes);
+        self.net.queue_send_with(token, |frame| frame.extend_from_slice(bytes));
     }
 
     /// Close the current connection.

@@ -9,7 +9,8 @@
 //!   machine driven by `on_open` / `on_data` / `on_close` callbacks,
 //! * [`net`] — the [`net::Network`]: listeners, dialing, per-client
 //!   interceptor chains (TLS proxies!), latency, loss and captive
-//!   portals, all advanced by one deterministic event loop,
+//!   portals, all advanced by one deterministic event loop that
+//!   recycles the buffers of delivered frames for the next sends,
 //! * [`policy`] — the Flash socket-policy-file service the paper's tool
 //!   depends on (§3.1), plus the client-side policy fetch logic.
 //!

@@ -26,6 +26,25 @@
 //! batch's sessions share a few link latencies, so only a handful of
 //! due times are in flight at once, and in a fault-free study nearly
 //! every push lands in a bucket that already exists.
+//!
+//! **Frame recycling.** Every send becomes one frame, a `Vec<u8>` that
+//! rides its `Data` event to the peer. Once the peer's `on_data` has
+//! returned, the frame's buffer goes on a spare list, and the next send
+//! reuses it instead of allocating. The list never holds more buffers
+//! than the most frames ever in flight at once (the same bound as the
+//! event queue's spare buckets), so a long-lived shard network stops
+//! allocating for frames once its first batch has run.
+//! [`IoCtx::send_with`] lets a conduit encode straight into a recycled
+//! frame; [`IoCtx::send`] is one copy into one.
+//!
+//! **Draw order.** A send first draws its loss decision, and only a
+//! frame that survives is built; the fault plan then decides the
+//! frame's fate from its length, and corruption and truncation are
+//! applied to the built frame in place. That is the order the loss and
+//! fault streams have always been drawn in, so recycling leaves every
+//! DRBG stream, and every event, as it was. Because a lost frame is
+//! never built, a `fill` closure must be pure: it may write the frame
+//! and nothing else, or a lossy link would change what it does.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -291,6 +310,9 @@ pub struct Network {
     /// Pending timer callbacks, keyed by timer id (see [`Network::after`]).
     timers: HashMap<u64, TimerFn>,
     next_timer: u64,
+    /// Emptied buffers of delivered or dropped frames, reused by the
+    /// next send (see "Frame recycling" in the module docs).
+    spare_frames: Vec<Vec<u8>>,
 }
 
 /// A scheduled callback. Timers run with full access to the network —
@@ -317,6 +339,7 @@ impl Network {
             processed: 0,
             timers: HashMap::new(),
             next_timer: 0,
+            spare_frames: Vec::new(),
         }
     }
 
@@ -645,7 +668,11 @@ impl Network {
         self.free.push(tok.slot);
     }
 
-    pub(crate) fn queue_send(&mut self, from: ConnToken, bytes: &[u8]) {
+    /// Send one frame from `from` to its peer. The loss draw comes
+    /// first and a lost frame is never built; `fill` then writes the
+    /// frame into a recycled buffer, and the fault plan decides its fate
+    /// from its length (the order in the module docs).
+    pub(crate) fn queue_send_with(&mut self, from: ConnToken, fill: impl FnOnce(&mut Vec<u8>)) {
         let Some(side) = self.side_mut(from) else { return };
         if !side.open {
             return;
@@ -660,22 +687,21 @@ impl Network {
         if lost {
             return; // silently dropped; peer stalls (probe times out)
         }
-        let action = match side.fault.as_mut() {
-            Some(fault) => fault.on_frame(bytes.len()),
+        let mut frame = self.spare_frames.pop().unwrap_or_default();
+        fill(&mut frame);
+        let action = match self.side_mut(from).and_then(|side| side.fault.as_mut()) {
+            Some(fault) => fault.on_frame(frame.len()),
             None => FaultAction::Deliver,
         };
         match action {
-            FaultAction::Deliver => {
-                self.push_event(lat, EventKind::Data(peer, bytes.to_vec()));
-            }
+            FaultAction::Deliver => self.push_event(lat, EventKind::Data(peer, frame)),
             FaultAction::CorruptByte { offset, mask } => {
                 // One flipped byte; the frame still arrives, so the peer's
                 // parser must surface the damage as a typed error.
-                let mut corrupted = bytes.to_vec();
-                if let Some(byte) = corrupted.get_mut(offset) {
+                if let Some(byte) = frame.get_mut(offset) {
                     *byte ^= mask;
                 }
-                self.push_event(lat, EventKind::Data(peer, corrupted));
+                self.push_event(lat, EventKind::Data(peer, frame));
             }
             FaultAction::TruncateClose { keep } => {
                 // The wire cuts the frame short and the connection dies:
@@ -683,18 +709,28 @@ impl Network {
                 // before it), then the close. queue_close tears down this
                 // side and notifies the peer.
                 if keep > 0 {
-                    let truncated = bytes.get(..keep).unwrap_or(bytes).to_vec();
-                    self.push_event(lat, EventKind::Data(peer, truncated));
+                    frame.truncate(keep);
+                    self.push_event(lat, EventKind::Data(peer, frame));
+                } else {
+                    self.recycle(frame);
                 }
                 self.queue_close(from);
             }
             FaultAction::Reset => {
                 // RST: the frame is lost and both endpoints observe an
                 // abrupt close.
+                self.recycle(frame);
                 self.queue_close(from);
             }
-            FaultAction::Drop => {} // stalled sender; peer waits forever
+            // Stalled sender; the peer waits forever.
+            FaultAction::Drop => self.recycle(frame),
         }
+    }
+
+    /// Put a finished frame's buffer on the spare list.
+    fn recycle(&mut self, mut frame: Vec<u8>) {
+        frame.clear();
+        self.spare_frames.push(frame);
     }
 
     pub(crate) fn queue_close(&mut self, from: ConnToken) {
@@ -732,7 +768,10 @@ impl Network {
             }
             match kind {
                 EventKind::Open(tok) => self.deliver_open(tok),
-                EventKind::Data(tok, bytes) => self.deliver_data(tok, &bytes),
+                EventKind::Data(tok, frame) => {
+                    self.deliver_data(tok, &frame);
+                    self.recycle(frame);
+                }
                 EventKind::Close(tok) => self.deliver_close(tok),
                 EventKind::Finalize(tok) => self.release(tok),
                 EventKind::Timer(id) => {

@@ -10,6 +10,10 @@
 //! conduit) and [`PolicyClient`] (the probing conduit), speaking the real
 //! Flash policy protocol: the client sends `<policy-file-request/>\0`,
 //! the server answers with an XML policy document, NUL-terminated.
+//!
+//! Both ends read a message that arrives whole, in one frame, where it
+//! landed; only a message split across frames is buffered until its NUL
+//! arrives. The server writes its reply straight into the outgoing frame.
 
 use crate::addr::Ipv4;
 use crate::conduit::{Conduit, DialError, IoCtx, Shared};
@@ -72,22 +76,35 @@ impl Conduit for PolicyServer {
     fn on_open(&mut self, _io: &mut IoCtx<'_>) {}
 
     fn on_data(&mut self, data: &[u8], io: &mut IoCtx<'_>) {
-        self.buf.extend_from_slice(data);
-        if self.buf.ends_with(b"\0") {
-            if self.buf.as_slice() == POLICY_REQUEST {
-                let mut reply = self.body.as_bytes().to_vec();
-                reply.push(0);
-                io.send(&reply);
-            }
-            io.close();
+        let Some(request) = whole_message(&mut self.buf, data) else { return };
+        if request == POLICY_REQUEST {
+            let body = self.body;
+            io.send_with(|frame| {
+                frame.extend_from_slice(body.as_bytes());
+                frame.push(0);
+            });
         }
+        io.close();
     }
+}
+
+/// The NUL-terminated message that `data` completes, if any. A frame
+/// that arrives with nothing buffered and ends in NUL is the message
+/// itself, read in place; anything else is buffered until the buffer
+/// ends in NUL.
+fn whole_message<'a>(buf: &'a mut Vec<u8>, data: &'a [u8]) -> Option<&'a [u8]> {
+    if buf.is_empty() && data.ends_with(b"\0") {
+        return Some(data);
+    }
+    buf.extend_from_slice(data);
+    buf.ends_with(b"\0").then_some(buf.as_slice())
 }
 
 /// Client-side conduit: sends the policy request, classifies the answer
 /// into the shared [`PolicyFetchResult`] slot.
 pub struct PolicyClient {
     result: Shared<PolicyFetchResult>,
+    /// A partial answer, kept until its NUL arrives or the server closes.
     buf: Vec<u8>,
 }
 
@@ -97,18 +114,34 @@ impl PolicyClient {
         PolicyClient { result, buf: Vec::new() }
     }
 
-    fn classify(&self) -> PolicyFetchResult {
-        let text = String::from_utf8_lossy(&self.buf);
-        if !text.contains("<cross-domain-policy>") {
+    /// Classify a policy document (without its NUL terminator): no
+    /// `<cross-domain-policy>` element is [`PolicyFetchResult::NoPolicy`];
+    /// a wildcard domain whose first `to-ports` list names 443 is
+    /// [`PolicyFetchResult::Permissive`]; anything else is
+    /// [`PolicyFetchResult::Restrictive`].
+    ///
+    /// Works on the raw bytes and gives the verdict the document's lossy
+    /// UTF-8 decoding would: the markup searched for is ASCII, which
+    /// that decoding keeps byte for byte, and a port entry counts as 443
+    /// only if it is valid UTF-8 that trims (Unicode whitespace) to
+    /// `443`, because an invalid sequence decodes to U+FFFD, which no
+    /// trim removes.
+    pub fn classify(doc: &[u8]) -> PolicyFetchResult {
+        if find(doc, b"<cross-domain-policy>").is_none() {
             return PolicyFetchResult::NoPolicy;
         }
-        // Permissive = wildcard domain AND port 443 allowed.
-        let permissive = text.contains(r#"domain="*""#)
-            && text
-                .split("to-ports=\"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .is_some_and(|ports| ports.split(',').any(|p| p.trim() == "443"));
+        // The ports list: what follows the first `to-ports="`, up to the
+        // next `"` or the next `to-ports="`, whichever comes first.
+        let ports = find(doc, TO_PORTS).and_then(|at| doc.get(at + TO_PORTS.len()..)).map(|rest| {
+            let segment = find(rest, TO_PORTS).and_then(|end| rest.get(..end)).unwrap_or(rest);
+            segment.split(|&b| b == b'"').next().unwrap_or(segment)
+        });
+        let permissive = find(doc, br#"domain="*""#).is_some()
+            && ports.is_some_and(|ports| {
+                ports
+                    .split(|&b| b == b',')
+                    .any(|p| std::str::from_utf8(p).is_ok_and(|p| p.trim() == "443"))
+            });
         if permissive {
             PolicyFetchResult::Permissive
         } else {
@@ -117,24 +150,30 @@ impl PolicyClient {
     }
 }
 
+/// The attribute that opens a policy's port list.
+const TO_PORTS: &[u8] = b"to-ports=\"";
+
+/// Offset of the first occurrence of `needle` in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    haystack.windows(needle.len()).position(|w| w == needle)
+}
+
 impl Conduit for PolicyClient {
     fn on_open(&mut self, io: &mut IoCtx<'_>) {
         io.send(POLICY_REQUEST);
     }
 
     fn on_data(&mut self, data: &[u8], io: &mut IoCtx<'_>) {
-        self.buf.extend_from_slice(data);
-        if self.buf.ends_with(b"\0") {
-            self.buf.pop();
-            *self.result.lock() = self.classify();
-            io.close();
-        }
+        let Some(answer) = whole_message(&mut self.buf, data) else { return };
+        let doc = answer.strip_suffix(b"\0").unwrap_or(answer);
+        *self.result.lock() = PolicyClient::classify(doc);
+        io.close();
     }
 
     fn on_close(&mut self, _io: &mut IoCtx<'_>) {
         let mut r = self.result.lock();
         if *r == PolicyFetchResult::Pending {
-            *r = self.classify();
+            *r = PolicyClient::classify(&self.buf);
         }
     }
 }

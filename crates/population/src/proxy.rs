@@ -15,6 +15,7 @@
 //!    * **masks** the invalid upstream behind a trusted substitute
 //!      (Kurupira — the §5.2 vulnerability).
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -222,83 +223,83 @@ impl Conduit for ClientSide {
         // Buffer raw bytes in case we end up splicing.
         self.shared.lock().raw_from_client.extend_from_slice(data);
 
-        self.records.feed(data);
+        let mut records = self.records.parse(data);
         loop {
-            match self.records.next_record_view() {
-                Ok(Some(rec)) => match rec.content_type {
-                    ContentType::Handshake => {
-                        self.handshakes.feed(rec.payload);
-                        while let Ok(Some(msg)) = self.handshakes.next_message() {
-                            if let HandshakeMsg::ClientHello(ch) = msg {
-                                let mut s = self.shared.lock();
-                                if s.mode != Mode::AwaitingHello {
-                                    continue;
-                                }
-                                s.client_version = ch.version;
-                                s.sni = ch.server_name.clone();
-                                let host = s.sni_host();
-                                let whitelisted = s.whitelist.contains(&host);
-                                let dst = s.dst;
-                                if whitelisted {
-                                    s.mode = Mode::Splicing;
-                                    let shared = self.shared.clone();
-                                    drop(s);
-                                    let up = io.dial(
-                                        dst,
-                                        443,
-                                        Box::new(UpstreamRelay { shared: shared.clone() }),
-                                    );
-                                    match up {
-                                        Ok(tok) => shared.lock().upstream_token = Some(tok),
-                                        Err(_) => {
-                                            shared.lock().mode = Mode::Dead;
-                                            io.close();
-                                        }
-                                    }
-                                } else {
-                                    s.mode = Mode::FetchingUpstream;
-                                    let shared = self.shared.clone();
-                                    drop(s);
-                                    let outcome = ProbeOutcome::new();
-                                    let probe =
-                                        ProbeClient::new(&host, [0xA5; 32], outcome.clone());
-                                    let up = io.dial(
-                                        dst,
-                                        443,
-                                        Box::new(UpstreamFetch {
-                                            probe,
-                                            outcome,
-                                            shared: shared.clone(),
-                                            reported: false,
-                                        }),
-                                    );
-                                    if up.is_err() {
-                                        // Upstream unreachable: mint from
-                                        // the hostname alone.
-                                        let mut s = shared.lock();
-                                        s.mode = Mode::FetchingUpstream;
-                                        s.answer_with_substitute(io, None);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    ContentType::Alert => {
-                        // Client aborting (the probe's §3.2 behaviour).
-                        let s = self.shared.lock();
-                        if let Some(up) = s.upstream_token {
-                            io.close_on(up);
-                        }
-                        io.close();
-                        return;
-                    }
-                    _ => {}
-                },
-                Ok(None) => break,
+            let rec = match records.next_record() {
+                Ok(Some(rec)) => rec,
+                Ok(None) => return,
                 Err(_) => {
                     io.close();
                     return;
                 }
+            };
+            match rec.content_type {
+                ContentType::Handshake => {
+                    let mut msgs = self.handshakes.parse(rec.payload);
+                    while let Ok(Some(msg)) = msgs.next_message() {
+                        if let HandshakeMsg::ClientHello(ch) = msg {
+                            let mut s = self.shared.lock();
+                            if s.mode != Mode::AwaitingHello {
+                                continue;
+                            }
+                            s.client_version = ch.version;
+                            s.sni = ch.server_name.map(Cow::into_owned);
+                            let host = s.sni_host();
+                            let whitelisted = s.whitelist.contains(&host);
+                            let dst = s.dst;
+                            if whitelisted {
+                                s.mode = Mode::Splicing;
+                                let shared = self.shared.clone();
+                                drop(s);
+                                let up = io.dial(
+                                    dst,
+                                    443,
+                                    Box::new(UpstreamRelay { shared: shared.clone() }),
+                                );
+                                match up {
+                                    Ok(tok) => shared.lock().upstream_token = Some(tok),
+                                    Err(_) => {
+                                        shared.lock().mode = Mode::Dead;
+                                        io.close();
+                                    }
+                                }
+                            } else {
+                                s.mode = Mode::FetchingUpstream;
+                                let shared = self.shared.clone();
+                                drop(s);
+                                let outcome = ProbeOutcome::new();
+                                let probe = ProbeClient::new(host, [0xA5; 32], outcome.clone());
+                                let up = io.dial(
+                                    dst,
+                                    443,
+                                    Box::new(UpstreamFetch {
+                                        probe,
+                                        outcome,
+                                        shared: shared.clone(),
+                                        reported: false,
+                                    }),
+                                );
+                                if up.is_err() {
+                                    // Upstream unreachable: mint from
+                                    // the hostname alone.
+                                    let mut s = shared.lock();
+                                    s.mode = Mode::FetchingUpstream;
+                                    s.answer_with_substitute(io, None);
+                                }
+                            }
+                        }
+                    }
+                }
+                ContentType::Alert => {
+                    // Client aborting (the probe's §3.2 behaviour).
+                    let s = self.shared.lock();
+                    if let Some(up) = s.upstream_token {
+                        io.close_on(up);
+                    }
+                    io.close();
+                    return;
+                }
+                _ => {}
             }
         }
     }
@@ -462,7 +463,7 @@ mod tests {
                 client_ip(),
                 srv_ip(),
                 443,
-                Box::new(ProbeClient::new(host, [9u8; 32], outcome.clone())),
+                Box::new(ProbeClient::new(host.to_owned(), [9u8; 32], outcome.clone())),
             )
             .unwrap();
         world.net.run().unwrap();

@@ -5,6 +5,8 @@
 //! the analyzers want names for what servers/proxies select. The list is
 //! the common 2014 browser/Flash offering.
 
+use crate::TlsError;
+
 /// A cipher suite identifier as it appears on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CipherSuite(pub u16);
@@ -27,20 +29,6 @@ impl CipherSuite {
     /// TLS_ECDHE_RSA_WITH_AES_256_CBC_SHA
     pub const ECDHE_RSA_AES_256_CBC_SHA: CipherSuite = CipherSuite(0xc014);
 
-    /// The suite list a 2014 Flash-era client offers, preference order.
-    pub fn default_client_offer() -> Vec<CipherSuite> {
-        vec![
-            Self::ECDHE_RSA_AES_256_CBC_SHA,
-            Self::ECDHE_RSA_AES_128_CBC_SHA,
-            Self::RSA_AES_256_CBC_SHA,
-            Self::RSA_AES_128_CBC_SHA,
-            Self::RSA_AES_128_CBC_SHA256,
-            Self::RSA_3DES_EDE_CBC_SHA,
-            Self::RSA_RC4_128_SHA,
-            Self::RSA_RC4_128_MD5,
-        ]
-    }
-
     /// IANA-style name, if known.
     pub fn name(self) -> &'static str {
         match self.0 {
@@ -57,26 +45,79 @@ impl CipherSuite {
     }
 }
 
+/// A cipher-suite vector in wire form — big-endian `u16` ids, as a
+/// ClientHello carries them — borrowed from the message it was decoded
+/// from, or from a constant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CipherSuites<'a>(&'a [u8]);
+
+impl<'a> CipherSuites<'a> {
+    /// The suite list a 2014 Flash-era client offers, preference order:
+    /// ECDHE-RSA AES-256 and AES-128, RSA AES-256, AES-128 and
+    /// AES-128-SHA256, 3DES, RC4-SHA, RC4-MD5.
+    pub const CLIENT_OFFER: CipherSuites<'static> = CipherSuites(&[
+        0xc0, 0x14, 0xc0, 0x13, 0x00, 0x35, 0x00, 0x2f, 0x00, 0x3c, 0x00, 0x0a, 0x00, 0x05, 0x00,
+        0x04,
+    ]);
+
+    /// Wrap a wire vector; an odd length is malformed.
+    pub fn from_wire(wire: &'a [u8]) -> Result<CipherSuites<'a>, TlsError> {
+        if !wire.len().is_multiple_of(2) {
+            return Err(TlsError::Malformed("odd cipher-suite vector"));
+        }
+        Ok(CipherSuites(wire))
+    }
+
+    /// The wire bytes.
+    pub fn wire(&self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The suites, in order.
+    pub fn iter(&self) -> impl Iterator<Item = CipherSuite> + 'a {
+        self.0
+            .chunks_exact(2)
+            .map(|c| CipherSuite(u16::from_be_bytes(c.try_into().unwrap_or([0, 0]))))
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_offer_nonempty_and_distinct() {
-        let offer = CipherSuite::default_client_offer();
-        assert!(offer.len() >= 6);
-        let mut ids: Vec<u16> = offer.iter().map(|c| c.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), offer.len(), "duplicate suite in offer");
+    fn client_offer_lists_the_era_suites_in_preference_order() {
+        let offer: Vec<CipherSuite> = CipherSuites::CLIENT_OFFER.iter().collect();
+        assert_eq!(
+            offer,
+            [
+                CipherSuite::ECDHE_RSA_AES_256_CBC_SHA,
+                CipherSuite::ECDHE_RSA_AES_128_CBC_SHA,
+                CipherSuite::RSA_AES_256_CBC_SHA,
+                CipherSuite::RSA_AES_128_CBC_SHA,
+                CipherSuite::RSA_AES_128_CBC_SHA256,
+                CipherSuite::RSA_3DES_EDE_CBC_SHA,
+                CipherSuite::RSA_RC4_128_SHA,
+                CipherSuite::RSA_RC4_128_MD5,
+            ]
+        );
     }
 
     #[test]
     fn names_resolve() {
-        for suite in CipherSuite::default_client_offer() {
+        for suite in CipherSuites::CLIENT_OFFER.iter() {
             assert_ne!(suite.name(), "UNKNOWN");
         }
         assert_eq!(CipherSuite(0xffff).name(), "UNKNOWN");
+    }
+
+    #[test]
+    fn odd_wire_vector_rejected() {
+        assert!(CipherSuites::from_wire(&[0, 1, 2]).is_err());
+        assert_eq!(
+            CipherSuites::from_wire(&[0, 0x2f]).unwrap().iter().collect::<Vec<_>>(),
+            [CipherSuite::RSA_AES_128_CBC_SHA]
+        );
     }
 }

@@ -4,10 +4,21 @@
 //! ClientHello (with SNI — middleboxes use it for whitelist decisions,
 //! §6.3), ServerHello, Certificate (the payload the whole study is
 //! about), ServerHelloDone and Alert.
+//!
+//! Messages borrow: [`HandshakeParser`] decodes each one straight out of
+//! the record payload that completes it (see [`crate::record`]), and the
+//! session id, cipher suites, SNI name and certificates of a decoded
+//! [`HandshakeMsg`] point into those bytes. Each message has one
+//! decoder; where a caller keeps a field past the delivery (a probe's
+//! captured chain, a proxy's SNI host), it copies it out of the
+//! borrowed message. The same borrowed types encode: the probe writes
+//! its ClientHello from borrowed fields straight into its frame.
 
-use crate::cipher::CipherSuite;
+use std::borrow::Cow;
+
+use crate::cipher::{CipherSuite, CipherSuites};
 use crate::record::ProtocolVersion;
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{Carry, Pending, WireReader, WireWriter};
 use crate::TlsError;
 
 /// Handshake message type bytes.
@@ -41,20 +52,21 @@ pub const EXT_SERVER_NAME: u16 = 0x0000;
 
 /// ClientHello.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClientHello {
+pub struct ClientHello<'a> {
     /// Offered protocol version.
     pub version: ProtocolVersion,
     /// 32 bytes of client randomness.
     pub random: [u8; 32],
     /// Session id (empty for fresh handshakes).
-    pub session_id: Vec<u8>,
+    pub session_id: &'a [u8],
     /// Offered cipher suites, preference order.
-    pub cipher_suites: Vec<CipherSuite>,
-    /// Server name indication, if offered.
-    pub server_name: Option<String>,
+    pub cipher_suites: CipherSuites<'a>,
+    /// Server name indication, if offered (decoded as lossy UTF-8, so
+    /// it borrows unless the name is invalid UTF-8).
+    pub server_name: Option<Cow<'a, str>>,
 }
 
-impl ClientHello {
+impl<'a> ClientHello<'a> {
     /// Encode the handshake body (without the 4-byte handshake header)
     /// into `w`.
     fn encode_body(&self, w: &mut WireWriter) {
@@ -62,12 +74,8 @@ impl ClientHello {
         w.u8(maj);
         w.u8(min);
         w.bytes(&self.random);
-        w.vec8(&self.session_id);
-        w.with_len16(|w| {
-            for s in &self.cipher_suites {
-                w.u16(s.0);
-            }
-        });
+        w.vec8(self.session_id);
+        w.vec16(self.cipher_suites.wire());
         w.vec8(&[0]); // compression: null only
         if let Some(name) = &self.server_name {
             w.with_len16(|w| {
@@ -84,20 +92,13 @@ impl ClientHello {
         }
     }
 
-    fn decode_body(body: &[u8]) -> Result<Self, TlsError> {
+    fn decode_body(body: &'a [u8]) -> Result<Self, TlsError> {
         let mut r = WireReader::new(body);
         let version = ProtocolVersion::from_bytes(r.u8()?, r.u8()?)?;
         let mut random = [0u8; 32];
         random.copy_from_slice(r.take(32)?);
-        let session_id = r.vec8()?.to_vec();
-        let suites_raw = r.vec16()?;
-        if suites_raw.len() % 2 != 0 {
-            return Err(TlsError::Malformed("odd cipher-suite vector"));
-        }
-        let cipher_suites = suites_raw
-            .chunks_exact(2)
-            .map(|c| CipherSuite(u16::from_be_bytes(c.try_into().unwrap_or([0, 0]))))
-            .collect();
+        let session_id = r.vec8()?;
+        let cipher_suites = CipherSuites::from_wire(r.vec16()?)?;
         let _compression = r.vec8()?;
         let mut server_name = None;
         if !r.is_done() {
@@ -113,7 +114,7 @@ impl ClientHello {
                     let name_type = lr.u8()?;
                     let name = lr.vec16()?;
                     if name_type == 0 {
-                        server_name = Some(String::from_utf8_lossy(name).into_owned());
+                        server_name = Some(String::from_utf8_lossy(name));
                     }
                 }
             }
@@ -124,34 +125,34 @@ impl ClientHello {
 
 /// ServerHello.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerHello {
+pub struct ServerHello<'a> {
     /// Selected protocol version.
     pub version: ProtocolVersion,
     /// 32 bytes of server randomness.
     pub random: [u8; 32],
     /// Session id assigned by the server.
-    pub session_id: Vec<u8>,
+    pub session_id: &'a [u8],
     /// Selected cipher suite.
     pub cipher_suite: CipherSuite,
 }
 
-impl ServerHello {
+impl<'a> ServerHello<'a> {
     fn encode_body(&self, w: &mut WireWriter) {
         let (maj, min) = self.version.bytes();
         w.u8(maj);
         w.u8(min);
         w.bytes(&self.random);
-        w.vec8(&self.session_id);
+        w.vec8(self.session_id);
         w.u16(self.cipher_suite.0);
         w.u8(0); // compression: null
     }
 
-    fn decode_body(body: &[u8]) -> Result<Self, TlsError> {
+    fn decode_body(body: &'a [u8]) -> Result<Self, TlsError> {
         let mut r = WireReader::new(body);
         let version = ProtocolVersion::from_bytes(r.u8()?, r.u8()?)?;
         let mut random = [0u8; 32];
         random.copy_from_slice(r.take(32)?);
-        let session_id = r.vec8()?.to_vec();
+        let session_id = r.vec8()?;
         let cipher_suite = CipherSuite(r.u16()?);
         let _compression = r.u8()?;
         // Extensions, if any, are ignored by the probe.
@@ -159,48 +160,65 @@ impl ServerHello {
     }
 }
 
-/// Certificate message: the DER chain, leaf first.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertificateMsg {
-    /// DER-encoded certificates, leaf first.
-    pub chain: Vec<Vec<u8>>,
+/// Certificate message: the DER chain, leaf first, borrowed in its wire
+/// form (every certificate behind its u24 length, checked on decode).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CertificateMsg<'a> {
+    list: &'a [u8],
 }
 
-impl CertificateMsg {
-    fn encode_body(&self, w: &mut WireWriter) {
+impl<'a> CertificateMsg<'a> {
+    /// The DER certificates, leaf first.
+    pub fn certs(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let mut r = WireReader::new(self.list);
+        std::iter::from_fn(move || if r.is_done() { None } else { r.vec24().ok() })
+    }
+
+    /// An owned copy of the chain (what a probe's outcome keeps).
+    pub fn to_chain(&self) -> Vec<Vec<u8>> {
+        let mut chain = Vec::with_capacity(self.certs().count());
+        chain.extend(self.certs().map(<[u8]>::to_vec));
+        chain
+    }
+
+    /// Encode a complete Certificate message (header included) carrying
+    /// `chain`, leaf first.
+    pub fn encode_chain<'c>(w: &mut WireWriter, chain: impl IntoIterator<Item = &'c [u8]>) {
+        w.u8(HandshakeType::Certificate as u8);
         w.with_len24(|w| {
-            for cert in &self.chain {
-                w.vec24(cert);
-            }
+            w.with_len24(|w| {
+                for cert in chain {
+                    w.vec24(cert);
+                }
+            })
         });
     }
 
-    fn decode_body(body: &[u8]) -> Result<Self, TlsError> {
+    fn decode_body(body: &'a [u8]) -> Result<Self, TlsError> {
         let mut r = WireReader::new(body);
         let list = r.vec24()?;
         let mut lr = WireReader::new(list);
-        let mut chain = Vec::new();
         while !lr.is_done() {
-            chain.push(lr.vec24()?.to_vec());
+            lr.vec24()?;
         }
-        Ok(CertificateMsg { chain })
+        Ok(CertificateMsg { list })
     }
 }
 
-/// A complete handshake message.
+/// A complete handshake message, borrowing the bytes it was decoded from.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HandshakeMsg {
+pub enum HandshakeMsg<'a> {
     /// ClientHello.
-    ClientHello(ClientHello),
+    ClientHello(ClientHello<'a>),
     /// ServerHello.
-    ServerHello(ServerHello),
+    ServerHello(ServerHello<'a>),
     /// Certificate.
-    Certificate(CertificateMsg),
+    Certificate(CertificateMsg<'a>),
     /// ServerHelloDone.
     ServerHelloDone,
 }
 
-impl HandshakeMsg {
+impl HandshakeMsg<'_> {
     /// Encode with the 4-byte handshake header (type + u24 length).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
@@ -215,68 +233,19 @@ impl HandshakeMsg {
         let ty = match self {
             HandshakeMsg::ClientHello(_) => HandshakeType::ClientHello,
             HandshakeMsg::ServerHello(_) => HandshakeType::ServerHello,
-            HandshakeMsg::Certificate(_) => HandshakeType::Certificate,
+            HandshakeMsg::Certificate(m) => return CertificateMsg::encode_chain(w, m.certs()),
             HandshakeMsg::ServerHelloDone => HandshakeType::ServerHelloDone,
         };
         w.u8(ty as u8);
         w.with_len24(|w| match self {
             HandshakeMsg::ClientHello(m) => m.encode_body(w),
             HandshakeMsg::ServerHello(m) => m.encode_body(w),
-            HandshakeMsg::Certificate(m) => m.encode_body(w),
-            HandshakeMsg::ServerHelloDone => {}
+            HandshakeMsg::Certificate(_) | HandshakeMsg::ServerHelloDone => {}
         });
     }
-}
 
-/// Streaming handshake-message reassembler. Feed it the payloads of
-/// Handshake-type records (messages may span record boundaries).
-///
-/// A cursor over an append-only buffer, like
-/// [`crate::record::RecordParser`]: popping a message advances `pos`
-/// instead of `drain`ing (no per-message memmove), and the body is
-/// decoded straight out of the buffer (no per-message copy).
-#[derive(Debug, Default)]
-pub struct HandshakeParser {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-/// Compaction threshold for the dead prefix of a handshake buffer
-/// (matches the record layer's: one maximum record payload).
-const COMPACT_AT: usize = 1 << 14;
-
-impl HandshakeParser {
-    /// New empty parser.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feed a Handshake record payload.
-    pub fn feed(&mut self, data: &[u8]) {
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > COMPACT_AT {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Pop the next complete handshake message, if any.
-    pub fn next_message(&mut self) -> Result<Option<HandshakeMsg>, TlsError> {
-        if self.buf.len() - self.pos < 4 {
-            return Ok(None);
-        }
-        let mut r = WireReader::new(self.buf.get(self.pos..).unwrap_or_default());
-        let ty = HandshakeType::from_u8(r.u8()?)?;
-        let len = r.u24()? as usize;
-        if r.remaining() < len {
-            return Ok(None);
-        }
-        let body = r.take(len)?;
-        self.pos += 4 + len;
-        let msg = match ty {
+    fn decode(ty: HandshakeType, body: &[u8]) -> Result<HandshakeMsg<'_>, TlsError> {
+        Ok(match ty {
             HandshakeType::ClientHello => {
                 HandshakeMsg::ClientHello(ClientHello::decode_body(body)?)
             }
@@ -292,8 +261,58 @@ impl HandshakeParser {
                 }
                 HandshakeMsg::ServerHelloDone
             }
-        };
-        Ok(Some(msg))
+        })
+    }
+}
+
+/// Streaming handshake-message reassembler: hand it the payload of each
+/// Handshake record (messages may span record boundaries) and pop the
+/// complete messages.
+///
+/// Like [`crate::record::RecordParser`], it keeps only an incomplete
+/// message between payloads, and decodes the messages a payload holds
+/// whole straight out of it.
+#[derive(Debug, Default)]
+pub struct HandshakeParser {
+    carry: Carry,
+}
+
+impl HandshakeParser {
+    /// New empty parser.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Parse `payload`, the next Handshake record payload, after whatever
+    /// incomplete message earlier payloads left. Pop the messages with
+    /// [`Handshakes::next_message`]; what is left unconsumed when the
+    /// returned value drops is carried to the next call.
+    pub fn parse<'a>(&'a mut self, payload: &'a [u8]) -> Handshakes<'a> {
+        Handshakes(self.carry.begin(payload))
+    }
+}
+
+/// The handshake messages one record payload completes (see
+/// [`HandshakeParser::parse`]).
+pub struct Handshakes<'a>(Pending<'a>);
+
+impl Handshakes<'_> {
+    /// Pop the next complete handshake message, `Ok(None)` once the rest
+    /// is incomplete. The message borrows the payload (or the parser's
+    /// carried tail) until the next call.
+    pub fn next_message(&mut self) -> Result<Option<HandshakeMsg<'_>>, TlsError> {
+        let rest = self.0.rest();
+        if rest.len() < 4 {
+            return Ok(None);
+        }
+        let mut r = WireReader::new(rest);
+        let ty = HandshakeType::from_u8(r.u8()?)?;
+        let len = r.u24()? as usize;
+        if r.remaining() < len {
+            return Ok(None);
+        }
+        let body = self.0.take(4 + len).get(4..).unwrap_or_default();
+        HandshakeMsg::decode(ty, body).map(Some)
     }
 }
 
@@ -372,25 +391,34 @@ impl Alert {
 mod tests {
     use super::*;
 
-    fn sample_client_hello() -> ClientHello {
+    fn sample_client_hello() -> ClientHello<'static> {
         ClientHello {
             version: ProtocolVersion::Tls10,
             random: [7u8; 32],
-            session_id: vec![],
-            cipher_suites: CipherSuite::default_client_offer(),
+            session_id: &[],
+            cipher_suites: CipherSuites::CLIENT_OFFER,
             server_name: Some("tlsresearch.byu.edu".into()),
         }
+    }
+
+    /// Decode the single message `enc` holds, checking nothing follows.
+    fn roundtrip(enc: &[u8], check: impl FnOnce(HandshakeMsg<'_>)) {
+        let mut p = HandshakeParser::new();
+        let mut msgs = p.parse(enc);
+        check(msgs.next_message().unwrap().unwrap());
+        assert!(msgs.next_message().unwrap().is_none());
     }
 
     #[test]
     fn client_hello_roundtrip() {
         let ch = sample_client_hello();
         let enc = HandshakeMsg::ClientHello(ch.clone()).encode();
-        let mut p = HandshakeParser::new();
-        p.feed(&enc);
-        let msg = p.next_message().unwrap().unwrap();
-        assert_eq!(msg, HandshakeMsg::ClientHello(ch));
-        assert!(p.next_message().unwrap().is_none());
+        roundtrip(&enc, |msg| {
+            // The decoded name borrows the encoded bytes.
+            let HandshakeMsg::ClientHello(got) = &msg else { panic!("{msg:?}") };
+            assert!(matches!(got.server_name, Some(Cow::Borrowed(_))));
+            assert_eq!(msg, HandshakeMsg::ClientHello(ch));
+        });
     }
 
     #[test]
@@ -398,9 +426,18 @@ mod tests {
         let mut ch = sample_client_hello();
         ch.server_name = None;
         let enc = HandshakeMsg::ClientHello(ch.clone()).encode();
-        let mut p = HandshakeParser::new();
-        p.feed(&enc);
-        assert_eq!(p.next_message().unwrap().unwrap(), HandshakeMsg::ClientHello(ch));
+        roundtrip(&enc, |msg| assert_eq!(msg, HandshakeMsg::ClientHello(ch)));
+    }
+
+    #[test]
+    fn invalid_utf8_sni_decodes_lossily() {
+        let mut enc = HandshakeMsg::ClientHello(sample_client_hello()).encode();
+        let at = enc.windows(3).position(|w| w == b"tls").unwrap();
+        enc[at] = 0xff;
+        roundtrip(&enc, |msg| {
+            let HandshakeMsg::ClientHello(ch) = msg else { panic!("{msg:?}") };
+            assert_eq!(ch.server_name.as_deref(), Some("\u{fffd}lsresearch.byu.edu"));
+        });
     }
 
     #[test]
@@ -408,32 +445,43 @@ mod tests {
         let sh = ServerHello {
             version: ProtocolVersion::Tls10,
             random: [9u8; 32],
-            session_id: vec![1, 2, 3, 4],
+            session_id: &[1, 2, 3, 4],
             cipher_suite: CipherSuite::RSA_AES_128_CBC_SHA,
         };
         let enc = HandshakeMsg::ServerHello(sh.clone()).encode();
-        let mut p = HandshakeParser::new();
-        p.feed(&enc);
-        assert_eq!(p.next_message().unwrap().unwrap(), HandshakeMsg::ServerHello(sh));
+        roundtrip(&enc, |msg| assert_eq!(msg, HandshakeMsg::ServerHello(sh)));
     }
 
     #[test]
     fn certificate_chain_roundtrip() {
-        let msg =
-            CertificateMsg { chain: vec![vec![0x30, 0x01, 0xaa], vec![0x30, 0x02, 0xbb, 0xcc]] };
-        let enc = HandshakeMsg::Certificate(msg.clone()).encode();
-        let mut p = HandshakeParser::new();
-        p.feed(&enc);
-        assert_eq!(p.next_message().unwrap().unwrap(), HandshakeMsg::Certificate(msg));
+        let chain: [&[u8]; 2] = [&[0x30, 0x01, 0xaa], &[0x30, 0x02, 0xbb, 0xcc]];
+        let mut w = WireWriter::new();
+        CertificateMsg::encode_chain(&mut w, chain);
+        let enc = w.finish();
+        roundtrip(&enc, |msg| {
+            let HandshakeMsg::Certificate(cm) = &msg else { panic!("{msg:?}") };
+            assert_eq!(cm.certs().collect::<Vec<_>>(), chain);
+            assert_eq!(cm.to_chain(), chain);
+            // Re-encoding the decoded message gives the same bytes.
+            assert_eq!(msg.encode(), enc);
+        });
     }
 
     #[test]
     fn empty_certificate_chain() {
-        let msg = CertificateMsg { chain: vec![] };
-        let enc = HandshakeMsg::Certificate(msg.clone()).encode();
+        let mut w = WireWriter::new();
+        CertificateMsg::encode_chain(&mut w, []);
+        roundtrip(&w.finish(), |msg| {
+            let HandshakeMsg::Certificate(cm) = msg else { panic!("{msg:?}") };
+            assert_eq!(cm.certs().count(), 0);
+        });
+    }
+
+    #[test]
+    fn bad_certificate_framing_rejected() {
+        // The list claims 4 bytes; the one certificate inside claims 9.
         let mut p = HandshakeParser::new();
-        p.feed(&enc);
-        assert_eq!(p.next_message().unwrap().unwrap(), HandshakeMsg::Certificate(msg));
+        assert!(p.parse(&[11, 0, 0, 7, 0, 0, 4, 0, 0, 9, 0xaa]).next_message().is_err());
     }
 
     #[test]
@@ -441,10 +489,10 @@ mod tests {
         let enc = HandshakeMsg::ClientHello(sample_client_hello()).encode();
         let mut p = HandshakeParser::new();
         let (a, b) = enc.split_at(enc.len() / 2);
-        p.feed(a);
-        assert!(p.next_message().unwrap().is_none());
-        p.feed(b);
-        assert!(p.next_message().unwrap().is_some());
+        assert!(p.parse(a).next_message().unwrap().is_none());
+        assert!(p.parse(b).next_message().unwrap().is_some());
+        // Nothing is carried past a complete message.
+        assert!(p.parse(&[]).next_message().unwrap().is_none());
     }
 
     #[test]
@@ -452,32 +500,32 @@ mod tests {
         let mut bytes = HandshakeMsg::ServerHello(ServerHello {
             version: ProtocolVersion::Tls10,
             random: [0u8; 32],
-            session_id: vec![],
+            session_id: &[],
             cipher_suite: CipherSuite::RSA_AES_256_CBC_SHA,
         })
         .encode();
-        bytes.extend(HandshakeMsg::Certificate(CertificateMsg { chain: vec![vec![1]] }).encode());
+        let mut w = WireWriter::appending(bytes);
+        CertificateMsg::encode_chain(&mut w, [&[1u8][..]]);
+        bytes = w.finish();
         bytes.extend(HandshakeMsg::ServerHelloDone.encode());
         let mut p = HandshakeParser::new();
-        p.feed(&bytes);
-        assert!(matches!(p.next_message().unwrap(), Some(HandshakeMsg::ServerHello(_))));
-        assert!(matches!(p.next_message().unwrap(), Some(HandshakeMsg::Certificate(_))));
-        assert_eq!(p.next_message().unwrap(), Some(HandshakeMsg::ServerHelloDone));
-        assert_eq!(p.next_message().unwrap(), None);
+        let mut msgs = p.parse(&bytes);
+        assert!(matches!(msgs.next_message().unwrap(), Some(HandshakeMsg::ServerHello(_))));
+        assert!(matches!(msgs.next_message().unwrap(), Some(HandshakeMsg::Certificate(_))));
+        assert_eq!(msgs.next_message().unwrap(), Some(HandshakeMsg::ServerHelloDone));
+        assert_eq!(msgs.next_message().unwrap(), None);
     }
 
     #[test]
     fn unknown_type_rejected() {
         let mut p = HandshakeParser::new();
-        p.feed(&[99, 0, 0, 0]);
-        assert!(p.next_message().is_err());
+        assert!(p.parse(&[99, 0, 0, 0]).next_message().is_err());
     }
 
     #[test]
     fn nonempty_hello_done_rejected() {
         let mut p = HandshakeParser::new();
-        p.feed(&[14, 0, 0, 1, 0xff]);
-        assert!(p.next_message().is_err());
+        assert!(p.parse(&[14, 0, 0, 1, 0xff]).next_message().is_err());
     }
 
     #[test]
@@ -509,12 +557,18 @@ mod tests {
 
     #[test]
     fn encode_into_matches_encode() {
+        let mut w = WireWriter::new();
+        CertificateMsg::encode_chain(&mut w, [&[0x30u8, 0x01, 0xaa][..]]);
+        let cert = w.finish();
+        let mut p = HandshakeParser::new();
+        let mut parsed = p.parse(&cert);
+        let Some(cert_msg) = parsed.next_message().unwrap() else { panic!("no message") };
         let msgs = [
             HandshakeMsg::ClientHello(sample_client_hello()),
-            HandshakeMsg::Certificate(CertificateMsg { chain: vec![vec![0x30, 0x01, 0xaa]] }),
+            cert_msg,
             HandshakeMsg::ServerHelloDone,
         ];
-        let mut w = crate::wire::WireWriter::new();
+        let mut w = WireWriter::new();
         let mut concat = Vec::new();
         for m in &msgs {
             m.encode_into(&mut w);

@@ -21,6 +21,19 @@
 //! `ChangeCipherSpec`, so the cleartext handshake subset is the complete
 //! requirement — implementing it fully (rather than mocking) is what lets
 //! simulated middleboxes interpose on real bytes.
+//!
+//! **Parsing in place.** A session's messages almost always arrive one
+//! per frame, so the streaming parsers read them where they landed.
+//! [`RecordParser::parse`] yields records whose payloads borrow the
+//! delivered frame, and [`handshake::HandshakeParser::parse`] yields
+//! [`handshake::HandshakeMsg`]s whose session ids, cipher suites, SNI
+//! names and certificates borrow the record payload. Only a message cut
+//! off at the end of a frame is copied, into the parser's carried tail,
+//! and the next frame is appended to it. A caller that keeps a field
+//! past the delivery copies it out of the borrowed message (the probe's
+//! captured chain, a proxy's SNI host). Every parser here reads
+//! untrusted bytes, so none of them indexes: `panic-free` is a hard lint
+//! rule in this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

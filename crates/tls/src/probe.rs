@@ -10,9 +10,11 @@
 //! 4. leave the captured chain in a shared [`ProbeOutcome`] cell for the
 //!    reporting stage.
 
+use std::borrow::Cow;
+
 use tlsfoe_netsim::{Conduit, IoCtx, Shared};
 
-use crate::cipher::CipherSuite;
+use crate::cipher::{CipherSuite, CipherSuites};
 use crate::handshake::{Alert, ClientHello, HandshakeMsg, HandshakeParser};
 use crate::record::{encode_single_record_with, ContentType, ProtocolVersion, RecordParser};
 use crate::TlsError;
@@ -94,11 +96,24 @@ impl ProbeOutcome {
         self.completed_at_us = None;
         self.error = None;
     }
+
+    /// Record a failure, unless the certificate was already captured;
+    /// the first failure observed wins.
+    fn fail(&mut self, error: ProbeError) {
+        if self.state != ProbeState::Done {
+            self.state = ProbeState::Failed;
+            if self.error.is_none() {
+                self.error = Some(error);
+            }
+        }
+    }
 }
 
 /// The probing conduit.
 pub struct ProbeClient {
-    host: String,
+    /// SNI host: borrowed for a catalog name or literal, owned when the
+    /// caller hands over a `String`, never copied per probe.
+    host: Cow<'static, str>,
     version: ProtocolVersion,
     random: [u8; 32],
     outcome: Shared<ProbeOutcome>,
@@ -111,9 +126,13 @@ impl ProbeClient {
     ///
     /// `random` seeds the ClientHello randomness — callers derive it from
     /// the experiment DRBG for reproducibility.
-    pub fn new(host: &str, random: [u8; 32], outcome: Shared<ProbeOutcome>) -> Self {
+    pub fn new(
+        host: impl Into<Cow<'static, str>>,
+        random: [u8; 32],
+        outcome: Shared<ProbeOutcome>,
+    ) -> Self {
         ProbeClient {
-            host: host.to_string(),
+            host: host.into(),
             version: ProtocolVersion::Tls10,
             random,
             outcome,
@@ -127,91 +146,84 @@ impl ProbeClient {
         self.version = version;
         self
     }
-
-    fn fail(&mut self, error: ProbeError) {
-        let mut o = self.outcome.lock();
-        if o.state != ProbeState::Done {
-            o.state = ProbeState::Failed;
-            if o.error.is_none() {
-                o.error = Some(error);
-            }
-        }
-    }
 }
 
 impl Conduit for ProbeClient {
     fn on_open(&mut self, io: &mut IoCtx<'_>) {
         // A ClientHello is far below one record, so the whole dial flight
-        // — record header, handshake header, hello body — encodes into a
-        // single buffer with backpatched lengths.
+        // — record header, handshake header, hello body — encodes straight
+        // into the frame, with backpatched lengths, from borrowed fields.
         let hello = HandshakeMsg::ClientHello(ClientHello {
             version: self.version,
             random: self.random,
-            session_id: Vec::new(),
-            cipher_suites: CipherSuite::default_client_offer(),
-            server_name: Some(self.host.clone()),
+            session_id: &[],
+            cipher_suites: CipherSuites::CLIENT_OFFER,
+            server_name: Some(Cow::Borrowed(&self.host)),
         });
-        io.send(&encode_single_record_with(ContentType::Handshake, self.version, |w| {
-            hello.encode_into(w)
-        }));
+        io.send_with(|frame| {
+            encode_single_record_with(frame, ContentType::Handshake, self.version, |w| {
+                hello.encode_into(w)
+            })
+        });
     }
 
     fn on_data(&mut self, data: &[u8], io: &mut IoCtx<'_>) {
-        self.records.feed(data);
+        let mut records = self.records.parse(data);
         loop {
-            match self.records.next_record_view() {
-                Ok(Some(rec)) => match rec.content_type {
-                    ContentType::Handshake => {
-                        self.handshakes.feed(rec.payload);
-                        loop {
-                            match self.handshakes.next_message() {
-                                Ok(Some(HandshakeMsg::ServerHello(sh))) => {
-                                    let mut o = self.outcome.lock();
-                                    o.state = ProbeState::GotServerHello;
-                                    o.server_version = Some(sh.version);
-                                    o.cipher_suite = Some(sh.cipher_suite);
-                                }
-                                Ok(Some(HandshakeMsg::Certificate(cm))) => {
-                                    {
-                                        let mut o = self.outcome.lock();
-                                        o.chain_der = cm.chain;
-                                        o.state = ProbeState::Done;
-                                        o.completed_at_us = Some(io.now_us());
-                                    }
-                                    // §3.2: abort the handshake and close.
-                                    io.send(&Alert::close_notify().encode_record(self.version));
-                                    io.close();
-                                    return;
-                                }
-                                Ok(Some(_)) => {}
-                                Ok(None) => break,
-                                Err(e) => {
-                                    self.fail(ProbeError::Parse(e));
-                                    io.close();
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    ContentType::Alert => {
-                        self.fail(ProbeError::Alert);
-                        io.close();
-                        return;
-                    }
-                    _ => {}
-                },
-                Ok(None) => break,
+            let rec = match records.next_record() {
+                Ok(Some(rec)) => rec,
+                Ok(None) => return,
                 Err(e) => {
-                    self.fail(ProbeError::Parse(e));
+                    self.outcome.lock().fail(ProbeError::Parse(e));
                     io.close();
                     return;
                 }
+            };
+            match rec.content_type {
+                ContentType::Handshake => {
+                    let mut msgs = self.handshakes.parse(rec.payload);
+                    loop {
+                        match msgs.next_message() {
+                            Ok(Some(HandshakeMsg::ServerHello(sh))) => {
+                                let mut o = self.outcome.lock();
+                                o.state = ProbeState::GotServerHello;
+                                o.server_version = Some(sh.version);
+                                o.cipher_suite = Some(sh.cipher_suite);
+                            }
+                            Ok(Some(HandshakeMsg::Certificate(cm))) => {
+                                {
+                                    let mut o = self.outcome.lock();
+                                    o.chain_der = cm.to_chain();
+                                    o.state = ProbeState::Done;
+                                    o.completed_at_us = Some(io.now_us());
+                                }
+                                // §3.2: abort the handshake and close.
+                                io.send(&Alert::close_notify().encode_record(self.version));
+                                io.close();
+                                return;
+                            }
+                            Ok(Some(_)) => {}
+                            Ok(None) => break,
+                            Err(e) => {
+                                self.outcome.lock().fail(ProbeError::Parse(e));
+                                io.close();
+                                return;
+                            }
+                        }
+                    }
+                }
+                ContentType::Alert => {
+                    self.outcome.lock().fail(ProbeError::Alert);
+                    io.close();
+                    return;
+                }
+                _ => {}
             }
         }
     }
 
     fn on_close(&mut self, _io: &mut IoCtx<'_>) {
-        self.fail(ProbeError::ClosedEarly);
+        self.outcome.lock().fail(ProbeError::ClosedEarly);
     }
 }
 

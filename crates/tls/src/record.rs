@@ -1,7 +1,12 @@
 //! The TLS record layer (RFC 5246 §6.2): framing, fragmentation and
 //! streaming reassembly.
+//!
+//! [`RecordParser`] parses in place: while it carries no incomplete
+//! record over, the records in a delivered frame are read straight out
+//! of that frame, and each [`Record`] borrows its payload from it. Only
+//! an incomplete tail is copied, to be completed by the next frame.
 
-use crate::wire::{WireReader, WireWriter};
+use crate::wire::{Carry, Pending, WireReader, WireWriter};
 use crate::TlsError;
 
 /// Maximum record payload (2^14).
@@ -80,27 +85,15 @@ impl ProtocolVersion {
     }
 }
 
-/// A reassembled record (owned; see [`RecordView`] for the zero-copy
-/// variant the session hot paths use).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
+/// One complete record, borrowing its payload from the bytes it was
+/// parsed out of (see [`RecordParser`]).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Record<'a> {
     /// Content type.
     pub content_type: ContentType,
     /// Record-layer version.
     pub version: ProtocolVersion,
     /// Payload bytes.
-    pub payload: Vec<u8>,
-}
-
-/// A reassembled record borrowing the parser's buffer — the hot-path
-/// sibling of [`Record`] that skips the per-record payload copy.
-#[derive(Debug, PartialEq, Eq)]
-pub struct RecordView<'a> {
-    /// Content type.
-    pub content_type: ContentType,
-    /// Record-layer version.
-    pub version: ProtocolVersion,
-    /// Payload bytes (borrowed from the parser until the next `feed`).
     pub payload: &'a [u8],
 }
 
@@ -141,39 +134,36 @@ pub fn encode_records_into(
     }
 }
 
-/// Frame a single record whose payload is produced by a closure writing
-/// into a [`WireWriter`] — header and payload land in one buffer, with
-/// the length backpatched. The payload must stay under
-/// [`MAX_RECORD_PAYLOAD`] (asserted); use [`encode_records`] when it
-/// might fragment.
+/// Append a single record whose payload is produced by a closure
+/// writing into a [`WireWriter`] to `out` — header and payload land in
+/// one buffer (an outgoing frame), with the length backpatched. The
+/// payload must stay under [`MAX_RECORD_PAYLOAD`] (asserted); use
+/// [`encode_records`] when it might fragment.
 pub fn encode_single_record_with(
+    out: &mut Vec<u8>,
     content_type: ContentType,
     version: ProtocolVersion,
     f: impl FnOnce(&mut WireWriter),
-) -> Vec<u8> {
+) {
+    let start = out.len();
     let (major, minor) = version.bytes();
-    let mut w = WireWriter::new();
+    let mut w = WireWriter::appending(std::mem::take(out));
     w.u8(content_type as u8);
     w.u8(major);
     w.u8(minor);
     w.with_len16(f);
-    let out = w.finish();
-    assert!(out.len() <= 5 + MAX_RECORD_PAYLOAD, "single-record payload overflow");
-    out
+    *out = w.finish();
+    assert!(out.len() - start <= 5 + MAX_RECORD_PAYLOAD, "single-record payload overflow");
 }
 
-/// Streaming record reassembler: feed arbitrary byte chunks, pop complete
-/// records.
+/// Streaming record reassembler: hand it each piece of the stream as it
+/// arrives and pop the complete records.
 ///
-/// Internally a cursor over an append-only buffer: popping a record
-/// advances `pos` instead of `drain`ing the front (which memmoved every
-/// remaining byte per record — quadratic across a multi-record flight).
-/// Consumed bytes are reclaimed wholesale on the next `feed` once the
-/// buffer is fully drained, which it always is between flights.
+/// The parser keeps only an incomplete record between pieces (see the
+/// module docs); a piece that holds whole records allocates nothing.
 #[derive(Debug, Default)]
 pub struct RecordParser {
-    buf: Vec<u8>,
-    pos: usize,
+    carry: Carry,
 }
 
 impl RecordParser {
@@ -182,47 +172,35 @@ impl RecordParser {
         Self::default()
     }
 
-    /// Feed received bytes.
-    pub fn feed(&mut self, data: &[u8]) {
-        if self.pos == self.buf.len() {
-            // Fully consumed: reuse the buffer from the top.
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > MAX_RECORD_PAYLOAD {
-            // Partially consumed with a large dead prefix: compact once
-            // rather than letting the buffer grow without bound on a
-            // long-lived spliced connection.
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(data);
-    }
-
-    /// Bytes currently buffered (un-parsed).
+    /// Bytes carried over: an incomplete record waiting for its rest.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.carry.len()
     }
 
-    /// Pop the next complete record, if any (owned payload; the
-    /// streaming sessions use [`RecordParser::next_record_view`]).
-    pub fn next_record(&mut self) -> Result<Option<Record>, TlsError> {
-        Ok(self.next_record_view()?.map(|v| Record {
-            content_type: v.content_type,
-            version: v.version,
-            payload: v.payload.to_vec(),
-        }))
+    /// Parse `data`, the next bytes received, after whatever incomplete
+    /// record earlier pieces left. Pop the records with
+    /// [`Records::next_record`]; what is left unconsumed when the
+    /// returned value drops is carried to the next call.
+    pub fn parse<'a>(&'a mut self, data: &'a [u8]) -> Records<'a> {
+        Records(self.carry.begin(data))
     }
+}
 
-    /// Pop the next complete record as a borrowed view, if any. The
-    /// payload aliases the parser's buffer and is valid until the next
-    /// `feed`; consumers that only re-feed it onward (the handshake
-    /// layer) skip an allocation per record.
-    pub fn next_record_view(&mut self) -> Result<Option<RecordView<'_>>, TlsError> {
-        if self.buffered() < 5 {
+/// The records one piece of the stream completes (see
+/// [`RecordParser::parse`]).
+pub struct Records<'a>(Pending<'a>);
+
+impl Records<'_> {
+    /// Pop the next complete record, `Ok(None)` once the rest is
+    /// incomplete. The record borrows the delivered bytes (or the
+    /// parser's carried tail) until the next call.
+    pub fn next_record(&mut self) -> Result<Option<Record<'_>>, TlsError> {
+        let rest = self.0.rest();
+        if rest.len() < 5 {
             return Ok(None);
         }
-        let mut r = WireReader::new(self.buf.get(self.pos..).unwrap_or_default());
-        let ct = ContentType::from_u8(r.u8()?)?;
+        let mut r = WireReader::new(rest);
+        let content_type = ContentType::from_u8(r.u8()?)?;
         let major = r.u8()?;
         let minor = r.u8()?;
         let version = ProtocolVersion::from_bytes(major, minor)?;
@@ -233,9 +211,8 @@ impl RecordParser {
         if r.remaining() < len {
             return Ok(None);
         }
-        let payload = r.take(len)?;
-        self.pos += 5 + len;
-        Ok(Some(RecordView { content_type: ct, version, payload }))
+        let payload = self.0.take(5 + len).get(5..).unwrap_or_default();
+        Ok(Some(Record { content_type, version, payload }))
     }
 }
 
@@ -244,17 +221,46 @@ impl RecordParser {
 mod tests {
     use super::*;
 
+    /// Every record `pieces` complete, as `(type, version, payload)`.
+    fn parse_all(
+        p: &mut RecordParser,
+        pieces: &[&[u8]],
+    ) -> Vec<(ContentType, ProtocolVersion, Vec<u8>)> {
+        let mut out = Vec::new();
+        for piece in pieces {
+            let mut records = p.parse(piece);
+            while let Some(rec) = records.next_record().unwrap() {
+                out.push((rec.content_type, rec.version, rec.payload.to_vec()));
+            }
+        }
+        out
+    }
+
     #[test]
     fn single_record_roundtrip() {
         let enc = encode_records(ContentType::Handshake, ProtocolVersion::Tls10, b"hello");
         assert_eq!(&enc[..5], &[22, 3, 1, 0, 5]);
         let mut p = RecordParser::new();
-        p.feed(&enc);
-        let rec = p.next_record().unwrap().unwrap();
+        let mut records = p.parse(&enc);
+        let rec = records.next_record().unwrap().unwrap();
         assert_eq!(rec.content_type, ContentType::Handshake);
         assert_eq!(rec.version, ProtocolVersion::Tls10);
         assert_eq!(rec.payload, b"hello");
-        assert!(p.next_record().unwrap().is_none());
+        assert!(records.next_record().unwrap().is_none());
+        drop(records);
+        assert_eq!(p.buffered(), 0);
+    }
+
+    #[test]
+    fn whole_records_are_read_in_place() {
+        let enc = encode_records(ContentType::Handshake, ProtocolVersion::Tls12, &[7u8; 20_000]);
+        let mut p = RecordParser::new();
+        let mut records = p.parse(&enc);
+        let first = records.next_record().unwrap().unwrap();
+        // The payload points into the delivered bytes: nothing was copied.
+        assert!(enc.as_ptr_range().contains(&first.payload.as_ptr()));
+        assert!(records.next_record().unwrap().is_some());
+        assert!(records.next_record().unwrap().is_none());
     }
 
     #[test]
@@ -264,51 +270,25 @@ mod tests {
         let enc = encode_records(ContentType::Handshake, ProtocolVersion::Tls12, &payload);
         let mut p = RecordParser::new();
         // Feed in awkward chunk sizes.
-        for chunk in enc.chunks(1000) {
-            p.feed(chunk);
-        }
-        let mut total = Vec::new();
-        let mut count = 0;
-        while let Some(rec) = p.next_record().unwrap() {
-            total.extend_from_slice(&rec.payload);
-            count += 1;
-        }
-        assert_eq!(count, 3);
+        let pieces: Vec<&[u8]> = enc.chunks(1000).collect();
+        let got = parse_all(&mut p, &pieces);
+        assert_eq!(got.len(), 3);
+        let total: Vec<u8> = got.into_iter().flat_map(|(_, _, payload)| payload).collect();
         assert_eq!(total, payload);
+        assert_eq!(p.buffered(), 0);
     }
 
     #[test]
-    fn partial_header_returns_none() {
+    fn partial_header_is_carried() {
         let mut p = RecordParser::new();
-        p.feed(&[22, 3, 1]);
-        assert_eq!(p.next_record().unwrap(), None);
-        p.feed(&[0, 1]);
-        assert_eq!(p.next_record().unwrap(), None); // body missing
-        p.feed(&[0xff]);
-        assert!(p.next_record().unwrap().is_some());
-    }
-
-    #[test]
-    fn view_api_matches_owned_api() {
-        let payload = vec![0x11u8; 20_000]; // fragments into two records
-        let enc = encode_records(ContentType::ApplicationData, ProtocolVersion::Tls11, &payload);
-        let mut owned = RecordParser::new();
-        let mut viewed = RecordParser::new();
-        owned.feed(&enc);
-        viewed.feed(&enc);
-        loop {
-            let a = owned.next_record().unwrap();
-            let b = viewed.next_record_view().unwrap();
-            match (a, b) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.content_type, b.content_type);
-                    assert_eq!(a.version, b.version);
-                    assert_eq!(a.payload.as_slice(), b.payload);
-                }
-                (None, None) => break,
-                (a, b) => panic!("API divergence: {a:?} vs {b:?}"),
-            }
-        }
+        assert!(parse_all(&mut p, &[&[22, 3, 1]]).is_empty());
+        assert_eq!(p.buffered(), 3);
+        assert!(parse_all(&mut p, &[&[0, 1]]).is_empty()); // body missing
+        assert_eq!(p.buffered(), 5);
+        let got = parse_all(&mut p, &[&[0xff, 21, 3]]);
+        assert_eq!(got, [(ContentType::Handshake, ProtocolVersion::Tls10, vec![0xff])]);
+        // Only the next record's incomplete header stays behind.
+        assert_eq!(p.buffered(), 2);
     }
 
     #[test]
@@ -316,8 +296,7 @@ mod tests {
         let mut p = RecordParser::new();
         for _ in 0..3 {
             let enc = encode_records(ContentType::Handshake, ProtocolVersion::Tls10, b"abc");
-            p.feed(&enc);
-            assert!(p.next_record().unwrap().is_some());
+            assert_eq!(parse_all(&mut p, &[&enc]).len(), 1);
             assert_eq!(p.buffered(), 0);
         }
     }
@@ -341,34 +320,35 @@ mod tests {
     fn single_record_with_matches_encode_records() {
         let body = b"\x01\x02\x03handshake-ish";
         let direct = encode_records(ContentType::Handshake, ProtocolVersion::Tls12, body);
-        let closure =
-            encode_single_record_with(ContentType::Handshake, ProtocolVersion::Tls12, |w| {
-                w.bytes(body)
-            });
-        assert_eq!(closure, direct);
+        let mut frame = vec![0xee]; // pre-existing bytes survive
+        encode_single_record_with(
+            &mut frame,
+            ContentType::Handshake,
+            ProtocolVersion::Tls12,
+            |w| w.bytes(body),
+        );
+        assert_eq!(frame[0], 0xee);
+        assert_eq!(&frame[1..], direct.as_slice());
     }
 
     #[test]
     fn empty_payload_produces_one_record() {
         let enc = encode_records(ContentType::Alert, ProtocolVersion::Tls10, &[]);
         let mut p = RecordParser::new();
-        p.feed(&enc);
-        let rec = p.next_record().unwrap().unwrap();
-        assert!(rec.payload.is_empty());
+        let got = parse_all(&mut p, &[&enc]);
+        assert_eq!(got, [(ContentType::Alert, ProtocolVersion::Tls10, vec![])]);
     }
 
     #[test]
     fn unknown_content_type_rejected() {
         let mut p = RecordParser::new();
-        p.feed(&[99, 3, 1, 0, 0]);
-        assert!(p.next_record().is_err());
+        assert!(p.parse(&[99, 3, 1, 0, 0]).next_record().is_err());
     }
 
     #[test]
     fn bad_version_rejected() {
         let mut p = RecordParser::new();
-        p.feed(&[22, 9, 9, 0, 0]);
-        assert_eq!(p.next_record(), Err(TlsError::BadVersion(9, 9)));
+        assert_eq!(p.parse(&[22, 9, 9, 0, 0]).next_record(), Err(TlsError::BadVersion(9, 9)));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use tlsfoe_x509::Certificate;
 use crate::cipher::CipherSuite;
 use crate::handshake::{Alert, CertificateMsg, HandshakeMsg, HandshakeParser, ServerHello};
 use crate::record::{encode_records, ContentType, ProtocolVersion, RecordParser};
+use crate::wire::WireWriter;
 
 /// Immutable per-host serving configuration, shared by all sessions.
 #[derive(Debug)]
@@ -66,25 +67,23 @@ impl ServerConfig {
     /// the given negotiated version (cached per config+version; every
     /// session serving this chain shares one encoding).
     pub fn hello_flight(&self, version: ProtocolVersion) -> &[u8] {
-        let slot = match version {
-            ProtocolVersion::Ssl30 => 0,
-            ProtocolVersion::Tls10 => 1,
-            ProtocolVersion::Tls11 => 2,
-            ProtocolVersion::Tls12 => 3,
+        let [ssl30, tls10, tls11, tls12] = &self.flights;
+        let flight = match version {
+            ProtocolVersion::Ssl30 => ssl30,
+            ProtocolVersion::Tls10 => tls10,
+            ProtocolVersion::Tls11 => tls11,
+            ProtocolVersion::Tls12 => tls12,
         };
-        self.flights[slot].get_or_init(|| {
-            let mut w = crate::wire::WireWriter::new();
+        flight.get_or_init(|| {
+            let mut w = WireWriter::new();
             HandshakeMsg::ServerHello(ServerHello {
                 version,
                 random: self.server_random,
-                session_id: vec![0xab; 8],
+                session_id: &[0xab; 8],
                 cipher_suite: self.cipher_suite,
             })
             .encode_into(&mut w);
-            HandshakeMsg::Certificate(CertificateMsg {
-                chain: self.chain.iter().map(|c| c.to_der().to_vec()).collect(),
-            })
-            .encode_into(&mut w);
+            CertificateMsg::encode_chain(&mut w, self.chain.iter().map(Certificate::to_der));
             HandshakeMsg::ServerHelloDone.encode_into(&mut w);
             encode_records(ContentType::Handshake, version, &w.finish())
         })
@@ -115,49 +114,50 @@ impl Conduit for TlsCertServer {
     fn on_open(&mut self, _io: &mut IoCtx<'_>) {}
 
     fn on_data(&mut self, data: &[u8], io: &mut IoCtx<'_>) {
-        self.records.feed(data);
+        let mut records = self.records.parse(data);
         loop {
-            match self.records.next_record_view() {
-                Ok(Some(rec)) => match rec.content_type {
-                    ContentType::Handshake => {
-                        self.handshakes.feed(rec.payload);
-                        loop {
-                            match self.handshakes.next_message() {
-                                Ok(Some(HandshakeMsg::ClientHello(ch))) if !self.answered => {
-                                    self.answered = true;
-                                    // Negotiate: accept the client's version
-                                    // (all era versions serve identically
-                                    // for a certificate probe).
-                                    io.send(self.config.hello_flight(ch.version));
-                                }
-                                Ok(Some(_)) => {} // ignore everything else
-                                Ok(None) => break,
-                                Err(_) => {
-                                    io.send(
-                                        &Alert {
-                                            level: crate::handshake::AlertLevel::Fatal,
-                                            description: 50, // decode_error
-                                        }
-                                        .encode_record(ProtocolVersion::Tls10),
-                                    );
-                                    io.close();
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    ContentType::Alert => {
-                        // close_notify or abort from the probe.
-                        io.close();
-                        return;
-                    }
-                    _ => {}
-                },
-                Ok(None) => break,
+            let rec = match records.next_record() {
+                Ok(Some(rec)) => rec,
+                Ok(None) => return,
                 Err(_) => {
                     io.close();
                     return;
                 }
+            };
+            match rec.content_type {
+                ContentType::Handshake => {
+                    let mut msgs = self.handshakes.parse(rec.payload);
+                    loop {
+                        match msgs.next_message() {
+                            Ok(Some(HandshakeMsg::ClientHello(ch))) if !self.answered => {
+                                self.answered = true;
+                                // Negotiate: accept the client's version
+                                // (all era versions serve identically
+                                // for a certificate probe).
+                                io.send(self.config.hello_flight(ch.version));
+                            }
+                            Ok(Some(_)) => {} // ignore everything else
+                            Ok(None) => break,
+                            Err(_) => {
+                                io.send(
+                                    &Alert {
+                                        level: crate::handshake::AlertLevel::Fatal,
+                                        description: 50, // decode_error
+                                    }
+                                    .encode_record(ProtocolVersion::Tls10),
+                                );
+                                io.close();
+                                return;
+                            }
+                        }
+                    }
+                }
+                ContentType::Alert => {
+                    // close_notify or abort from the probe.
+                    io.close();
+                    return;
+                }
+                _ => {}
             }
         }
     }
@@ -184,22 +184,24 @@ mod tests {
         let cfg = ServerConfig::new(chain());
         let flight = cfg.hello_flight(ProtocolVersion::Tls10);
         let mut rp = RecordParser::new();
-        rp.feed(flight);
+        let mut records = rp.parse(flight);
+        let rec = records.next_record().unwrap().unwrap();
+        assert_eq!(rec.content_type, ContentType::Handshake);
         let mut hp = HandshakeParser::new();
-        while let Some(rec) = rp.next_record().unwrap() {
-            assert_eq!(rec.content_type, ContentType::Handshake);
-            hp.feed(&rec.payload);
-        }
-        assert!(matches!(hp.next_message().unwrap(), Some(HandshakeMsg::ServerHello(_))));
-        match hp.next_message().unwrap() {
+        let mut msgs = hp.parse(rec.payload);
+        assert!(matches!(msgs.next_message().unwrap(), Some(HandshakeMsg::ServerHello(_))));
+        match msgs.next_message().unwrap() {
             Some(HandshakeMsg::Certificate(c)) => {
-                assert_eq!(c.chain.len(), 1);
-                let cert = Certificate::from_der(&c.chain[0]).unwrap();
+                assert_eq!(c.certs().count(), 1);
+                let cert = Certificate::from_der(c.certs().next().unwrap()).unwrap();
                 assert_eq!(cert.tbs.subject.common_name(), Some("h.example"));
             }
             other => panic!("expected Certificate, got {other:?}"),
         }
-        assert_eq!(hp.next_message().unwrap(), Some(HandshakeMsg::ServerHelloDone));
+        assert_eq!(msgs.next_message().unwrap(), Some(HandshakeMsg::ServerHelloDone));
+        assert_eq!(msgs.next_message().unwrap(), None);
+        drop(msgs);
+        assert!(records.next_record().unwrap().is_none(), "a small flight is one record");
     }
 
     #[test]
@@ -208,9 +210,8 @@ mod tests {
         for v in [ProtocolVersion::Tls10, ProtocolVersion::Tls12] {
             let flight = cfg.hello_flight(v);
             let mut rp = RecordParser::new();
-            rp.feed(flight);
-            let rec = rp.next_record().unwrap().unwrap();
-            assert_eq!(rec.version, v);
+            let rec = rp.parse(flight).next_record().unwrap().unwrap().version;
+            assert_eq!(rec, v);
         }
     }
 }

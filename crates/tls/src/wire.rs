@@ -2,7 +2,9 @@
 //!
 //! TLS vectors are length-prefixed with 1-, 2- or 3-byte lengths; this
 //! module provides an append-only writer and a borrowing reader with
-//! exact truncation semantics.
+//! exact truncation semantics, plus the in-place reassembly core that
+//! both streaming parsers ([`crate::record::RecordParser`] and
+//! [`crate::handshake::HandshakeParser`]) share.
 
 use crate::TlsError;
 
@@ -16,6 +18,12 @@ impl WireWriter {
     /// New empty writer.
     pub fn new() -> Self {
         WireWriter { buf: Vec::new() }
+    }
+
+    /// A writer appending to `buf` (an outgoing frame, say); what it
+    /// held stays in front, and [`WireWriter::finish`] hands it back.
+    pub fn appending(buf: Vec<u8>) -> Self {
+        WireWriter { buf }
     }
 
     /// Finish, returning the raw bytes.
@@ -185,6 +193,80 @@ impl<'a> WireReader<'a> {
             Ok(())
         } else {
             Err(TlsError::Malformed("trailing bytes"))
+        }
+    }
+}
+
+/// The incomplete tail of a byte stream that arrives in pieces: the
+/// state a streaming parser keeps between deliveries.
+///
+/// [`Carry::begin`] reads a delivered piece in place when nothing is
+/// carried over, so complete messages are parsed straight out of the
+/// frame and borrow it. Only when a tail is carried is the piece
+/// appended to it, and only the piece's own incomplete tail is copied
+/// when parsing stops.
+#[derive(Debug, Default)]
+pub(crate) struct Carry {
+    buf: Vec<u8>,
+}
+
+impl Carry {
+    /// Bytes carried over from earlier pieces.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Start reading `data`, the next piece of the stream.
+    pub(crate) fn begin<'a>(&'a mut self, data: &'a [u8]) -> Pending<'a> {
+        let in_place = self.buf.is_empty();
+        if !in_place {
+            self.buf.extend_from_slice(data);
+        }
+        Pending { carry: &mut self.buf, data, in_place, pos: 0 }
+    }
+}
+
+/// The unparsed bytes of one delivery: the piece itself, or the carried
+/// tail with the piece appended. Whatever is left unconsumed when this
+/// drops is carried to the next piece.
+pub(crate) struct Pending<'a> {
+    carry: &'a mut Vec<u8>,
+    data: &'a [u8],
+    /// Whether the bytes are read from `data` (nothing was carried).
+    in_place: bool,
+    /// Bytes consumed so far.
+    pos: usize,
+}
+
+impl Pending<'_> {
+    fn bytes(&self) -> &[u8] {
+        if self.in_place {
+            self.data
+        } else {
+            self.carry
+        }
+    }
+
+    /// The bytes not yet consumed.
+    pub(crate) fn rest(&self) -> &[u8] {
+        self.bytes().get(self.pos..).unwrap_or_default()
+    }
+
+    /// Consume the next `n` bytes (at most [`Pending::rest`]'s length)
+    /// and return them.
+    pub(crate) fn take(&mut self, n: usize) -> &[u8] {
+        let start = self.pos;
+        self.pos += n.min(self.rest().len());
+        self.bytes().get(start..self.pos).unwrap_or_default()
+    }
+}
+
+impl Drop for Pending<'_> {
+    fn drop(&mut self) {
+        if self.in_place {
+            self.carry.extend_from_slice(self.data.get(self.pos..).unwrap_or_default());
+        } else {
+            self.carry.drain(..self.pos.min(self.carry.len()));
         }
     }
 }

@@ -123,8 +123,9 @@ const END: &str = "-----END CERTIFICATE-----";
 const LINE_BYTES: usize = 48;
 
 /// Length of [`pem_encode`]'s output for `der_len` bytes of DER: the
-/// armor lines, the base64 and one newline per body line.
-fn pem_len(der_len: usize) -> usize {
+/// armor lines, the base64 and one newline per body line. Callers size
+/// a multi-certificate body with it before [`pem_encode_into`].
+pub fn pem_len(der_len: usize) -> usize {
     BEGIN.len() + 1 + der_len.div_ceil(3) * 4 + der_len.div_ceil(LINE_BYTES) + END.len() + 1
 }
 

@@ -456,12 +456,13 @@ fn record_reassembly_any_chunking() {
         let mut p = RecordParser::new();
         let mut got = Vec::new();
         for piece in enc.chunks(chunk) {
-            p.feed(piece);
-            while let Some(rec) = p.next_record().unwrap() {
-                got.extend_from_slice(&rec.payload);
+            let mut records = p.parse(piece);
+            while let Some(rec) = records.next_record().unwrap() {
+                got.extend_from_slice(rec.payload);
             }
         }
         assert_eq!(got, payload);
+        assert_eq!(p.buffered(), 0);
     }
 }
 
@@ -470,12 +471,20 @@ fn record_parser_never_panics() {
     let mut rng = rng("recgarbage");
     for _ in 0..CASES {
         let data = random_bytes(&mut rng, 300);
-        let mut p = RecordParser::new();
-        p.feed(&data);
-        for _ in 0..20 {
-            match p.next_record() {
-                Ok(Some(_)) => continue,
-                _ => break,
+        // Whole, then in two pieces, so the carried-tail path sees
+        // garbage too.
+        let cut = rng.gen_range(data.len() as u64 + 1) as usize;
+        for pieces in [[&data[..], &[]], [&data[..cut], &data[cut..]]] {
+            let mut p = RecordParser::new();
+            'pieces: for piece in pieces {
+                let mut records = p.parse(piece);
+                for _ in 0..20 {
+                    match records.next_record() {
+                        Ok(Some(_)) => continue,
+                        Ok(None) => continue 'pieces,
+                        Err(_) => break 'pieces,
+                    }
+                }
             }
         }
     }

@@ -47,8 +47,13 @@ fn product_named(model: &PopulationModel, name: &str) -> ProductId {
 
 fn probe(net: &mut Network, host: &str) -> Vec<Vec<u8>> {
     let outcome = ProbeOutcome::new();
-    net.dial_from(CLIENT, SRV, 443, Box::new(ProbeClient::new(host, [9u8; 32], outcome.clone())))
-        .unwrap();
+    net.dial_from(
+        CLIENT,
+        SRV,
+        443,
+        Box::new(ProbeClient::new(host.to_owned(), [9u8; 32], outcome.clone())),
+    )
+    .unwrap();
     net.run().unwrap();
     let o = outcome.lock();
     assert_eq!(o.state, ProbeState::Done, "probe through the proxy must complete");
