@@ -3,10 +3,10 @@
 //! Times the primitives every simulated impression funnels through —
 //! full-width modular exponentiation (schoolbook vs [`Ubig::modpow`]),
 //! one Montgomery modular multiply, RSA sign (CRT vs direct) and verify
-//! (e = 65537) — at the paper's three key sizes, plus three named
-//! series (`keygen`, `mint`, `million`). It writes the per-op times
-//! (min across sample blocks) to `BENCH_crypto.json`, then checks the
-//! document with [`tlsfoe_bench::perf_gate`] and exits non-zero,
+//! (e = 65537) — at the paper's three key sizes, plus four named
+//! series (`keygen`, `mint`, `million`, `ingest`). It writes the per-op
+//! times (min across sample blocks) to `BENCH_crypto.json`, then checks
+//! the document with [`tlsfoe_bench::perf_gate`] and exits non-zero,
 //! naming each failed check, if any fails.
 //!
 //! The gate reads counts and paired ratios only. Absolute nanoseconds
@@ -190,6 +190,49 @@ fn measure_million(quick: bool) -> Json {
     ])
 }
 
+/// Ingest series: the hash every upload pays to look its body up in the
+/// report server's memo, std's SipHash-1-3 (`DefaultHasher`) against
+/// the memo's own [`key_hash`](tlsfoe_crypto::memo::key_hash), over the
+/// study-1 authors' host upload body.
+fn measure_ingest(quick: bool) -> Json {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    use std::hint::black_box;
+    use tlsfoe_core::HostCatalog;
+    use tlsfoe_crypto::memo::key_hash;
+    use tlsfoe_x509::pem;
+
+    let samples = if quick { 5 } else { 11 };
+    eprintln!("[exp_perf] measuring the ingest memo's key hash…");
+    let catalog = HostCatalog::study1();
+    let host = catalog.hosts.first().expect("study-1 catalog has a host");
+    let body = pem::encode_certificates(&host.chain).into_bytes();
+    let hash = best_ns_paired(
+        samples,
+        || {
+            let mut h = DefaultHasher::new();
+            black_box(body.as_slice()).hash(&mut h);
+            black_box(h.finish());
+        },
+        || {
+            black_box(key_hash(black_box(body.as_slice())));
+        },
+    );
+    println!(
+        "ingest | {}-byte upload body | siphash {:>5} ns | memo key hash {:>5} ns ({:>3.1}x)",
+        body.len(),
+        hash.f_ns,
+        hash.g_ns,
+        hash.ratio,
+    );
+    Json::obj(vec![
+        ("body_bytes", Json::Int(body.len() as i64)),
+        ("siphash_ns", Json::Int(hash.f_ns as i64)),
+        ("key_hash_ns", Json::Int(hash.g_ns as i64)),
+        ("siphash_over_key_hash", round2(hash.ratio)),
+    ])
+}
+
 fn measure(quick: bool) -> Json {
     let samples = if quick { 5 } else { 11 };
     let msg = b"tbs certificate bytes stand-in";
@@ -253,6 +296,7 @@ fn measure(quick: bool) -> Json {
                 ("keygen", measure_keygen(quick)),
                 ("mint", measure_mint(quick)),
                 ("million", measure_million(quick)),
+                ("ingest", measure_ingest(quick)),
             ]),
         ),
     ])

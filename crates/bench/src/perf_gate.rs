@@ -14,9 +14,10 @@
 //!   with interleaved sample blocks
 //!   ([`crate::harness::best_ns_paired`]), so the host's speed cancels
 //!   out. Each ratio compares a path with its optimisation against the
-//!   same work without it, and each floor sits below every reading of
-//!   the working code and above the reading with that optimisation
-//!   switched off.
+//!   same work without it (CRT signing, the Montgomery ladder, the key
+//!   and substitute caches, the ingest memo's word-at-a-time key hash),
+//!   and each floor sits below every reading of the working code and
+//!   above the reading with that optimisation switched off.
 //!
 //! A metric missing from the document fails its check, so deleting a
 //! measurement cannot pass the gate.
@@ -66,6 +67,9 @@ pub const CHECKS: &[(&str, Rule)] = &[
     ("series.million.distinct_substitute_chains", Rule::Exact(25.0)),
     ("series.million.interned_chain_kb", Rule::Exact(37.0)),
     ("series.million.rowwise_chain_kb", Rule::Exact(382.0)),
+    // The ingest memo's key hash, paid by every upload: std's SipHash-1-3
+    // over the memo's word-at-a-time hash, on a study-1 upload body.
+    ("series.ingest.siphash_over_key_hash", Rule::Floor(2.0)),
 ];
 
 /// One check's result.

@@ -80,9 +80,16 @@ pub struct PostRequest<'a> {
 /// `Content-Length`.
 fn parse_post(bytes: &[u8]) -> Option<PostRequest<'_>> {
     let head_end = head_end(bytes)?;
-    let (path, content_length) = match String::from_utf8_lossy(bytes.get(..head_end)?) {
-        Cow::Borrowed(head) => parse_head(head).map(|(path, n)| (Cow::Borrowed(path), n))?,
-        Cow::Owned(head) => parse_head(&head).map(|(path, n)| (Cow::Owned(path.to_owned()), n))?,
+    let head = bytes.get(..head_end)?;
+    // Valid UTF-8 (every request this program sends) is checked once by
+    // the fast validator and borrowed; only an invalid head pays the
+    // lossy decode and an owned path.
+    let (path, content_length) = match std::str::from_utf8(head) {
+        Ok(head) => parse_head(head).map(|(path, n)| (Cow::Borrowed(path), n))?,
+        Err(_) => {
+            let head = String::from_utf8_lossy(head);
+            parse_head(&head).map(|(path, n)| (Cow::Owned(path.to_owned()), n))?
+        }
     };
     // A length past `usize::MAX` is malformed: no body can end there.
     let body_end = head_end.checked_add(content_length)?;

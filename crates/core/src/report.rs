@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tlsfoe_crypto::memo::Memo;
+use tlsfoe_crypto::memo::{Memo, WordState};
 use tlsfoe_netsim::net::DialInfo;
 use tlsfoe_netsim::{Ipv4, Shared};
 use tlsfoe_x509::{pem, Certificate};
@@ -59,7 +59,10 @@ struct Authority {
 
 /// The reporting server: authoritative chains + geolocation + database.
 pub struct ReportServer {
-    authoritative: HashMap<&'static str, Authority>,
+    /// Catalog host name → its authority. Every upload looks its host up
+    /// here; the names are the catalog's own, so the map uses the fixed
+    /// [`WordState`] hasher.
+    authoritative: HashMap<&'static str, Authority, WordState>,
     geo: GeoDb,
     db: Shared<Database>,
 }
@@ -214,6 +217,17 @@ mod tests {
     fn client() -> Ipv4 {
         // First address of the first country block.
         Ipv4([11, 0, 0, 0])
+    }
+
+    #[test]
+    fn ingest_memo_key_hash_of_a_study1_upload_is_pinned() {
+        // The memo's hash pinned on the upload every study-1 session of
+        // the authors' host sends (the fixed-length pins sit beside the
+        // hasher in `tlsfoe_crypto::memo`).
+        let catalog = HostCatalog::study1();
+        let body = pem::encode_certificates(&catalog.hosts[0].chain).into_bytes();
+        assert_eq!(body.len(), 1811);
+        assert_eq!(tlsfoe_crypto::memo::key_hash(&body), 0x7FCA_088C_7230_1072);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! * [`drbg`] — a deterministic random bit generator so that every
 //!   simulation in the workspace is reproducible from a single seed,
 //! * [`memo`] — the bounded, lock-striped [`Memo`] every cache in the
-//!   workspace is built on, and [`ctxcache`], the process-wide
-//!   per-modulus [`MontgomeryCtx`] memo ([`ctx_for`]).
+//!   workspace is built on, with the fixed word-at-a-time
+//!   [`memo::WordHasher`] it and the session path's maps hash with, and
+//!   [`ctxcache`], the process-wide per-modulus [`MontgomeryCtx`] memo
+//!   ([`ctx_for`]).
 //!
 //! ## Hot-path performance
 //!

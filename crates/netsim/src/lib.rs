@@ -10,7 +10,8 @@
 //! * [`net`] — the [`net::Network`]: listeners, dialing, per-client
 //!   interceptor chains (TLS proxies!), latency, loss and captive
 //!   portals, all advanced by one deterministic event loop that
-//!   recycles the buffers of delivered frames for the next sends,
+//!   recycles the buffers of delivered frames for the next sends and
+//!   keys its per-client tables with a fixed word-at-a-time hasher,
 //! * [`policy`] — the Flash socket-policy-file service the paper's tool
 //!   depends on (§3.1), plus the client-side policy fetch logic.
 //!

@@ -37,6 +37,13 @@
 //! [`IoCtx::send_with`] lets a conduit encode straight into a recycled
 //! frame; [`IoCtx::send`] is one copy into one.
 //!
+//! **Map hashing.** Every dial, send and timer looks up the per-client
+//! tables (listeners, interceptors, links, dial scopes) or the timer
+//! table. Their keys are addresses and ids the program makes itself, so
+//! they hash with `tlsfoe_crypto`'s fixed word-at-a-time [`WordState`]
+//! instead of std's randomly keyed SipHash. No table is iterated, so
+//! the hasher decides no order.
+//!
 //! **Draw order.** A send first draws its loss decision, and only a
 //! frame that survives is built; the fault plan then decides the
 //! frame's fate from its length, and corruption and truncation are
@@ -50,6 +57,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use tlsfoe_crypto::drbg::{Drbg, RngCore64, SplitMix64};
+use tlsfoe_crypto::memo::WordState;
 
 use crate::addr::Ipv4;
 use crate::conduit::{Conduit, ConnToken, IoCtx};
@@ -300,15 +308,15 @@ pub struct Network {
     sides: Vec<Side>,
     /// Recycled side slots, ready for reuse by `connect_pair`.
     free: Vec<usize>,
-    listeners: HashMap<(Ipv4, u16), ListenerFactory>,
-    interceptors: HashMap<Ipv4, Box<dyn Interceptor>>,
-    links: HashMap<Ipv4, LinkProfile>,
+    listeners: HashMap<(Ipv4, u16), ListenerFactory, WordState>,
+    interceptors: HashMap<Ipv4, Box<dyn Interceptor>, WordState>,
+    links: HashMap<Ipv4, LinkProfile, WordState>,
     /// Root seed for per-connection loss-stream derivation.
     seed: u64,
-    scopes: HashMap<Ipv4, DialScope>,
+    scopes: HashMap<Ipv4, DialScope, WordState>,
     processed: u64,
     /// Pending timer callbacks, keyed by timer id (see [`Network::after`]).
-    timers: HashMap<u64, TimerFn>,
+    timers: HashMap<u64, TimerFn, WordState>,
     next_timer: u64,
     /// Emptied buffers of delivered or dropped frames, reused by the
     /// next send (see "Frame recycling" in the module docs).
@@ -331,13 +339,13 @@ impl Network {
             events: EventQueue::new(),
             sides: Vec::new(),
             free: Vec::new(),
-            listeners: HashMap::new(),
-            interceptors: HashMap::new(),
-            links: HashMap::new(),
+            listeners: HashMap::default(),
+            interceptors: HashMap::default(),
+            links: HashMap::default(),
             seed,
-            scopes: HashMap::new(),
+            scopes: HashMap::default(),
             processed: 0,
-            timers: HashMap::new(),
+            timers: HashMap::default(),
             next_timer: 0,
             spare_frames: Vec::new(),
         }

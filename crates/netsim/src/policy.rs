@@ -153,9 +153,24 @@ impl PolicyClient {
 /// The attribute that opens a policy's port list.
 const TO_PORTS: &[u8] = b"to-ports=\"";
 
-/// Offset of the first occurrence of `needle` in `haystack`.
+/// Offset of the first occurrence of `needle` in `haystack` (0 for an
+/// empty needle). Skips to each occurrence of the needle's first byte
+/// and compares the rest only there, instead of comparing a whole
+/// window at every offset.
 fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
+    let Some((&first, rest)) = needle.split_first() else { return Some(0) };
+    let mut from = 0;
+    loop {
+        let tail = haystack.get(from..)?;
+        if tail.len() < needle.len() {
+            return None;
+        }
+        let at = from + tail.iter().position(|&b| b == first)?;
+        if haystack.get(at + 1..).is_some_and(|after| after.starts_with(rest)) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
 }
 
 impl Conduit for PolicyClient {
@@ -305,6 +320,46 @@ mod tests {
         let result = fetch_policy(&mut net, Ipv4([198, 51, 100, 1]), srv, 80, None).unwrap();
         net.run().unwrap();
         assert_eq!(*result.lock(), PolicyFetchResult::Restrictive);
+    }
+
+    #[test]
+    fn find_agrees_with_a_window_scan() {
+        use tlsfoe_crypto::drbg::{Drbg, RngCore64};
+        fn reference(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+            haystack.windows(needle.len()).position(|w| w == needle)
+        }
+        /// `max_len` or fewer bytes from `alphabet`, at least `min_len`.
+        fn draw(rng: &mut Drbg, alphabet: &[u8], min_len: u64, max_len: u64) -> Vec<u8> {
+            let n = min_len + rng.gen_range(max_len - min_len + 1);
+            (0..n).map(|_| alphabet[rng.gen_range(alphabet.len() as u64) as usize]).collect()
+        }
+        let mut rng = Drbg::new(0x706F_6C69);
+        for round in 0..2_000 {
+            // A small alphabet repeats the needle's first byte all over
+            // the haystack, with near misses at every length.
+            let alphabet: &[u8] = if round % 2 == 0 { b"ab" } else { b"<=\"" };
+            let haystack = draw(&mut rng, alphabet, 0, 40);
+            let needle = draw(&mut rng, alphabet, 1, 6);
+            let cases = [
+                needle.clone(),
+                // At the start, at the end, and longer than the haystack.
+                haystack[..needle.len().min(haystack.len())].to_vec(),
+                haystack[haystack.len().saturating_sub(needle.len())..].to_vec(),
+                [haystack.as_slice(), b"a"].concat(),
+                // Absent: a byte the haystack never holds.
+                [needle.as_slice(), b"z"].concat(),
+            ];
+            for needle in cases.iter().filter(|n| !n.is_empty()) {
+                assert_eq!(
+                    find(&haystack, needle),
+                    reference(&haystack, needle),
+                    "{haystack:?} / {needle:?}"
+                );
+            }
+        }
+        assert_eq!(find(b"", b"a"), None);
+        assert_eq!(find(b"abc", b""), Some(0));
+        assert_eq!(find(b"aab", b"ab"), Some(1));
     }
 
     #[test]
