@@ -54,10 +54,7 @@ fn run_cell(rate: f64, retry: &RetryPolicy, sessions: u32) -> CellStats {
     let geo = GeoDb::allocate(1_000_000);
     let db = Shared::new(Database::new());
     let report = Arc::new(ReportServer::new(&catalog, geo.clone(), db.clone()));
-    // Batch of one: each drive spans exactly one session, so the
-    // virtual-clock delta around it is that session's latency.
-    let mut runner =
-        SessionRunner::new(catalog, report).with_batch_size(1).with_retry_policy(retry.clone());
+    let mut runner = SessionRunner::new(catalog, report).with_retry_policy(retry.clone());
     if rate > 0.0 {
         runner.set_default_link(LinkProfile {
             faults: FaultProfile::uniform(rate),
@@ -71,6 +68,8 @@ fn run_cell(rate: f64, retry: &RetryPolicy, sessions: u32) -> CellStats {
     let mut latencies = Vec::with_capacity(sessions as usize);
     for i in 0..sessions {
         let profile = ClientProfile { country: us, ip: geo.client_addr(us, i), product: None };
+        // `run_session` drives this session on its own, so the
+        // virtual-clock delta around it is the session's latency.
         let t0 = runner.now_us();
         runner
             .run_session(&model, &profile, &mut rng, u64::from(i), u64::from(i) ^ 0xc4a05)

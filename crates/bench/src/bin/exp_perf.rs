@@ -92,19 +92,23 @@ fn measure_keygen(quick: bool) -> Json {
 /// over a fixed set of untimed mints, and the shared Montgomery-context
 /// memo's misses so far in the process.
 fn measure_mint(quick: bool) -> Json {
+    use std::sync::Arc;
     use tlsfoe_crypto::rsa;
     use tlsfoe_netsim::Ipv4;
-    use tlsfoe_population::factory::SubstituteFactory;
+    use tlsfoe_population::model::{PopulationModel, StudyEra};
     use tlsfoe_population::products::{catalog, ProductId};
+    use tlsfoe_x509::RootStore;
 
     let samples = if quick { 3 } else { 7 };
     eprintln!("[exp_perf] measuring mint path (substitute minting)…");
-    let specs = catalog();
-    let idx = specs
+    let idx = catalog()
         .iter()
         .position(|s| s.display_name() == "Bitdefender")
         .expect("Bitdefender in catalog");
-    let factory = SubstituteFactory::new(ProductId(idx as u16), specs[idx].clone());
+    // The product's process-wide factory; building it self-signs its
+    // root before the signature count below starts.
+    let model = PopulationModel::new(StudyEra::Study1, Arc::new(RootStore::new()));
+    let factory = model.factory(ProductId(idx as u16));
     let dst = Ipv4([203, 0, 113, 1]);
 
     let signs_before = rsa::signature_count();

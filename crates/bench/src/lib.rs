@@ -12,10 +12,7 @@
 //! * `TLSFOE_SEED` — root seed (default 2014),
 //! * `TLSFOE_THREADS` — shards per study, one OS thread each (default:
 //!   all cores; studies under 256 impressions run as one shard; results
-//!   are bit-identical for any value),
-//! * `TLSFOE_PRIVATE_MINT` — set to give every study a private
-//!   substitute cache instead of the process-wide one (perf ablation;
-//!   restores the seed's per-study re-minting, results unchanged).
+//!   are bit-identical for any value).
 //!
 //! Run everything: `cargo run -p tlsfoe-bench --release --bin exp_all`.
 
@@ -57,12 +54,10 @@ pub fn config(era: StudyEra) -> StudyConfig {
         threads: threads(),
         baseline: false,
         proxy_boost: 1.0,
-        batch: tlsfoe_core::session::DEFAULT_BATCH,
         faults: tlsfoe_netsim::FaultProfile::none(),
         retry: tlsfoe_core::session::RetryPolicy::disabled(),
         shard_fault_budget: 0,
         max_net_events: None,
-        private_substitute_cache: std::env::var("TLSFOE_PRIVATE_MINT").is_ok(),
     }
 }
 

@@ -52,11 +52,11 @@ use crate::hosts::HostCatalog;
 use crate::http::HttpPostClient;
 use crate::report::{Database, ProbeFailureRecord, ReportServer};
 
-/// Default number of concurrent sessions batched into one event-loop
-/// drive. Results are bit-identical for any batch size (see module
-/// docs); a larger batch shares each drive's fixed steps, such as the
-/// stalled-side reap over the whole slab, among more sessions.
-pub const DEFAULT_BATCH: usize = 64;
+/// Concurrent sessions batched into one event-loop drive. Results are
+/// bit-identical for any batch size (see module docs); a larger batch
+/// shares each drive's fixed steps, such as the stalled-side reap over
+/// the whole slab, among more sessions.
+const BATCH: usize = 64;
 
 /// Why a probe session gave up — the typed taxonomy recorded on
 /// [`Database::failures`] instead of the old silent drop.
@@ -113,7 +113,7 @@ impl core::fmt::Display for SessionError {
 /// pure functions of per-probe DRBGs (`Drbg::new(session_seed)
 /// .fork(host).fork("retry")`) and elapsed virtual time since the
 /// probe's first dial, so retried runs stay bit-identical across thread
-/// counts and batch sizes. [`RetryPolicy::disabled`] schedules no timers
+/// counts and batch boundaries. [`RetryPolicy::disabled`] schedules no timers
 /// at all, leaving the event stream byte-identical to a build without
 /// the retry layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,7 +202,6 @@ pub struct SessionRunner {
     uploads: Vec<Shared<UploadSlot>>,
     authors_completion: Option<f64>,
     net: Network,
-    batch_size: usize,
     /// Clients injected but not yet driven; their per-client network
     /// state (interceptor, link, dial scope) is reverted at batch end.
     pending: Vec<Ipv4>,
@@ -238,7 +237,6 @@ impl SessionRunner {
             uploads,
             authors_completion: None,
             net,
-            batch_size: DEFAULT_BATCH,
             pending: Vec::new(),
             pending_ips: HashSet::default(),
             country_links: HashMap::default(),
@@ -251,12 +249,6 @@ impl SessionRunner {
     /// probes competed for client bandwidth in study 2).
     pub fn with_authors_completion(mut self, rate: f64) -> SessionRunner {
         self.authors_completion = Some(rate);
-        self
-    }
-
-    /// Set how many sessions share one event-loop drive (min 1).
-    pub fn with_batch_size(mut self, batch: usize) -> SessionRunner {
-        self.batch_size = batch.max(1);
         self
     }
 
@@ -308,11 +300,6 @@ impl SessionRunner {
         self.net.sides_high_water()
     }
 
-    /// Sessions injected but not yet driven.
-    pub fn pending_sessions(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Current virtual time of the shard network (µs). Monotonic across
     /// the runner's whole life; `exp_chaos` differences it around
     /// single-session drives to measure virtual session latency.
@@ -330,7 +317,7 @@ impl SessionRunner {
     /// `session_seed` is the impression's global random identity (the
     /// study uses `seed ^ impression`): per-connection loss streams are
     /// derived from it. Both being *global* (not shard- or batch-local)
-    /// is what keeps results bit-identical across batch sizes and
+    /// is what keeps results bit-identical across batch boundaries and
     /// thread counts.
     ///
     /// Returns the number of probes actually launched (completion-gated;
@@ -351,7 +338,7 @@ impl SessionRunner {
             self.drive_batch()?;
         }
         let attempted = self.inject_session(model, profile, rng, impression, session_seed);
-        if self.pending.len() >= self.batch_size {
+        if self.pending.len() >= BATCH {
             self.drive_batch()?;
         }
         Ok(attempted)
@@ -521,7 +508,7 @@ struct ProbeCtx {
     attempts: AtomicU32,
     /// Absolute virtual-time deadline, anchored at the first dial. Retry
     /// decisions compare `now` against it, which reduces to *elapsed*
-    /// time since that dial — invariant across batch sizes and threads.
+    /// time since that dial — invariant across batch boundaries and threads.
     deadline_at: Option<u64>,
     /// Per-probe DRBG for retry randoms and backoff jitter; forked from
     /// the session's identity, never from a shared sequential stream.
@@ -1023,31 +1010,35 @@ mod tests {
 
     #[test]
     fn batched_sessions_match_serial_sessions_bitwise() {
-        // The same impressions, once driven one-by-one and once batched
-        // 16 per event-loop drive, must produce identical databases.
-        let run = |batch: usize| {
-            let (runner, db, geo) = runner();
-            let mut runner = runner.with_batch_size(batch);
+        // The same impressions, once driven one by one (`run_session`)
+        // and once batched (`enqueue_session`, which drives every `BATCH`
+        // sessions, then `finish` for the tail), must produce identical
+        // databases.
+        let run = |batched: bool| {
+            let (mut runner, db, geo) = runner();
             let m = model();
             let us = by_code("US").unwrap();
             let mut rng = Drbg::new(6);
-            for i in 0..40u32 {
+            for i in 0..(BATCH as u32 + 36) {
                 let profile = ClientProfile {
                     country: us,
                     ip: geo.client_addr(us, 100 + i),
                     product: (i % 5 == 0).then_some(ProductId(0)),
                 };
-                runner
-                    .enqueue_session(&m, &profile, &mut rng, u64::from(i), 7000 + u64::from(i))
-                    .unwrap();
+                let (imp, seed) = (u64::from(i), 7000 + u64::from(i));
+                if batched {
+                    runner.enqueue_session(&m, &profile, &mut rng, imp, seed).unwrap();
+                } else {
+                    runner.run_session(&m, &profile, &mut rng, imp, seed).unwrap();
+                }
             }
             runner.finish().unwrap();
             let out = std::mem::replace(&mut *db.lock(), Database::new());
             out
         };
-        let serial = run(1);
-        let batched = run(16);
+        let serial = run(false);
+        let batched = run(true);
         assert!(serial.total() > 0);
-        assert_eq!(serial, batched, "batch size must not change any record bit");
+        assert_eq!(serial, batched, "batching must not change any record bit");
     }
 }

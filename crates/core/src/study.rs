@@ -12,13 +12,14 @@
 //!
 //! Sharding: impressions are split into contiguous shards, one OS thread
 //! each; every impression's randomness is derived from `(seed,
-//! impression index)`, and all shards share one [`PopulationModel`] — so
-//! the substitute-chain cache, product factories and host catalog are
-//! built once per run and results are bit-identical regardless of thread
-//! count (the cache's determinism contract, `tlsfoe_population::cache`,
-//! is what makes the sharing safe). Each shard owns one long-lived
-//! network and a private [`Database`]; shards 1.. are merged into shard
-//! 0's database in shard order.
+//! impression index)`, and all shards share one [`PopulationModel`] and
+//! host catalog, built once per run. The product factories and the
+//! substitute-chain cache behind the model are process-wide, shared with
+//! every other study in the process, and results are bit-identical
+//! regardless of thread count (the cache's determinism contract,
+//! `tlsfoe_population::cache`, is what makes the sharing safe). Each
+//! shard owns one long-lived network and a private [`Database`]; shards
+//! 1.. are merged into shard 0's database in shard order.
 
 use std::sync::Arc;
 
@@ -31,7 +32,7 @@ use tlsfoe_population::model::{ClientProfile, PopulationModel, StudyEra};
 
 use crate::hosts::HostCatalog;
 use crate::report::{Database, ReportServer};
-use crate::session::{RetryPolicy, SessionRunner, DEFAULT_BATCH};
+use crate::session::{RetryPolicy, SessionRunner};
 
 /// One shard abandoning its remaining impressions: the network drive
 /// tripped its event cap (livelocked conduit or a cap shrunk by a chaos
@@ -127,11 +128,6 @@ pub struct StudyConfig {
     /// scaled-down ad budget without touching the product mix. Prevalence
     /// tables (3/7/8) must use 1.0.
     pub proxy_boost: f64,
-    /// Concurrent sessions batched per event-loop drive on each shard's
-    /// long-lived network (1 = fully serial injection). Results are
-    /// bit-identical for any value — this knob trades peak working-set
-    /// size against per-drive overhead.
-    pub batch: usize,
     /// Fault injection applied to every client link in every shard
     /// (default [`FaultProfile::none`], which samples no fault DRBGs and
     /// leaves the event stream byte-identical to a fault-free build).
@@ -139,14 +135,6 @@ pub struct StudyConfig {
     /// Session retry/timeout policy (default [`RetryPolicy::disabled`]:
     /// no timers, byte-identical to the retry-free path).
     pub retry: RetryPolicy,
-    /// Mint substitute chains into a cache private to this study instead
-    /// of the process-wide one (default false). Chains are pure functions
-    /// of their `(product, era, host, variant)` key, so the two modes are
-    /// bit-identical — CI asserts exactly that — and sharing only removes
-    /// duplicate RSA mints when several studies run in one process
-    /// (`exp_all`). The private mode exists for that assertion and for
-    /// benches that must measure cold mints.
-    pub private_substitute_cache: bool,
     /// How many shards may abandon their impression range (event-cap
     /// trip) before the whole study errors. Within budget the study
     /// completes with a partial database plus per-shard failure context
@@ -169,10 +157,8 @@ impl StudyConfig {
             threads: default_threads(),
             baseline: false,
             proxy_boost: 1.0,
-            batch: DEFAULT_BATCH,
             faults: FaultProfile::none(),
             retry: RetryPolicy::disabled(),
-            private_substitute_cache: false,
             shard_fault_budget: 0,
             max_net_events: None,
         }
@@ -187,10 +173,8 @@ impl StudyConfig {
             threads: default_threads(),
             baseline: false,
             proxy_boost: 1.0,
-            batch: DEFAULT_BATCH,
             faults: FaultProfile::none(),
             retry: RetryPolicy::disabled(),
-            private_substitute_cache: false,
             shard_fault_budget: 0,
             max_net_events: None,
         }
@@ -285,9 +269,9 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
 
     // Phase 2: measurement sessions, sharded by impression index. The
     // catalog and population model are built ONCE and shared by every
-    // shard: the model's factories and substitute cache are the
-    // cross-thread state that stops shard N re-minting (at RSA-signature
-    // cost) the per-host chains shard M already built.
+    // shard; the model's process-wide factories and substitute cache are
+    // the cross-thread state that stops shard N re-minting (at
+    // RSA-signature cost) the per-host chains shard M already built.
     let threads = cfg.threads.max(1);
     // Pre-pay every RSA keygen the run can touch — catalog CA/host keys
     // (otherwise generated serially inside HostCatalog::build below),
@@ -305,20 +289,17 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
         (false, StudyEra::Study1) => HostCatalog::study1(),
         (false, StudyEra::Study2) => HostCatalog::study2(),
     });
-    let model = if cfg.private_substitute_cache {
-        PopulationModel::with_private_cache(cfg.era, catalog.public_roots.clone())
-    } else {
-        PopulationModel::new(cfg.era, catalog.public_roots.clone())
-    };
+    let model = PopulationModel::new(cfg.era, catalog.public_roots.clone());
     let shards = if impressions.len() < MIN_SHARDED_IMPRESSIONS { 1 } else { threads };
     if shards > 1 {
-        // Pre-mint every deterministic variant-0 substitute chain the
-        // session phase can request lazily (active product × probed
-        // host), in parallel across the shards' threads. Chains are pure
-        // functions of their cache key, so warming cannot change any
-        // output byte — it only moves the per-chain root-key RSA
-        // signature off the session hot path (where a miss stalls every
-        // shard that needs the chain) into startup, where they mint
+        // Build every era-active product factory and pre-mint every
+        // deterministic variant-0 substitute chain the session phase can
+        // request lazily (active product × probed host), in parallel
+        // across the shards' threads. Factories and chains are pure
+        // functions of their product and cache key, so warming cannot
+        // change any output byte — it only moves the root and per-chain
+        // RSA signatures off the session hot path (where a miss stalls
+        // every shard that needs the chain) into startup, where they mint
         // embarrassingly parallel. One shard skips it: with one worker
         // there is no contention to avoid, and chains the run never
         // requests would be paid for with nothing to amortize them
@@ -381,7 +362,7 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
 ///
 /// The shard owns exactly one [`SessionRunner`] — and through it exactly
 /// one long-lived `Network` — for its whole impression range; sessions
-/// are injected `cfg.batch` at a time into the shared event loop.
+/// are injected in batches into the shared event loop.
 ///
 /// A network drive error (event-cap trip) abandons the shard's
 /// *remaining* impressions but keeps everything measured so far: the
@@ -399,9 +380,8 @@ fn run_shard(
     let geo = GeoDb::allocate(GEO_BLOCK);
     let db = Shared::new(Database::new());
     let report = Arc::new(ReportServer::new(catalog, geo.clone(), db.clone()));
-    let mut runner = SessionRunner::new(catalog.clone(), report)
-        .with_batch_size(cfg.batch)
-        .with_retry_policy(cfg.retry.clone());
+    let mut runner =
+        SessionRunner::new(catalog.clone(), report).with_retry_policy(cfg.retry.clone());
     if cfg.era == StudyEra::Study1 && !cfg.baseline {
         // Study 1's single-probe completion rate: 2.86M measurements out
         // of 4.63M ads ≈ 61.7%.
@@ -500,16 +480,12 @@ mod tests {
         // Force heavy interception so the shared cache actually mints
         // many substitute chains, then require serial/8-thread runs to
         // agree byte-for-byte — the cache determinism contract (chains
-        // are pure functions of their key, not of mint order). Each run
-        // mints into a cache of its own, so the one-shard run mints
-        // every chain lazily on first interception while the 8-shard
-        // run pre-mints them before its sessions start: the prewarm may
-        // only move WHEN a chain is minted.
-        let base = StudyConfig {
-            proxy_boost: 60.0,
-            private_substitute_cache: true,
-            ..StudyConfig::study1(4_000, 23)
-        };
+        // are pure functions of their key, not of mint order). The
+        // one-shard run mints on first interception every chain the
+        // process has not minted yet, while the 8-shard run pre-mints
+        // them before its sessions start: the prewarm may only move WHEN
+        // a chain is minted.
+        let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(4_000, 23) };
         let lazy = run_study(&StudyConfig { threads: 1, ..base.clone() }).expect("study");
         let warm = run_study(&StudyConfig { threads: 8, ..base }).expect("study");
         assert!(
@@ -521,94 +497,60 @@ mod tests {
     }
 
     #[test]
-    fn process_wide_cache_bit_identical_to_private_caches() {
-        // The process-wide mint-sharing contract: a study minting into
-        // the process-wide substitute cache (possibly reading chains some
-        // *other* study already minted) and a study minting every chain
-        // itself into a private cache must produce bit-identical
-        // databases — across threads 1-vs-8 and batch 1-vs-64, with heavy
-        // interception so the cache is actually load-bearing.
-        let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(6_000, 29) };
-        let private_serial = run_study(&StudyConfig {
-            private_substitute_cache: true,
-            threads: 1,
-            batch: 1,
-            ..base.clone()
-        })
-        .expect("study");
-        let shared_serial =
-            run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
-        let shared_sharded =
-            run_study(&StudyConfig { threads: 8, batch: 64, ..base.clone() }).expect("study");
-        let private_sharded = run_study(&StudyConfig {
-            private_substitute_cache: true,
-            threads: 8,
-            batch: 64,
-            ..base
-        })
-        .expect("study");
-        assert!(
-            private_serial.db.proxied() > 20,
-            "need a substitute corpus, got {}",
-            private_serial.db.proxied()
-        );
-        assert_eq!(private_serial.db, shared_serial.db, "shared cache changed study output");
-        assert_eq!(shared_serial.db, shared_sharded.db, "thread/batch changed shared-cache run");
-        assert_eq!(shared_sharded.db, private_sharded.db, "private sharded run diverged");
-    }
-
-    #[test]
-    fn batched_network_bit_identical_across_threads_and_batch_sizes() {
+    fn batched_network_bit_identical_across_thread_counts() {
         // The shard-lifetime batched network's determinism contract:
-        // the study Database must be bit-identical whether sessions run
-        // one per drive or many, on one thread or eight — including with
-        // heavy interception so proxies, the substitute cache and the
-        // single-origin NAT path (same-address collisions within a
-        // batch) are all exercised.
+        // the study Database must be bit-identical on one thread, three
+        // or eight, whose shard boundaries cut the session batches at
+        // different impressions — with heavy interception so proxies,
+        // the substitute cache and the single-origin NAT path
+        // (same-address collisions within a batch) are all exercised.
         let base = StudyConfig { proxy_boost: 60.0, ..StudyConfig::study1(8_000, 31) };
-        let serial_unbatched =
-            run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
-        let serial_batched =
-            run_study(&StudyConfig { threads: 1, batch: 64, ..base.clone() }).expect("study");
-        let sharded_batched =
-            run_study(&StudyConfig { threads: 8, batch: 64, ..base.clone() }).expect("study");
-        let sharded_odd_batch =
-            run_study(&StudyConfig { threads: 8, batch: 7, ..base }).expect("study");
+        let serial = run_study(&StudyConfig { threads: 1, ..base.clone() }).expect("study");
+        let three = run_study(&StudyConfig { threads: 3, ..base.clone() }).expect("study");
+        let eight = run_study(&StudyConfig { threads: 8, ..base }).expect("study");
         assert!(
-            serial_unbatched.db.proxied() > 10,
-            "need proxied sessions in the batch mix, got {}",
-            serial_unbatched.db.proxied()
+            serial.impressions() >= MIN_SHARDED_IMPRESSIONS as u64,
+            "the 3- and 8-thread runs must shard"
         );
-        assert_eq!(serial_unbatched.db, serial_batched.db, "batch size changed the database");
-        assert_eq!(serial_batched.db, sharded_batched.db, "thread count changed the database");
-        assert_eq!(sharded_batched.db, sharded_odd_batch.db, "odd batch split changed the db");
+        assert!(
+            serial.db.proxied() > 10,
+            "need proxied sessions in the batch mix, got {}",
+            serial.db.proxied()
+        );
+        assert_eq!(serial.db, three.db, "three shards changed the database");
+        assert_eq!(three.db, eight.db, "eight shards changed the database");
     }
 
     #[test]
-    fn chaos_study_bit_identical_across_threads_and_batch_sizes() {
+    fn chaos_study_bit_identical_across_thread_counts() {
         // The fault-injection determinism contract: with faults and
         // retries active, the full study database — records, attempt
         // counts, typed failures — must be bit-identical whether
-        // sessions run serial/unbatched or sharded across 8 threads
-        // with any batch size. Per-connection fault streams derive from
-        // the session identity and retry decisions from elapsed virtual
+        // sessions run on one thread or sharded across three or eight,
+        // whose shard boundaries cut the session batches at different
+        // impressions. Per-connection fault streams derive from the
+        // session identity and retry decisions from elapsed virtual
         // time, so nothing may depend on scheduling.
         let base = StudyConfig {
             faults: FaultProfile::uniform(0.05),
             retry: crate::session::RetryPolicy::standard(),
             ..StudyConfig::study1(3_000, 37)
         };
-        let a = run_study(&StudyConfig { threads: 1, batch: 1, ..base.clone() }).expect("study");
-        let b = run_study(&StudyConfig { threads: 8, batch: 64, ..base.clone() }).expect("study");
-        let c = run_study(&StudyConfig { threads: 8, batch: 7, ..base }).expect("study");
+        let a = run_study(&StudyConfig { threads: 1, ..base.clone() }).expect("study");
+        let b = run_study(&StudyConfig { threads: 3, ..base.clone() }).expect("study");
+        let c = run_study(&StudyConfig { threads: 8, ..base }).expect("study");
+        assert!(
+            a.impressions() >= MIN_SHARDED_IMPRESSIONS as u64,
+            "the 3- and 8-thread runs must shard"
+        );
         assert!(
             a.db.failed() > 0 || a.db.iter().any(|r| r.attempts > 1),
             "chaos must actually bite (failures {} retried {})",
             a.db.failed(),
             a.db.iter().filter(|r| r.attempts > 1).count()
         );
-        assert_eq!(a.db, b.db, "thread count changed a faulted database");
-        assert_eq!(b.db, c.db, "batch size changed a faulted database");
+        assert_eq!(a.db, b.db, "three shards changed a faulted database");
+        assert_eq!(b.db, c.db, "eight shards changed a faulted database");
     }
 
     #[test]
@@ -641,24 +583,26 @@ mod tests {
         let model = PopulationModel::new(StudyEra::Study1, catalog.public_roots.clone());
         let us = by_code("US").unwrap();
         let de = by_code("DE").unwrap();
-        let chunk_a = vec![us; 40];
-        let chunk_b = vec![de; 40];
+        // More impressions than one session batch, so an enqueue drives.
+        let chunk_a = vec![us; 100];
+        let chunk_b = vec![de; 100];
 
         // Solo baseline for the sibling's chunk.
-        let (solo, f) = run_shard(&cfg, &catalog, &model, &chunk_b, 40, 1);
+        let (solo, f) = run_shard(&cfg, &catalog, &model, &chunk_b, 100, 1);
         assert!(f.is_none());
 
-        // Wedge shard 0 (tiny per-drive event cap, batch 1 so the first
-        // enqueue drives and trips), then run the sibling normally.
-        let wedged_cfg = StudyConfig { max_net_events: Some(5), batch: 1, ..cfg.clone() };
+        // Wedge shard 0 (tiny per-drive event cap, so the first drive,
+        // which the enqueue that fills the first batch starts, trips),
+        // then run the sibling normally.
+        let wedged_cfg = StudyConfig { max_net_events: Some(5), ..cfg.clone() };
         let (_partial, failure) = run_shard(&wedged_cfg, &catalog, &model, &chunk_a, 0, 0);
-        let failure = failure.expect("a 5-event cap must trip immediately");
+        let failure = failure.expect("a 5-event cap must trip on the first drive");
         assert_eq!(failure.shard, 0);
-        assert_eq!(failure.impression, 0, "first enqueue must have tripped");
+        assert!(failure.impression < 100, "an enqueue, not the final flush, must have tripped");
         assert_eq!(failure.country, Some(us));
         assert_eq!(failure.error.max_events, 5);
 
-        let (after, f) = run_shard(&cfg, &catalog, &model, &chunk_b, 40, 1);
+        let (after, f) = run_shard(&cfg, &catalog, &model, &chunk_b, 100, 1);
         assert!(f.is_none());
         assert_eq!(solo, after, "wedged shard poisoned its sibling's results");
     }
@@ -669,12 +613,8 @@ mod tests {
         // abandons its range. Budget 0 fails the study but carries full
         // per-shard context; a generous budget completes the run with
         // the same failures attached to the outcome.
-        let base = StudyConfig {
-            threads: 4,
-            batch: 8,
-            max_net_events: Some(5),
-            ..StudyConfig::study1(2_000, 47)
-        };
+        let base =
+            StudyConfig { threads: 4, max_net_events: Some(5), ..StudyConfig::study1(2_000, 47) };
         let err = run_study(&StudyConfig { shard_fault_budget: 0, ..base.clone() }).unwrap_err();
         let StudyError::FaultBudget { failures, budget } = err;
         assert_eq!(budget, 0);

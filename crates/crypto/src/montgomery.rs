@@ -96,11 +96,6 @@ impl MontgomeryCtx {
         Ok(MontgomeryCtx { one: fixed_limbs(&r_mod_n, k), r2: fixed_limbs(&r2_big, k), n, n0_inv })
     }
 
-    /// Number of limbs `k` in the modulus.
-    pub fn limb_count(&self) -> usize {
-        self.n.len()
-    }
-
     /// The modulus this context reduces by.
     pub fn modulus(&self) -> Ubig {
         Ubig::from_limbs(self.n.clone())

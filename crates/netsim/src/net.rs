@@ -405,11 +405,6 @@ impl Network {
         self.listeners.insert((addr, port), factory);
     }
 
-    /// Remove a listener.
-    pub fn unlisten(&mut self, addr: Ipv4, port: u16) {
-        self.listeners.remove(&(addr, port));
-    }
-
     /// Install an interceptor on `client`'s path (at most one per client;
     /// the corpus never shows stacked proxies from one vantage point).
     pub fn install_interceptor(&mut self, client: Ipv4, interceptor: Box<dyn Interceptor>) {

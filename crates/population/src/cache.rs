@@ -1,19 +1,18 @@
-//! The shared substitute-chain cache.
+//! The process-wide substitute-chain cache.
 //!
 //! Real interception products cache the substitute certificate they mint
-//! per site; the simulator does the same, but study runs shard
-//! impressions across OS threads, and before this module every worker
-//! owned a private [`crate::SubstituteFactory`] cache — so each thread
-//! re-minted (and re-signed, at RSA cost) the *same* per-host substitute
-//! the thread next door already had. A [`SubstituteCache`] is shared
-//! across all workers of a study via `Arc`, so every `(host, era,
-//! product)` chain is minted exactly once per run.
+//! per site; the simulator does the same. Every product has one
+//! [`crate::SubstituteFactory`] per process, and all of them mint into
+//! the one [`process_cache`], shared by every worker thread of every
+//! study in the process, so each `(product, host, variant)` chain is
+//! minted exactly once per process.
 //!
 //! ## Determinism contract
 //!
-//! The cache must not make study output depend on thread scheduling.
-//! That holds because a cached chain is a **pure function of its key**,
-//! never of which impression happened to mint it first:
+//! The cache must not make study output depend on thread scheduling or
+//! on which study ran first. That holds because a cached chain is a
+//! **pure function of its key**, never of which impression, study or
+//! era happened to mint it first:
 //!
 //! * all key material (root key, leaf-key pool) is derived from stable
 //!   per-product seeds ([`crate::keys`]);
@@ -25,7 +24,9 @@
 //!   wildcard-IP subjects, the upstream issuer for issuer-copying
 //!   products — are folded into [`SubstituteKey::variant`], so two
 //!   impressions with different mint inputs can never collide on one
-//!   cache slot.
+//!   cache slot;
+//! * nothing about the study era enters a mint, so the two eras share
+//!   every chain they both request.
 //!
 //! Under that contract a lost race is harmless (both minters produce
 //! byte-identical chains), but the cache still mints each key exactly
@@ -46,7 +47,6 @@ use tlsfoe_crypto::memo::Memo;
 use tlsfoe_tls::server::ServerConfig;
 use tlsfoe_x509::Certificate;
 
-use crate::model::StudyEra;
 use crate::products::ProductId;
 
 /// Cache key: which chain, for whom.
@@ -54,9 +54,6 @@ use crate::products::ProductId;
 pub struct SubstituteKey {
     /// The minting product.
     pub product: ProductId,
-    /// Study era the owning model runs under (eras are simulated in one
-    /// process by `exp_all`; their mints must not alias).
-    pub era: StudyEra,
     /// Probed hostname (SNI) the substitute covers.
     pub host: String,
     /// Hash of mint inputs beyond the hostname (destination /24 for
@@ -83,28 +80,21 @@ pub struct SubstituteEntry {
     pub config: Arc<ServerConfig>,
 }
 
-/// Minted substitute chains (plus their serving configs), shared across
-/// all worker threads of a study run; filled by
+/// Minted substitute chains (plus their serving configs); filled by
 /// [`crate::SubstituteFactory::substitute_entry`], which builds each
 /// entry's `ServerConfig` in its mint.
 pub type SubstituteCache = Memo<SubstituteKey, SubstituteEntry>;
 
-/// The process-wide substitute cache every [`crate::PopulationModel`]
-/// shares by default (the mint-path sibling of [`crate::keys`]' key
-/// cache).
+/// The process-wide substitute cache every product's factory mints into
+/// (the mint-path sibling of [`crate::keys`]' key cache).
 ///
 /// `exp_all` runs seven studies in one process; before this cache went
-/// process-wide each study's model owned a private cache and re-minted —
-/// at RSA-signature cost — the same `(product, era, host, variant)`
+/// process-wide each study re-minted — at RSA-signature cost — the same
 /// chains its six siblings had already built. Sharing is sound because
-/// the key carries the era (so cross-era mints cannot alias) and every
-/// entry is a pure function of its key (the determinism contract above):
-/// whichever study mints a chain first, every later study reads the same
-/// bytes it would have minted itself.
-///
-/// Tests and benches that need exact `len()`/`stats()` accounting build
-/// a private model via [`crate::PopulationModel::with_private_cache`]
-/// instead of asserting against this shared instance.
+/// every entry is a pure function of its `(product, host, variant)` key
+/// (the determinism contract above): whichever study or era mints a
+/// chain first, every later one reads the same bytes it would have
+/// minted itself.
 pub fn process_cache() -> Arc<SubstituteCache> {
     static CACHE: OnceLock<Arc<SubstituteCache>> = OnceLock::new();
     CACHE.get_or_init(|| Arc::new(SubstituteCache::unbounded())).clone()
@@ -115,12 +105,7 @@ mod tests {
     use super::*;
 
     fn key(host: &str, variant: u64) -> SubstituteKey {
-        SubstituteKey {
-            product: ProductId(3),
-            era: StudyEra::Study1,
-            host: host.to_string(),
-            variant,
-        }
+        SubstituteKey { product: ProductId(3), host: host.to_string(), variant }
     }
 
     fn entry() -> SubstituteEntry {
@@ -134,11 +119,9 @@ mod tests {
         cache.get_or_insert_with(key("a.example", 0), entry);
         cache.get_or_insert_with(key("b.example", 0), entry);
         cache.get_or_insert_with(key("a.example", 1), entry); // variant differs
-        let other_era = SubstituteKey { era: StudyEra::Study2, ..key("a.example", 0) };
-        cache.get_or_insert_with(other_era, entry);
         let other_product = SubstituteKey { product: ProductId(4), ..key("a.example", 0) };
         cache.get_or_insert_with(other_product, entry);
-        assert_eq!(cache.len(), 5);
-        assert_eq!(cache.stats(), (0, 5));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats(), (0, 4));
     }
 }

@@ -4,17 +4,24 @@
 //! injected root CA and the leaf substitutes it mints per probed host —
 //! with all the behaviours the paper catalogued (issuer forgery, key-size
 //! downgrades, MD5 signatures, subject mutations, shared leaf keys).
-//! Substitutes are cached per host, as real proxies cache them per site;
-//! the cache is a [`SubstituteCache`] that a [`crate::PopulationModel`]
-//! shares across every factory *and every worker thread* of a study run.
+//!
+//! Each catalog product has one factory per process, built on first use
+//! into its slot of a process-wide table (the mint-path sibling of the
+//! [`keys`] cache its root key comes from) and reached through
+//! [`crate::PopulationModel::factory`]. Its root certificate is a pure
+//! function of the product, so every model of every era shares it and
+//! each root is self-signed once per process. Substitutes are cached per
+//! host, as real proxies cache them per site, in the process-wide
+//! [`crate::cache::process_cache`] under `(product, host, variant)` keys.
 //!
 //! Minting is a pure function of the cache key (see [`crate::cache`]'s
 //! determinism contract): serial numbers come from a DRBG seeded by
 //! `(product, host, variant)`, leaf keys from the stable [`keys`] seeds —
-//! so a chain's bytes never depend on mint order or thread scheduling.
+//! so a chain's bytes never depend on mint order, thread scheduling or
+//! the study era.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_crypto::RsaKeyPair;
@@ -25,10 +32,9 @@ use tlsfoe_x509::name::{DistinguishedName, NameBuilder};
 use tlsfoe_x509::time::Time;
 use tlsfoe_x509::{Certificate, CertificateBuilder};
 
-use crate::cache::{SubstituteCache, SubstituteEntry, SubstituteKey};
+use crate::cache::{process_cache, SubstituteCache, SubstituteEntry, SubstituteKey};
 use crate::keys;
-use crate::model::StudyEra;
-use crate::products::{ProductId, ProductSpec, SubjectStyle};
+use crate::products::{catalog, ProductId, ProductSpec, SubjectStyle};
 
 /// Number of leaf keys in a non-shared product's pool. Real products
 /// reuse a few keys across installs; the IopFail malware's pool size is
@@ -45,6 +51,43 @@ pub(crate) fn leaf_slot(spec: &ProductSpec, host: &str) -> u16 {
     (fnv(host) % pool as u64) as u16
 }
 
+/// One catalog product's slot in the process-wide factory table.
+pub(crate) struct FactorySlot {
+    product: ProductId,
+    spec: ProductSpec,
+    factory: OnceLock<Arc<SubstituteFactory>>,
+}
+
+impl FactorySlot {
+    /// The product's process-wide factory, built (and its root
+    /// self-signed) on first use. `OnceLock` makes racing threads wait
+    /// for the one build.
+    pub(crate) fn factory(&self) -> Arc<SubstituteFactory> {
+        self.factory
+            .get_or_init(|| {
+                Arc::new(SubstituteFactory::new(self.product, self.spec.clone(), process_cache()))
+            })
+            .clone()
+    }
+}
+
+/// The process-wide factory table: one slot per catalog product, in
+/// catalog order ([`ProductId`] is the position).
+pub(crate) fn slots() -> &'static [FactorySlot] {
+    static SLOTS: OnceLock<Vec<FactorySlot>> = OnceLock::new();
+    SLOTS.get_or_init(|| {
+        catalog()
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| FactorySlot {
+                product: ProductId(i as u16),
+                spec,
+                factory: OnceLock::new(),
+            })
+            .collect()
+    })
+}
+
 /// One product's certificate mint.
 ///
 /// Minting cost is dominated by the root key's RSA signature over each
@@ -56,30 +99,21 @@ pub struct SubstituteFactory {
     /// The product this factory belongs to.
     pub product: ProductId,
     spec: ProductSpec,
-    era: StudyEra,
     root_key: Arc<RsaKeyPair>,
     root_cert: Certificate,
-    /// Minted chains — usually the owning model's shared cache.
+    /// Minted chains: the process-wide cache, or a unit test's own.
     cache: Arc<SubstituteCache>,
     /// Chains actually minted (cache misses) through this factory.
     minted: AtomicUsize,
 }
 
 impl SubstituteFactory {
-    /// Build a standalone factory with a private cache (tests, one-off
-    /// labs). Study runs use [`SubstituteFactory::with_cache`] through
-    /// [`crate::PopulationModel::factory`] instead, so chains are shared
-    /// across products and threads.
-    pub fn new(product: ProductId, spec: ProductSpec) -> SubstituteFactory {
-        Self::with_cache(product, spec, StudyEra::Study1, Arc::new(SubstituteCache::unbounded()))
-    }
-
-    /// Build the factory (generates/loads the product's key material),
-    /// minting into `cache` under `(product, era, host, …)` keys.
-    pub fn with_cache(
+    /// Build the factory (loads the product's root key and self-signs its
+    /// root certificate), minting into `cache`. Only the process-wide
+    /// table ([`FactorySlot::factory`]) and this module's tests build one.
+    fn new(
         product: ProductId,
         spec: ProductSpec,
-        era: StudyEra,
         cache: Arc<SubstituteCache>,
     ) -> SubstituteFactory {
         let root_key = keys::keypair(keys::root_seed(product.0), 2048);
@@ -91,15 +125,7 @@ impl SubstituteFactory {
             .ca(None)
             .self_sign(&root_key)
             .expect("root self-sign");
-        SubstituteFactory {
-            product,
-            spec,
-            era,
-            root_key,
-            root_cert,
-            cache,
-            minted: AtomicUsize::new(0),
-        }
+        SubstituteFactory { product, spec, root_key, root_cert, cache, minted: AtomicUsize::new(0) }
     }
 
     /// The product's behaviour spec.
@@ -144,8 +170,7 @@ impl SubstituteFactory {
         upstream_leaf: Option<&Certificate>,
     ) -> SubstituteEntry {
         let variant = self.mint_variant(dst, upstream_leaf);
-        let key =
-            SubstituteKey { product: self.product, era: self.era, host: host.to_string(), variant };
+        let key = SubstituteKey { product: self.product, host: host.to_string(), variant };
         self.cache.get_or_insert_with(key, || {
             self.minted.fetch_add(1, Ordering::Relaxed);
             let chain = Arc::new(self.mint(host, dst, upstream_leaf, variant));
@@ -268,10 +293,12 @@ fn fnv(s: &str) -> u64 {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::products::{catalog, SubjectStyle};
+    use crate::model::StudyEra;
     use tlsfoe_x509::cert::SignatureAlgorithm;
     use tlsfoe_x509::RootStore;
 
+    /// A fresh factory minting into a cache of its own, so its counts
+    /// are exact whatever else the test binary mints.
     fn factory_for(name: &str) -> SubstituteFactory {
         let specs = catalog();
         let (i, spec) = specs
@@ -279,7 +306,30 @@ mod tests {
             .enumerate()
             .find(|(_, s)| s.display_name() == name)
             .unwrap_or_else(|| panic!("{name} not in catalog"));
-        SubstituteFactory::new(ProductId(i as u16), spec.clone())
+        SubstituteFactory::new(
+            ProductId(i as u16),
+            spec.clone(),
+            Arc::new(SubstituteCache::unbounded()),
+        )
+    }
+
+    /// An upstream leaf for tlsresearch.byu.edu whose issuer is
+    /// "DigiCert Inc" / `issuer_cn`, signed by the stand-in CA key
+    /// `keys::keypair(999_001, 512)`.
+    fn upstream_leaf(issuer_cn: &str) -> Certificate {
+        let upstream_ca = keys::keypair(999_001, 512);
+        let upstream_leaf_key = keys::keypair(999_002, 512);
+        let issuer = NameBuilder::new()
+            .country("US")
+            .organization("DigiCert Inc")
+            .common_name(issuer_cn)
+            .build();
+        CertificateBuilder::new()
+            .issuer(issuer)
+            .subject(NameBuilder::new().common_name("tlsresearch.byu.edu").build())
+            .san_dns(&["tlsresearch.byu.edu"])
+            .sign(&upstream_leaf_key.public, &upstream_ca)
+            .unwrap()
     }
 
     fn dst() -> Ipv4 {
@@ -340,54 +390,64 @@ mod tests {
     }
 
     #[test]
-    fn cross_study_stampede_mints_each_chain_exactly_once() {
-        // The process-wide-cache sibling of the single-factory stampede
-        // above: two factories with the same (product, era) minting into
-        // ONE shared cache — exactly what two studies' models do through
-        // `cache::process_cache` — race from 8 threads over the same host
-        // set. Every chain must be minted exactly once across BOTH
-        // factories (first-mints-only), and both must serve identical
-        // bytes. A private shared cache keeps the counts exact under
-        // `cargo test`'s process-wide parallelism.
-        let specs = catalog();
-        let shared = std::sync::Arc::new(SubstituteCache::unbounded());
-        let mk = || {
-            std::sync::Arc::new(SubstituteFactory::with_cache(
-                ProductId(0),
-                specs[0].clone(),
-                StudyEra::Study1,
-                shared.clone(),
-            ))
+    fn cached_entries_match_uncached_mints() {
+        // The reference the process-wide cache is held to, now that every
+        // study of either era reads whichever chain was minted first:
+        // every lookup returns byte for byte what an uncached mint of its
+        // own inputs returns, and a repeated key (another destination for
+        // a host-only product, or a later era) reads the entry minted
+        // first. Covers every product of both eras on a host of each
+        // era's catalog, a wildcard-IP product toward two destination
+        // /24s and an issuer-copying product behind two upstream issuers.
+        let cache = Arc::new(SubstituteCache::unbounded());
+        let factories: Vec<SubstituteFactory> = catalog()
+            .into_iter()
+            .enumerate()
+            .filter(|(_, spec)| spec.w1 > 0.0 || spec.w2 > 0.0)
+            .map(|(i, spec)| SubstituteFactory::new(ProductId(i as u16), spec, cache.clone()))
+            .collect();
+        let dsts = [Ipv4([203, 0, 113, 9]), Ipv4([198, 51, 100, 7])];
+        let upstream =
+            [upstream_leaf("DigiCert High Assurance CA-3"), upstream_leaf("DigiCert Global CA")];
+        let ders = |chain: &[Certificate]| -> Vec<Vec<u8>> {
+            chain.iter().map(|c| c.to_der().to_vec()).collect()
         };
-        let (study_a, study_b) = (mk(), mk());
-        let distinct_hosts = 12;
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                // Odd threads act as study A, even threads as study B.
-                let f = if t % 2 == 0 { study_a.clone() } else { study_b.clone() };
-                s.spawn(move || {
-                    for i in 0..distinct_hosts * 4 {
-                        let h = format!("x{}.example", (i + t) % distinct_hosts);
-                        f.substitute_chain(&h, dst(), None);
+        let mut minted: std::collections::HashMap<SubstituteKey, Arc<Vec<Certificate>>> =
+            std::collections::HashMap::new();
+        let (mut wildcard_keys, mut copied_keys) = (0, 0);
+        for (era, host) in [
+            (StudyEra::Study1, "tlsresearch.byu.edu"),
+            (StudyEra::Study2, "tlsresearch.byu.edu"),
+            (StudyEra::Study2, "qq.com"),
+        ] {
+            for f in factories.iter().filter(|f| f.spec.era_weight(era) > 0.0) {
+                let inputs: Vec<(Ipv4, Option<&Certificate>)> = if f.spec.copy_issuer {
+                    upstream.iter().map(|up| (dsts[0], Some(up))).collect()
+                } else {
+                    dsts.iter().map(|&dst| (dst, None)).collect()
+                };
+                for (dst, up) in inputs {
+                    let entry = f.substitute_entry(host, dst, up);
+                    let variant = f.mint_variant(dst, up);
+                    let key = SubstituteKey { product: f.product, host: host.to_string(), variant };
+                    assert_eq!(
+                        ders(&entry.chain),
+                        ders(&f.mint(host, dst, up, variant)),
+                        "{key:?} toward {dst:?}"
+                    );
+                    if let Some(first) = minted.get(&key) {
+                        assert!(Arc::ptr_eq(first, &entry.chain), "{key:?} was minted twice");
+                        continue;
                     }
-                });
+                    wildcard_keys += usize::from(variant != 0 && !f.spec.copy_issuer);
+                    copied_keys += usize::from(variant != 0 && f.spec.copy_issuer);
+                    minted.insert(key, entry.chain);
+                }
             }
-        });
-        assert_eq!(
-            study_a.minted() + study_b.minted(),
-            distinct_hosts,
-            "one mint per distinct chain across both studies (a {} + b {})",
-            study_a.minted(),
-            study_b.minted()
-        );
-        let (_, misses) = shared.stats();
-        assert_eq!(misses as usize, distinct_hosts);
-        for i in 0..distinct_hosts {
-            let h = format!("x{i}.example");
-            let a = study_a.substitute_chain(&h, dst(), None);
-            let b = study_b.substitute_chain(&h, dst(), None);
-            assert!(std::sync::Arc::ptr_eq(&a, &b), "both studies must serve one chain");
         }
+        assert!(wildcard_keys >= 2 && copied_keys >= 2, "{wildcard_keys} and {copied_keys}");
+        assert_eq!(cache.len(), minted.len(), "one entry per distinct key");
+        assert_eq!(cache.stats().1 as usize, minted.len(), "one mint per distinct key");
     }
 
     #[test]
@@ -440,26 +500,14 @@ mod tests {
 
     #[test]
     fn digicert_forger_copies_upstream_issuer() {
-        // Build a fake upstream cert issued by "DigiCert High Assurance
-        // CA-3" and check the forger copies that issuer verbatim.
-        let upstream_ca = keys::keypair(999_001, 512);
-        let upstream_leaf_key = keys::keypair(999_002, 512);
-        let issuer = NameBuilder::new()
-            .country("US")
-            .organization("DigiCert Inc")
-            .common_name("DigiCert High Assurance CA-3")
-            .build();
-        let upstream = CertificateBuilder::new()
-            .issuer(issuer.clone())
-            .subject(NameBuilder::new().common_name("tlsresearch.byu.edu").build())
-            .san_dns(&["tlsresearch.byu.edu"])
-            .sign(&upstream_leaf_key.public, &upstream_ca)
-            .unwrap();
-
+        // A fake upstream cert issued by "DigiCert High Assurance CA-3":
+        // the forger must copy that issuer verbatim.
+        let upstream = upstream_leaf("DigiCert High Assurance CA-3");
         let f = factory_for("DigiCert Inc");
         let chain = f.substitute_chain("tlsresearch.byu.edu", dst(), Some(&upstream));
-        assert_eq!(chain[0].tbs.issuer, issuer, "issuer must be copied verbatim");
+        assert_eq!(chain[0].tbs.issuer, upstream.tbs.issuer, "issuer must be copied verbatim");
         // But the signature is NOT DigiCert's — it's the proxy's root.
+        let upstream_ca = keys::keypair(999_001, 512);
         assert!(chain[0].verify_signature_with(&upstream_ca.public).is_err());
         assert!(chain[0].verify_signature_with(&f.root_public().clone()).is_ok());
     }

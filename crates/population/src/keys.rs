@@ -322,15 +322,12 @@ mod tests {
         // for that host and product. Compared by key, so sibling tests
         // sharing the process-wide cache cannot perturb it. Bitdefender
         // has a three-slot pool, IopFail one shared key.
-        use crate::factory::SubstituteFactory;
-        use crate::products::ProductId;
         use tlsfoe_netsim::Ipv4;
         let catalog = crate::products::catalog();
         for name in ["Bitdefender", "IopFailZeroAccessCreate"] {
-            let (i, spec) =
-                catalog.iter().enumerate().find(|(_, s)| s.display_name() == name).unwrap();
+            let i = catalog.iter().position(|s| s.display_name() == name).unwrap();
             let product = i as u16;
-            let factory = SubstituteFactory::new(ProductId(product), spec.clone());
+            let factory = crate::factory::slots()[i].factory();
             let namespace = leaf_seed(product, 0) >> 16;
             for host in ["tlsresearch.byu.edu", "www.facebook.com", "a.example", "b.example"] {
                 let all = leaf_key_specs(StudyEra::Study1, &[host]);

@@ -14,10 +14,13 @@
 //!   forgery, subject mutation, shared keys),
 //! * [`keys`] — deterministic per-product key material (cached; the
 //!   IopFail malware's single shared 512-bit leaf key lives here),
-//! * [`cache`] — the substitute-chain cache (a `tlsfoe_crypto::Memo`)
-//!   one [`PopulationModel`] shares across every factory and worker
-//!   thread (with the determinism contract that makes that safe),
-//! * [`factory`] — substitute-certificate minting per product behaviour,
+//! * [`cache`] — the process-wide substitute-chain cache (a
+//!   `tlsfoe_crypto::Memo`) keyed by `(product, host, variant)`, which
+//!   every factory, worker thread and study of either era shares (with
+//!   the determinism contract that makes that safe),
+//! * [`factory`] — substitute-certificate minting per product behaviour:
+//!   one process-wide factory per catalog product, whose injected root
+//!   is self-signed once per process,
 //! * [`proxy`] — the actual TLS proxy: a netsim [`tlsfoe_netsim::net::Interceptor`]
 //!   that terminates TLS client-side with a substitute chain, optionally
 //!   validates upstream (Bitdefender blocks forged upstreams; Kurupira

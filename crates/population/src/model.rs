@@ -4,9 +4,15 @@
 //! per-country interception rates (the "Percent" columns of Tables 3
 //! and 7) and the product mix (Table 4 weights with geographic biases).
 //! The measurement pipeline must *recover* these numbers end-to-end.
+//!
+//! A model holds no certificate machinery of its own:
+//! [`PopulationModel::factory`] hands out the one process-wide factory
+//! per catalog product ([`crate::factory`]), whose chains are cached
+//! under `(product, host, variant)` keys ([`crate::cache`]), so models
+//! of either era share every root and chain.
 
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tlsfoe_crypto::drbg::RngCore64;
 use tlsfoe_geo::countries::{self, CountryCode};
@@ -14,7 +20,6 @@ use tlsfoe_netsim::Ipv4;
 use tlsfoe_x509::time::Time;
 use tlsfoe_x509::{RootStore, VerifyMemo};
 
-use crate::cache::SubstituteCache;
 use crate::factory::SubstituteFactory;
 use crate::products::{self, CountryBias, ProductId, ProductSpec};
 use crate::proxy::TlsProxy;
@@ -45,18 +50,12 @@ pub struct ClientProfile {
 /// The generative population model.
 ///
 /// `Send + Sync`: one model is built per study run and shared across all
-/// worker threads via `Arc` — the factories (and through them the
-/// [`SubstituteCache`]) are the shared state that stops every thread
-/// re-minting identical per-host substitutes.
+/// worker threads. The product factories it hands out
+/// ([`PopulationModel::factory`]) are process-wide, so every model of
+/// either era shares their roots and every chain they mint.
 pub struct PopulationModel {
     era: StudyEra,
     specs: Vec<ProductSpec>,
-    factories: Vec<OnceLock<Arc<SubstituteFactory>>>,
-    /// Minted substitute chains, shared by every factory of this model —
-    /// by default the process-wide [`crate::cache::process_cache`], so
-    /// chains are also shared *across* models/studies of one process
-    /// (keyed by `(product, era, host, variant)` — see [`crate::cache`]).
-    substitutes: Arc<SubstituteCache>,
     /// Mega-popular hosts that whitelist-capable products skip.
     popular_whitelist: Arc<HashSet<String>>,
     /// Trust store interception products use to validate upstream.
@@ -79,31 +78,13 @@ impl PopulationModel {
     /// use them.
     ///
     /// Substitute chains mint into the process-wide
-    /// [`crate::cache::process_cache`]: a second model of the same era
-    /// (another study in the same run, `exp_all`'s boosted re-runs)
-    /// reuses every chain the first one minted instead of re-signing it.
-    /// Tests and benches that assert exact cache accounting should use
-    /// [`PopulationModel::with_private_cache`].
+    /// [`crate::cache::process_cache`] through the process-wide factories:
+    /// a later model of either era (another study in the same run,
+    /// `exp_all`'s boosted re-runs) reuses every root and chain an
+    /// earlier one built instead of re-signing it.
     pub fn new(era: StudyEra, public_roots: Arc<RootStore>) -> PopulationModel {
-        Self::with_cache(era, public_roots, crate::cache::process_cache())
-    }
-
-    /// Like [`PopulationModel::new`], but minting into a fresh cache
-    /// private to this model — for tests/benches that count mints or
-    /// measure cold-mint cost, and for the per-study ablation knob
-    /// (`StudyConfig::private_substitute_cache` in `tlsfoe_core`).
-    pub fn with_private_cache(era: StudyEra, public_roots: Arc<RootStore>) -> PopulationModel {
-        Self::with_cache(era, public_roots, Arc::new(SubstituteCache::unbounded()))
-    }
-
-    fn with_cache(
-        era: StudyEra,
-        public_roots: Arc<RootStore>,
-        substitutes: Arc<SubstituteCache>,
-    ) -> PopulationModel {
         public_roots.warm_verify_ctxs();
         let specs = products::catalog();
-        let factories = specs.iter().map(|_| OnceLock::new()).collect();
         let mut popular = HashSet::new();
         // The Facebook-class hosts of the era (none of the paper's 18
         // probe targets are in this class — §6.3's key point).
@@ -120,8 +101,6 @@ impl PopulationModel {
         PopulationModel {
             era,
             specs,
-            factories,
-            substitutes,
             popular_whitelist: Arc::new(popular),
             public_roots,
             verify_memo: Arc::new(VerifyMemo::default()),
@@ -132,11 +111,6 @@ impl PopulationModel {
         }
     }
 
-    /// The shared substitute-chain cache (for stats and tests).
-    pub fn substitute_cache(&self) -> &SubstituteCache {
-        &self.substitutes
-    }
-
     /// The product catalog in use.
     pub fn specs(&self) -> &[ProductSpec] {
         &self.specs
@@ -145,11 +119,6 @@ impl PopulationModel {
     /// The era's validation timestamp.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The mega-popular host set (for baseline experiments).
-    pub fn popular_hosts(&self) -> Arc<HashSet<String>> {
-        self.popular_whitelist.clone()
     }
 
     /// Per-country interception probability — the ground truth the study
@@ -287,31 +256,36 @@ impl PopulationModel {
             && spec.category == crate::products::ProxyCategory::Organization
     }
 
-    /// Pre-mint every deterministic variant-0 substitute chain for
-    /// `hosts` across up to `threads` OS threads — the mint-path sibling
+    /// Build the factory of every product active in this era and
+    /// pre-mint every deterministic variant-0 substitute chain for
+    /// `hosts`, across up to `threads` OS threads — the mint-path sibling
     /// of `tlsfoe_population::keys::warm_keys`.
     ///
-    /// Enumerates the `(product, era, host)` chains a study run can
-    /// request lazily: every product active in this era whose mint is a
-    /// function of the hostname alone
-    /// ([`ProductSpec::mints_from_host_alone`] — wildcard-IP and
-    /// issuer-copying products also fold per-connection inputs into the
-    /// cache variant, so their chains cannot be enumerated up front),
-    /// skipping `(product, host)` pairs the product whitelists (those
-    /// splice and never mint). Each chain is minted exactly once into the
-    /// model-wide [`SubstituteCache`] under its real key, so the session
-    /// hot path turns misses (one root-key RSA signature each, which every
-    /// racing lookup of that chain waits on) into hits.
+    /// Every era-active factory is built first, each self-signing its
+    /// root, so no drive builds one. That includes the products whose
+    /// chains cannot be enumerated: wildcard-IP and issuer-copying
+    /// products fold per-connection inputs into the cache variant
+    /// ([`ProductSpec::mints_from_host_alone`]), so a drive still mints
+    /// their chains, but never their roots.
     ///
-    /// Determinism: chains are pure functions of their cache key (the
-    /// [`crate::cache`] contract), so warming changes *when* signatures
-    /// are paid — never a byte of study output, at any thread count.
-    /// Mint accounting stays exact: prewarmed chains count toward their
-    /// factory's [`crate::SubstituteFactory::minted`] exactly once, and
-    /// later sessions hit the cache instead of re-minting.
+    /// Then it enumerates the `(product, host)` chains a study run can
+    /// request lazily: every era-active product that mints from the
+    /// hostname alone, paired with every host it would not whitelist
+    /// (those splice and never mint). Each chain is minted exactly once
+    /// into the process-wide [`crate::cache::process_cache`] under its
+    /// real key, so the session hot path turns misses (one root-key RSA
+    /// signature each, which every racing lookup of that chain waits on)
+    /// into hits.
+    ///
+    /// Determinism: factories and chains are pure functions of their
+    /// product and cache key (the [`crate::cache`] contract), so warming
+    /// changes *when* signatures are paid — never a byte of study output,
+    /// at any thread count.
     pub fn warm_substitutes(&self, hosts: &[&str], threads: usize) {
+        let products: Vec<ProductId> = self.active_products().map(|(product, _)| product).collect();
+        crate::par_for_each(&products, threads, |&product| drop(self.factory(product)));
         // The destination address is irrelevant for host-only mints (only
-        // wildcard-IP subjects read it, and they are excluded above).
+        // wildcard-IP subjects read it, and the enumeration excludes them).
         let dst = Ipv4([0, 0, 0, 0]);
         crate::par_for_each(&self.warmable_chains(hosts), threads, |&(product, host)| {
             self.factory(product).substitute_entry(host, dst, None);
@@ -320,11 +294,20 @@ impl PopulationModel {
 
     /// Number of `(product, host)` chains
     /// [`warm_substitutes`](Self::warm_substitutes) would mint for
-    /// `hosts` — the exact-accounting denominator for tests and
-    /// `exp_perf`. Shares the private `warmable_chains` enumeration with
-    /// the warm itself, so the two can never disagree about what counts.
+    /// `hosts`. Shares the private `warmable_chains` enumeration with the
+    /// warm itself, so the two can never disagree about what counts.
     pub fn warm_substitute_count(&self, hosts: &[&str]) -> usize {
         self.warmable_chains(hosts).len()
+    }
+
+    /// Every product active in this era: the ones its studies can
+    /// sample, and so build factories for.
+    fn active_products(&self) -> impl Iterator<Item = (ProductId, &ProductSpec)> {
+        self.specs
+            .iter()
+            .enumerate()
+            .filter(|(_, spec)| spec.era_weight(self.era) > 0.0)
+            .map(|(i, spec)| (ProductId(i as u16), spec))
     }
 
     /// The one enumeration both [`warm_substitutes`]
@@ -333,38 +316,25 @@ impl PopulationModel {
     /// every era-active, host-only-minting product paired with every
     /// host it would not whitelist.
     fn warmable_chains<'a>(&self, hosts: &[&'a str]) -> Vec<(ProductId, &'a str)> {
-        self.specs
-            .iter()
-            .enumerate()
-            .filter(|(_, spec)| spec.era_weight(self.era) > 0.0 && spec.mints_from_host_alone())
-            .flat_map(|(i, spec)| {
+        self.active_products()
+            .filter(|(_, spec)| spec.mints_from_host_alone())
+            .flat_map(|(product, spec)| {
                 hosts
                     .iter()
                     .filter(|host| {
                         !(spec.whitelists_popular && self.popular_whitelist.contains(**host))
                     })
-                    .map(move |&host| (ProductId(i as u16), host))
+                    .map(move |&host| (product, host))
             })
             .collect()
     }
 
-    /// The (lazily built, shared) substitute factory for a product.
-    ///
-    /// Built at most once per model — `OnceLock` blocks racing threads —
-    /// and wired to the model-wide substitute cache, so concurrent
-    /// worker threads share both the factory's key material and every
-    /// chain it mints.
+    /// The substitute factory for a product: the one process-wide
+    /// factory of that catalog product, built on first use (`OnceLock`
+    /// blocks racing threads), so every model and worker thread shares
+    /// its root and every chain it mints.
     pub fn factory(&self, product: ProductId) -> Arc<SubstituteFactory> {
-        self.factories[product.0 as usize]
-            .get_or_init(|| {
-                Arc::new(SubstituteFactory::with_cache(
-                    product,
-                    self.specs[product.0 as usize].clone(),
-                    self.era,
-                    self.substitutes.clone(),
-                ))
-            })
-            .clone()
+        crate::factory::slots()[product.0 as usize].factory()
     }
 
     /// Build the interceptor to install for a client running `product`.
@@ -402,18 +372,31 @@ impl PopulationModel {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::cache::{process_cache, SubstituteKey};
     use tlsfoe_crypto::drbg::Drbg;
     use tlsfoe_geo::countries::by_code;
+    use tlsfoe_x509::Certificate;
 
     fn model(era: StudyEra) -> PopulationModel {
         PopulationModel::new(era, Arc::new(RootStore::new()))
     }
 
-    /// A model with a cache private to the test — exact `len()`/`stats()`
-    /// assertions would race with every other test minting into the
-    /// process-wide cache.
-    fn private_model(era: StudyEra) -> PopulationModel {
-        PopulationModel::with_private_cache(era, Arc::new(RootStore::new()))
+    // The factories and the substitute cache are process-wide, and the
+    // test harness runs this binary's tests in parallel, so mint counts
+    // are not exact here. Each test below mints host names no other test
+    // mints and asserts cache presence or `Arc::ptr_eq`; exact counts
+    // live in `factory`'s tests, on fresh factories.
+
+    fn key(product: ProductId, host: &str) -> SubstituteKey {
+        SubstituteKey { product, host: host.to_string(), variant: 0 }
+    }
+
+    /// The process-wide cache's chain for `(product, host, 0)`, which
+    /// must already be minted.
+    fn cached(product: ProductId, host: &str) -> Arc<Vec<Certificate>> {
+        process_cache()
+            .get_or_insert_with(key(product, host), || panic!("{product:?} {host} is not cached"))
+            .chain
     }
 
     #[test]
@@ -523,10 +506,13 @@ mod tests {
 
     #[test]
     fn factories_are_shared() {
-        let m = model(StudyEra::Study1);
-        let a = m.factory(ProductId(0));
-        let b = m.factory(ProductId(0));
+        // One factory per product per process: every model of either era
+        // hands out the same one, so its root is self-signed once.
+        let a = model(StudyEra::Study1).factory(ProductId(0));
+        let b = model(StudyEra::Study1).factory(ProductId(0));
+        let c = model(StudyEra::Study2).factory(ProductId(0));
         assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, &c), "the eras must share the factory");
     }
 
     #[test]
@@ -536,153 +522,97 @@ mod tests {
     }
 
     #[test]
-    fn factories_share_the_model_cache() {
-        use tlsfoe_netsim::Ipv4;
-        let m = private_model(StudyEra::Study1);
-        let f0 = m.factory(ProductId(0));
-        let f1 = m.factory(ProductId(1));
-        f0.substitute_chain("shared.example", Ipv4([203, 0, 113, 2]), None);
-        f1.substitute_chain("shared.example", Ipv4([203, 0, 113, 2]), None);
-        // Both mints landed in the one model-wide cache, under distinct
-        // per-product keys.
-        assert_eq!(m.substitute_cache().len(), 2);
+    fn factories_mint_into_the_process_cache() {
+        let m = model(StudyEra::Study1);
+        let host = "factories-share.example";
+        for product in [ProductId(0), ProductId(1)] {
+            m.factory(product).substitute_chain(host, Ipv4([203, 0, 113, 2]), None);
+            // Each mint landed in the one process-wide cache, under its
+            // own per-product key.
+            assert!(process_cache().contains(&key(product, host)), "{product:?}");
+        }
     }
 
     #[test]
-    fn warm_substitutes_mints_each_chain_exactly_once() {
-        use tlsfoe_netsim::Ipv4;
-        let m = private_model(StudyEra::Study1);
+    fn warm_substitutes_fills_the_chains_sessions_read() {
+        let m = model(StudyEra::Study1);
         let hosts = ["warm-a.example", "warm-b.example"];
-        let expected = m.warm_substitute_count(&hosts);
-        assert!(expected > 0, "study 1 must have host-only minting products");
+        let chains = m.warmable_chains(&hosts);
+        assert!(!chains.is_empty(), "study 1 must have host-only minting products");
+        assert_eq!(chains.len(), m.warm_substitute_count(&hosts));
         m.warm_substitutes(&hosts, 4);
-        assert_eq!(m.substitute_cache().len(), expected, "one cache slot per enumerated chain");
-        let (_, misses) = m.substitute_cache().stats();
-        assert_eq!(misses as usize, expected, "no double-mints during parallel warm");
-        // Per-factory mint accounting covers exactly the warmed chains.
-        let minted: usize = m
-            .specs()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| m.factory(ProductId(i as u16)).minted())
-            .sum();
-        assert_eq!(minted, expected);
-        // Idempotent: a second warm (and a session-path lookup) re-mints
-        // nothing.
+        let warmed: Vec<_> = chains.iter().map(|&(product, host)| cached(product, host)).collect();
+        // Idempotent: a second warm re-mints nothing, and a session-path
+        // lookup toward a real destination reads the very chain the warm
+        // minted at its placeholder address (host-only chains do not
+        // depend on it).
         m.warm_substitutes(&hosts, 4);
-        let f = m.factory(ProductId(0));
-        if m.specs()[0].mints_from_host_alone() {
-            f.substitute_chain("warm-a.example", Ipv4([203, 0, 113, 5]), None);
+        for (&(product, host), chain) in chains.iter().zip(&warmed) {
+            let session = m.factory(product).substitute_chain(host, Ipv4([203, 0, 113, 77]), None);
+            assert!(Arc::ptr_eq(chain, &session), "{product:?} {host}");
         }
-        let (_, misses_after) = m.substitute_cache().stats();
-        assert_eq!(misses_after, misses, "re-warm or session hit must not re-mint");
-    }
-
-    #[test]
-    fn warmed_chains_identical_to_lazy_mints() {
-        use tlsfoe_netsim::Ipv4;
-        // Prewarm must be observationally invisible: a warmed model and a
-        // lazily-minting model produce byte-identical chains (chains are
-        // pure functions of their cache key).
-        let warm = private_model(StudyEra::Study1);
-        let lazy = private_model(StudyEra::Study1);
-        let host = "tlsresearch.byu.edu";
-        warm.warm_substitutes(&[host], 2);
-        for (i, spec) in warm.specs().iter().enumerate() {
-            if spec.w1 == 0.0 || !spec.mints_from_host_alone() {
-                continue;
-            }
-            let pid = ProductId(i as u16);
-            // Session-path dst differs from the warm placeholder — chains
-            // must not depend on it for host-only products.
-            let dst = Ipv4([203, 0, 113, 77]);
-            let warmed = warm.factory(pid).substitute_chain(host, dst, None);
-            let fresh = lazy.factory(pid).substitute_chain(host, dst, None);
-            assert_eq!(
-                warmed.iter().map(|c| c.to_der().to_vec()).collect::<Vec<_>>(),
-                fresh.iter().map(|c| c.to_der().to_vec()).collect::<Vec<_>>(),
-                "{}",
-                spec.display_name()
-            );
-        }
-        // The session-path lookups above were all cache hits on the
-        // warmed model: no new mints.
-        assert_eq!(
-            warm.substitute_cache().len(),
-            warm.warm_substitute_count(&[host]),
-            "session lookups after warm must hit, not re-mint"
-        );
     }
 
     #[test]
     fn whitelisted_pairs_are_not_prewarmed() {
-        let m = private_model(StudyEra::Study1);
-        let whitelisting: Vec<usize> = m
+        let m = model(StudyEra::Study1);
+        let whitelisting: Vec<ProductId> = m
             .specs()
             .iter()
             .enumerate()
             .filter(|(_, s)| s.w1 > 0.0 && s.whitelists_popular && s.mints_from_host_alone())
-            .map(|(i, _)| i)
+            .map(|(i, _)| ProductId(i as u16))
             .collect();
         assert!(!whitelisting.is_empty(), "catalog has whitelisting products");
         // A popular host is spliced (never minted) by whitelisting
-        // products; prewarming it for them would inflate minted() with
-        // chains no session can request.
-        let popular = ["www.facebook.com"];
-        let plain = ["not-popular.example"];
-        let diff = m.warm_substitute_count(&plain) - m.warm_substitute_count(&popular);
+        // products; prewarming it for them would mint chains no session
+        // can request. No other test mints this host.
+        let popular = "youtube.com";
+        let diff =
+            m.warm_substitute_count(&["not-popular.example"]) - m.warm_substitute_count(&[popular]);
         assert_eq!(diff, whitelisting.len());
-        m.warm_substitutes(&popular, 2);
-        assert_eq!(m.substitute_cache().len(), m.warm_substitute_count(&popular));
+        m.warm_substitutes(&[popular], 2);
+        for (product, host) in m.warmable_chains(&[popular]) {
+            assert!(process_cache().contains(&key(product, host)), "{product:?} not warmed");
+        }
+        for &product in &whitelisting {
+            assert!(!process_cache().contains(&key(product, popular)), "{product:?} warmed");
+        }
     }
 
     #[test]
     fn same_era_models_share_process_wide_chains() {
-        use tlsfoe_netsim::Ipv4;
-        // Two default-built models (think: two studies of one exp_all
-        // run) must share minted chains through the process-wide cache:
-        // the second model's factory never mints, it only reads. The
-        // assertions ride the per-factory minted() counters — exact and
-        // test-local even though the cache itself is shared process-wide.
+        // Two models (think: two studies of one exp_all run) must share
+        // minted chains through the process-wide cache, and so must a
+        // model of the other era: no mint input depends on the era.
         let host = "process-share.example";
         let dst = Ipv4([203, 0, 113, 11]);
-        let first = model(StudyEra::Study1);
-        let second = model(StudyEra::Study1);
-        let a = first.factory(ProductId(0)).substitute_chain(host, dst, None);
-        assert_eq!(first.factory(ProductId(0)).minted(), 1);
-        let b = second.factory(ProductId(0)).substitute_chain(host, dst, None);
-        assert_eq!(
-            second.factory(ProductId(0)).minted(),
-            0,
-            "second model must reuse the first model's mint, not re-mint"
-        );
-        assert!(Arc::ptr_eq(&a, &b), "both models must serve the one cached chain");
-        // A different era is a different key: the same host mints again.
-        let other_era = model(StudyEra::Study2);
-        other_era.factory(ProductId(0)).substitute_chain(host, dst, None);
-        assert_eq!(other_era.factory(ProductId(0)).minted(), 1, "eras must not alias");
+        let chain = |era| model(era).factory(ProductId(0)).substitute_chain(host, dst, None);
+        let first = chain(StudyEra::Study1);
+        assert!(Arc::ptr_eq(&first, &chain(StudyEra::Study1)), "same-era models must share");
+        assert!(Arc::ptr_eq(&first, &chain(StudyEra::Study2)), "the eras must share the chain");
     }
 
     #[test]
     fn threads_minting_same_host_share_one_chain() {
-        use tlsfoe_netsim::Ipv4;
-        let m = Arc::new(private_model(StudyEra::Study2));
-        let chains: Vec<Vec<u8>> = std::thread::scope(|s| {
+        let m = model(StudyEra::Study2);
+        let chains: Vec<Arc<Vec<Certificate>>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
-                    let m = m.clone();
-                    s.spawn(move || {
-                        let f = m.factory(ProductId(0));
-                        f.substitute_chain("race.example", Ipv4([203, 0, 113, 3]), None)[0]
-                            .to_der()
-                            .to_vec()
+                    s.spawn(|| {
+                        m.factory(ProductId(0)).substitute_chain(
+                            "race.example",
+                            Ipv4([203, 0, 113, 3]),
+                            None,
+                        )
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("minter panicked")).collect()
         });
-        assert!(chains.windows(2).all(|w| w[0] == w[1]), "all threads must see one chain");
-        let (_, misses) = m.substitute_cache().stats();
-        assert_eq!(misses, 1, "chain must be minted exactly once");
+        assert!(
+            chains.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])),
+            "all threads must receive the one minted chain"
+        );
     }
 }

@@ -173,8 +173,8 @@ impl ProductSpec {
     /// input (issuer-copying products fold the upstream issuer DN in).
     ///
     /// Exactly these products mint under cache variant 0 for every
-    /// impression, which is what makes their `(product, era, host)`
-    /// chains enumerable — and therefore pre-mintable — from the host
+    /// impression, which is what makes their `(product, host)` chains
+    /// enumerable — and therefore pre-mintable — from the host
     /// catalog at study startup (`PopulationModel::warm_substitutes`).
     pub fn mints_from_host_alone(&self) -> bool {
         !self.copy_issuer && self.subject_style != SubjectStyle::WildcardIpSubnet

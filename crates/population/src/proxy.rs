@@ -124,10 +124,10 @@ impl Session {
     fn answer_with_substitute(&mut self, io: &mut IoCtx<'_>, upstream_leaf: Option<&Certificate>) {
         let host = self.sni_host();
         // The serving config rides the substitute cache next to the
-        // chain, so repeated interceptions of one (product, era, host,
-        // variant) share a single ServerConfig — and its once-per-version
-        // encoded hello flight — instead of rebuilding and re-encoding
-        // per connection.
+        // chain, so repeated interceptions of one (product, host, variant)
+        // share a single ServerConfig — and its once-per-version encoded
+        // hello flight — instead of rebuilding and re-encoding per
+        // connection.
         let entry = self.factory.substitute_entry(&host, self.dst, upstream_leaf);
         let flight = entry.config.hello_flight(self.client_version);
         if let Some(tok) = self.client_token {

@@ -304,11 +304,6 @@ impl Certificate {
         &self.raw
     }
 
-    /// The exact TBS bytes the signature covers.
-    pub fn tbs_der(&self) -> &[u8] {
-        &self.raw_tbs
-    }
-
     /// SHA-256 fingerprint of the DER encoding.
     pub fn fingerprint(&self) -> [u8; 32] {
         tlsfoe_crypto::sha256::sha256(&self.raw)

@@ -4,18 +4,19 @@
 //! re-encode the hello flight) for every intercepted connection; the
 //! config now rides the substitute cache next to its chain. These tests
 //! assert, end to end through real proxied handshakes, that at most one
-//! config is built per `(product, era, host, variant)` and that the
-//! cached config serves byte-identical handshakes.
+//! config is built per `(product, host, variant)` and that the cached
+//! config serves byte-identical handshakes.
 //!
 //! This lives in its own integration-test binary on purpose: the config
-//! counter (`tlsfoe::tls::server::configs_built`) is process-wide, and a
-//! shared test binary's concurrently running tests would race it.
+//! counter (`tlsfoe::tls::server::configs_built`), the substitute cache's
+//! stats and each product's mint count are process-wide, and a shared
+//! test binary's concurrently running tests would race them.
 
 use std::sync::Arc;
 
 use tlsfoe::netsim::{Ipv4, Network, NetworkConfig};
 use tlsfoe::population::model::{PopulationModel, StudyEra};
-use tlsfoe::population::{keys, ProductId};
+use tlsfoe::population::{cache, keys, ProductId};
 use tlsfoe::tls::probe::{ProbeOutcome, ProbeState};
 use tlsfoe::tls::server::{configs_built, ServerConfig, TlsCertServer};
 use tlsfoe::tls::ProbeClient;
@@ -87,7 +88,7 @@ fn at_most_one_server_config_per_substitute_key() {
         "answer_with_substitute rebuilt a ServerConfig for a cached chain"
     );
     assert_eq!(model.factory(pid).minted(), 1);
-    let (hits, misses) = model.substitute_cache().stats();
+    let (hits, misses) = cache::process_cache().stats();
     assert_eq!(misses, 1);
     assert_eq!(hits, 5);
 
