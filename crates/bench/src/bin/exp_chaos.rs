@@ -20,6 +20,7 @@
 //!
 //! Flags: `--quick` shrinks the sweep for smoke jobs.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use tlsfoe_core::report::{Database, ReportServer};
@@ -53,7 +54,7 @@ fn run_cell(rate: f64, retry: &RetryPolicy, sessions: u32) -> CellStats {
     let catalog = Arc::new(HostCatalog::study1());
     let geo = GeoDb::allocate(1_000_000);
     let db = Shared::new(Database::new());
-    let report = Arc::new(ReportServer::new(&catalog, geo.clone(), db.clone()));
+    let report = Rc::new(ReportServer::new(&catalog, geo.clone(), db.clone()));
     let mut runner = SessionRunner::new(catalog, report).with_retry_policy(retry.clone());
     if rate > 0.0 {
         runner.set_default_link(LinkProfile {

@@ -116,20 +116,20 @@ fn parse_head(head: &str) -> Option<(&str, usize)> {
 
 /// Server conduit: accumulates one POST, hands it to the handler,
 /// responds `200 OK`.
-pub struct HttpPostServer<F: FnMut(PostRequest<'_>) + Send> {
+pub struct HttpPostServer<F: FnMut(PostRequest<'_>)> {
     handler: F,
     /// A request split across frames, kept until it is complete.
     buf: Vec<u8>,
 }
 
-impl<F: FnMut(PostRequest<'_>) + Send> HttpPostServer<F> {
+impl<F: FnMut(PostRequest<'_>)> HttpPostServer<F> {
     /// Create with a request handler.
     pub fn new(handler: F) -> Self {
         HttpPostServer { handler, buf: Vec::new() }
     }
 }
 
-impl<F: FnMut(PostRequest<'_>) + Send> Conduit for HttpPostServer<F> {
+impl<F: FnMut(PostRequest<'_>)> Conduit for HttpPostServer<F> {
     fn on_open(&mut self, _io: &mut IoCtx<'_>) {}
 
     fn on_data(&mut self, data: &[u8], io: &mut IoCtx<'_>) {

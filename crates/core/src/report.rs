@@ -11,7 +11,7 @@
 //! mismatches, which is what every downstream analyzer consumes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use tlsfoe_crypto::memo::{Memo, WordState};
 use tlsfoe_netsim::net::DialInfo;
@@ -152,9 +152,9 @@ impl ReportServer {
     }
 
     /// Build a netsim listener factory serving this report server over
-    /// HTTP POST. The server is wrapped in `Arc` so every accepted
+    /// HTTP POST. The server is shared by `Rc` so every accepted
     /// connection shares the same database.
-    pub fn listener(self: Arc<Self>) -> tlsfoe_netsim::net::ListenerFactory {
+    pub fn listener(self: Rc<Self>) -> tlsfoe_netsim::net::ListenerFactory {
         Box::new(move |info: DialInfo| {
             let server = self.clone();
             Box::new(HttpPostServer::new(move |req: PostRequest<'_>| {
@@ -207,10 +207,10 @@ fn extract_substitute(
 mod tests {
     use super::*;
 
-    fn setup() -> (Arc<ReportServer>, Shared<Database>, HostCatalog) {
+    fn setup() -> (Rc<ReportServer>, Shared<Database>, HostCatalog) {
         let catalog = HostCatalog::study2();
         let db = Shared::new(Database::new());
-        let server = Arc::new(ReportServer::new(&catalog, GeoDb::allocate(1000), db.clone()));
+        let server = Rc::new(ReportServer::new(&catalog, GeoDb::allocate(1000), db.clone()));
         (server, db, catalog)
     }
 

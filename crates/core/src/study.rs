@@ -21,6 +21,7 @@
 //! shard owns one long-lived network and a private [`Database`]; shards
 //! 1.. are merged into shard 0's database in shard order.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use tlsfoe_adsim::{Campaign, Inventory};
@@ -128,7 +129,7 @@ pub struct StudyConfig {
     /// scaled-down ad budget without touching the product mix. Prevalence
     /// tables (3/7/8) must use 1.0.
     pub proxy_boost: f64,
-    /// Fault injection applied to every client link in every shard
+    /// Fault injection applied to each shard network's one link
     /// (default [`FaultProfile::none`], which samples no fault DRBGs and
     /// leaves the event stream byte-identical to a fault-free build).
     pub faults: FaultProfile,
@@ -379,7 +380,7 @@ fn run_shard(
 ) -> (Database, Option<ShardFailure>) {
     let geo = GeoDb::allocate(GEO_BLOCK);
     let db = Shared::new(Database::new());
-    let report = Arc::new(ReportServer::new(catalog, geo.clone(), db.clone()));
+    let report = Rc::new(ReportServer::new(catalog, geo.clone(), db.clone()));
     let mut runner =
         SessionRunner::new(catalog.clone(), report).with_retry_policy(cfg.retry.clone());
     if cfg.era == StudyEra::Study1 && !cfg.baseline {
@@ -387,12 +388,9 @@ fn run_shard(
         // of 4.63M ads ≈ 61.7%.
         runner = runner.with_authors_completion(0.617);
     }
-    if cfg.faults.any() {
-        // Chaos mode: every client link carries the fault profile. Gated
-        // on `any()` so the default config never touches the link map.
-        runner
-            .set_default_link(LinkProfile { faults: cfg.faults.clone(), ..LinkProfile::default() });
-    }
+    // The shard's one link carries the study's fault profile (none by
+    // default).
+    runner.set_default_link(LinkProfile { faults: cfg.faults.clone(), ..LinkProfile::default() });
     if let Some(cap) = cfg.max_net_events {
         runner.set_max_events(cap);
     }

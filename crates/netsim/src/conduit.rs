@@ -11,46 +11,40 @@
 //! Multi-connection actors — a TLS proxy holds a client-side and an
 //! upstream connection; a measurement probe runs a policy fetch, many TLS
 //! probes and a report upload — are built from several conduits sharing
-//! state through [`Shared`] cells. One event loop never re-enters a
-//! conduit, so the locks inside are uncontended. The mutex and the
-//! `Send` bound on every conduit keep a whole [`Network`] movable
-//! between OS threads; the sharded study drive never moves one (each
-//! shard builds and runs its network on a single thread).
+//! state through [`Shared`] cells. A [`Network`] and everything it drives
+//! live on one thread (a sharded study builds one network per shard, on
+//! the shard's thread), and one event loop never re-enters a conduit, so
+//! a cell is never borrowed twice at once.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
 
 use crate::addr::Ipv4;
 use crate::net::Network;
 
 /// Shared mutable state between the conduits of one actor (and the code
-/// that launched them): a cheap clone-able `Arc<Mutex<T>>` with a
-/// poison-tolerant lock.
+/// that launched them): a cheap clone-able `Rc<RefCell<T>>`.
 ///
 /// Within one event loop access is strictly sequential (callbacks never
-/// re-enter), so `lock` never contends; the mutex is what keeps the
-/// actors holding it `Send` (see the module docs). Poisoning is ignored —
-/// a panicking conduit aborts its whole study anyway, and tests that
-/// probe panic behavior still want to read the cell afterwards.
+/// re-enter), so no `lock` overlaps another on the same cell.
 #[derive(Debug, Default)]
-pub struct Shared<T>(Arc<Mutex<T>>);
+pub struct Shared<T>(Rc<RefCell<T>>);
 
 impl<T> Shared<T> {
     /// Wrap a value.
     pub fn new(value: T) -> Shared<T> {
-        Shared(Arc::new(Mutex::new(value)))
+        Shared(Rc::new(RefCell::new(value)))
     }
 
-    /// Lock the cell (poison-tolerant, see type docs).
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    /// Borrow the value mutably until the returned guard drops.
+    pub fn lock(&self) -> RefMut<'_, T> {
+        self.0.borrow_mut()
     }
 
     /// Take the value out if this is the last handle, else hand the
     /// shared handle back.
     pub fn into_inner(self) -> Result<T, Shared<T>> {
-        Arc::try_unwrap(self.0)
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .map_err(Shared)
+        Rc::try_unwrap(self.0).map(RefCell::into_inner).map_err(Shared)
     }
 }
 
@@ -79,17 +73,12 @@ pub struct ConnToken {
 pub enum DialError {
     /// Nothing listens at the destination address/port.
     Refused,
-    /// A captive portal on the client's path blocks this port (§3.1: the
-    /// paper serves its socket-policy file on port 80 precisely to evade
-    /// these).
-    PortBlocked,
 }
 
 impl core::fmt::Display for DialError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             DialError::Refused => write!(f, "connection refused"),
-            DialError::PortBlocked => write!(f, "port blocked by captive portal"),
         }
     }
 }
@@ -97,10 +86,7 @@ impl core::fmt::Display for DialError {
 impl std::error::Error for DialError {}
 
 /// An endpoint state machine.
-///
-/// `Send` so a whole event loop stays movable between OS threads; see
-/// the module docs.
-pub trait Conduit: Send {
+pub trait Conduit {
     /// The connection is established (three-way handshake done).
     fn on_open(&mut self, io: &mut IoCtx<'_>);
 
@@ -140,10 +126,6 @@ impl IoCtx<'_> {
     /// `fill` into an empty recycled buffer — a conduit encodes its
     /// message straight into the frame instead of into a buffer of its
     /// own that [`IoCtx::send`] would copy.
-    ///
-    /// `fill` must be pure: it runs only when the frame survives the
-    /// link's loss draw, so a lost frame never runs it (see the
-    /// [`crate::net`] module docs).
     pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
         let tok = self.current;
         self.net.queue_send_with(tok, fill);
@@ -171,7 +153,7 @@ impl IoCtx<'_> {
     /// Dials made from within a conduit bypass the client's interceptor
     /// chain — they model the middlebox's own upstream traffic (a TLS
     /// proxy does not intercept itself). They inherit the current
-    /// connection's dial scope, so loss sampling on the new leg stays a
+    /// connection's dial scope, so fault sampling on the new leg stays a
     /// pure function of the owning session.
     pub fn dial(
         &mut self,

@@ -2,8 +2,8 @@
 //!
 //! The paper's measurement ran over real consumer networks, where dials
 //! time out, handshakes truncate mid-flight and report uploads die. A
-//! [`FaultProfile`] extends a link's single loss probability into the
-//! fault taxonomy those networks actually exhibit:
+//! [`FaultProfile`] gives a link the fault taxonomy those networks
+//! actually exhibit:
 //!
 //! * **blackhole** — the dial's SYN is never answered: neither endpoint
 //!   ever observes the connection (the client stalls until its dial
@@ -17,11 +17,9 @@
 //! * **stall** — an endpoint stops transmitting from some frame on
 //!   (server hang; the peer waits forever).
 //!
-//! **Determinism contract.** Fault sampling follows the loss-stream
-//! design exactly: every connection derives one fault DRBG from the same
-//! `(network seed, client, session salt, dial ordinal)` stream seed the
-//! loss streams use, forked under the label `"faults"` (so enabling
-//! faults never perturbs loss sampling), then forked per concern
+//! **Determinism contract.** Every connection derives one fault DRBG
+//! from its `(network seed, client, session salt, dial ordinal)` stream
+//! seed, forked under the label `"faults"`, then forked per concern
 //! (`"dial"`, `"initiator"`, `"acceptor"`). Each fault type consumes a
 //! fixed number of draws whether or not it triggers, so enabling one
 //! fault type never shifts another's stream. Faulted runs are therefore

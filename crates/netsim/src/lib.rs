@@ -8,16 +8,20 @@
 //! * [`conduit`] — the [`conduit::Conduit`] trait: an endpoint state
 //!   machine driven by `on_open` / `on_data` / `on_close` callbacks,
 //! * [`net`] — the [`net::Network`]: listeners, dialing, per-client
-//!   interceptor chains (TLS proxies!), latency, loss and captive
-//!   portals, all advanced by one deterministic event loop that
-//!   recycles the buffers of delivered frames for the next sends and
-//!   keys its per-client tables with a fixed word-at-a-time hasher,
+//!   interceptor chains (TLS proxies!), one link's latency and typed
+//!   faults, all advanced by one deterministic event loop that recycles
+//!   the buffers of delivered frames for the next sends and keys its
+//!   per-client tables with a fixed word-at-a-time hasher,
+//! * [`fault`] — the typed fault model: resets, blackholes, truncation,
+//!   corruption and stalls, sampled per connection,
 //! * [`policy`] — the Flash socket-policy-file service the paper's tool
 //!   depends on (§3.1), plus the client-side policy fetch logic.
 //!
-//! One [`net::Network`] is one single-threaded event loop. A parallel
-//! study runs several independent networks, one per OS thread, each
-//! driving its own slice of the sessions (see `tlsfoe_core::study`).
+//! One [`net::Network`] is one single-threaded event loop, and it and
+//! its conduits never leave the thread that built them: conduits share
+//! state through `Rc`-based [`conduit::Shared`] cells. A parallel study
+//! runs several independent networks, one per OS thread, each driving
+//! its own slice of the sessions (see `tlsfoe_core::study`).
 //!
 //! The key design decision: **interception is a property of the client's
 //! path**, mirroring reality. When a client dials out, the network walks

@@ -1,4 +1,4 @@
-//! The network: listeners, interceptors, links and the event loop.
+//! The network: listeners, interceptors, its link and the event loop.
 //!
 //! A [`Network`] is built to be **long-lived**: one instance can drive
 //! many thousands of client sessions back to back (the sharded study
@@ -10,22 +10,24 @@
 //!   *concurrent* working set, not the total session count. Tokens are
 //!   generation-stamped ([`ConnToken`]) so stale handles never touch a
 //!   recycled slot.
-//! * **Per-connection loss streams** — loss sampling draws from a DRBG
+//! * **Per-connection fault streams** — fault sampling draws from DRBGs
 //!   derived from `(network seed, client, session salt, per-session dial
 //!   ordinal)` instead of one shared sequential stream, so outcomes are
 //!   bit-identical no matter how many unrelated sessions interleave in
-//!   the same event loop (see [`Network::begin_session`]).
+//!   the same event loop (see [`Network::begin_session`] and
+//!   [`crate::fault`]).
 //! * **Deterministic teardown** — a side that closes itself is finalized
 //!   (conduit dropped, slot freed) by an explicit event rather than
 //!   lingering until the peer's Close round-trips.
 //!
 //! Events pop in virtual-time order, and events due at the same
 //! microsecond pop in the order they were queued. Conduits and timers
-//! reach each other only through queued events, so this order fixes
-//! the whole run. The queue maps each due time to a FIFO bucket: a
-//! batch's sessions share a few link latencies, so only a handful of
-//! due times are in flight at once, and in a fault-free study nearly
-//! every push lands in a bucket that already exists.
+//! reach each other only through queued events (a timer's callback
+//! rides in its event), so this order fixes the whole run. The queue
+//! maps each due time to a FIFO bucket: a batch's sessions share a few
+//! link latencies, so only a handful of due times are in flight at
+//! once, and in a fault-free study nearly every push lands in a bucket
+//! that already exists.
 //!
 //! **Frame recycling.** Every send becomes one frame, a `Vec<u8>` that
 //! rides its `Data` event to the peer. Once the peer's `on_data` has
@@ -35,23 +37,15 @@
 //! event queue's spare buckets), so a long-lived shard network stops
 //! allocating for frames once its first batch has run.
 //! [`IoCtx::send_with`] lets a conduit encode straight into a recycled
-//! frame; [`IoCtx::send`] is one copy into one.
+//! frame; [`IoCtx::send`] is one copy into one. The sender's fault plan
+//! then decides the built frame's fate from its length, and corruption
+//! and truncation apply to it in place.
 //!
-//! **Map hashing.** Every dial, send and timer looks up the per-client
-//! tables (listeners, interceptors, links, dial scopes) or the timer
-//! table. Their keys are addresses and ids the program makes itself, so
-//! they hash with `tlsfoe_crypto`'s fixed word-at-a-time [`WordState`]
-//! instead of std's randomly keyed SipHash. No table is iterated, so
-//! the hasher decides no order.
-//!
-//! **Draw order.** A send first draws its loss decision, and only a
-//! frame that survives is built; the fault plan then decides the
-//! frame's fate from its length, and corruption and truncation are
-//! applied to the built frame in place. That is the order the loss and
-//! fault streams have always been drawn in, so recycling leaves every
-//! DRBG stream, and every event, as it was. Because a lost frame is
-//! never built, a `fill` closure must be pure: it may write the frame
-//! and nothing else, or a lossy link would change what it does.
+//! **Map hashing.** Every dial looks up the per-client tables
+//! (listeners, interceptors, dial scopes). Their keys are addresses the
+//! program makes itself, so they hash with `tlsfoe_crypto`'s fixed
+//! word-at-a-time [`WordState`] instead of std's randomly keyed SipHash.
+//! No table is iterated, so the hasher decides no order.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -79,8 +73,7 @@ pub struct DialInfo {
 }
 
 /// Factory producing an accepting conduit for each inbound connection.
-/// `Send` for the same reason as [`Conduit`] (see [`crate::conduit`]).
-pub type ListenerFactory = Box<dyn FnMut(DialInfo) -> Box<dyn Conduit> + Send>;
+pub type ListenerFactory = Box<dyn FnMut(DialInfo) -> Box<dyn Conduit>>;
 
 /// A middlebox installed on a client's path.
 ///
@@ -89,7 +82,7 @@ pub type ListenerFactory = Box<dyn FnMut(DialInfo) -> Box<dyn Conduit> + Send>;
 /// returning `true` terminates the client's connection at the interceptor
 /// instead of the destination (Figure 3). The interceptor's conduit can
 /// then dial the real destination itself via [`IoCtx::dial`].
-pub trait Interceptor: Send {
+pub trait Interceptor {
     /// Whether to claim a client connection to `(dst, port)`.
     fn claims(&self, dst: Ipv4, port: u16) -> bool;
 
@@ -97,18 +90,11 @@ pub trait Interceptor: Send {
     fn accept(&mut self, info: DialInfo) -> Box<dyn Conduit>;
 }
 
-/// Per-client link characteristics.
+/// The network's link characteristics, which every connection shares.
 #[derive(Debug, Clone)]
 pub struct LinkProfile {
     /// One-way latency in microseconds.
     pub latency_us: u64,
-    /// Probability that a delivery is lost (connection then stalls and the
-    /// probe times out — measured studies lose clients this way; the
-    /// paper's §4.2 notes not all served clients completed all probes).
-    pub loss: f64,
-    /// Ports a captive portal on this path blocks (empty = none). The
-    /// paper serves its policy file on port 80 to survive exactly these.
-    pub blocked_ports: Vec<u16>,
     /// Typed fault model for this link (resets, blackholes, truncation,
     /// corruption, stalls). Defaults to fault-free; see [`FaultProfile`]
     /// for the per-connection determinism contract.
@@ -119,8 +105,6 @@ impl Default for LinkProfile {
     fn default() -> Self {
         LinkProfile {
             latency_us: 20_000, // 20 ms one-way
-            loss: 0.0,
-            blocked_ports: Vec::new(),
             faults: FaultProfile::none(),
         }
     }
@@ -129,7 +113,7 @@ impl Default for LinkProfile {
 /// Global simulator configuration.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// Link profile used when a client has no specific profile.
+    /// The link every connection uses.
     pub default_link: LinkProfile,
     /// Hard cap on events processed by a single [`Network::run`] call
     /// (guards against accidental livelock; generous — a full probe
@@ -177,9 +161,8 @@ enum EventKind {
     /// Deterministic teardown of a side that closed itself: drop its
     /// conduit and recycle the slot without waiting for the peer.
     Finalize(ConnToken),
-    /// A scheduled callback (see [`Network::after`]); the id indexes the
-    /// pending-timer table, so cancelled timers become no-op events.
-    Timer(u64),
+    /// A scheduled callback (see [`Network::after`]).
+    Timer(TimerFn),
 }
 
 /// Pending events by due time, FIFO within one due time (the order
@@ -229,15 +212,12 @@ struct Side {
     conduit: Option<Box<dyn Conduit>>,
     peer: ConnToken,
     latency_us: u64,
-    loss: f64,
-    /// Private loss stream for this side (present iff `loss > 0`).
-    loss_rng: Option<Drbg>,
     /// Sampled fault plan for this side (present iff the link's
     /// [`FaultProfile::any`] is true).
     fault: Option<FaultState>,
     /// The dial scope this connection was opened under; further dials
     /// made *by* this side's conduit (a proxy's upstream leg, a probe's
-    /// report upload) inherit it, so their loss streams stay a pure
+    /// report upload) inherit it, so their fault streams stay a pure
     /// function of the owning session.
     scope: Ipv4,
     open: bool,
@@ -245,24 +225,18 @@ struct Side {
 
 /// Per-client dial scope: the session salt plus how many connections the
 /// client has opened under it (the ordinal that keeps concurrent probes
-/// from one client on distinct loss streams).
+/// from one client on distinct fault streams).
 struct DialScope {
     salt: u64,
     conns: u64,
 }
 
-/// One endpoint's share of a connection's derived randomness.
-struct EndpointHalf {
-    loss_rng: Option<Drbg>,
-    fault: Option<FaultState>,
-}
-
-/// Both endpoint halves of one connection, derived as a pure function of
-/// `(link, stream_seed)` — the single site where per-connection DRBG
-/// forks happen.
+/// Both endpoints' fault plans for one connection, derived as a pure
+/// function of `(faults, stream_seed)` — the single site where
+/// per-connection DRBG forks happen.
 struct ConnHalves {
-    initiator: EndpointHalf,
-    acceptor: EndpointHalf,
+    initiator: Option<FaultState>,
+    acceptor: Option<FaultState>,
     blackholed: bool,
 }
 
@@ -271,31 +245,16 @@ impl ConnHalves {
     // `connect_pair` as their only caller, inlining both into it
     // measured about 6% more CPU time on faulted study drives.
     #[inline(never)]
-    fn derive(link: &LinkProfile, stream_seed: u64) -> ConnHalves {
-        let (rng_a, rng_b) = if link.loss > 0.0 {
-            let root = Drbg::new(stream_seed);
-            (Some(root.fork("initiator")), Some(root.fork("acceptor")))
-        } else {
-            (None, None)
-        };
-        // Fault plans fork from the same per-connection stream seed under
-        // a distinct label, so enabling faults never perturbs loss
-        // sampling (and vice versa). A fault-free profile samples nothing.
-        let (fault_a, fault_b, blackholed) = if link.faults.any() {
-            let root = Drbg::new(stream_seed).fork("faults");
-            let blackholed = root.fork("dial").gen_bool(link.faults.blackhole);
-            (
-                Some(FaultState::sample(&link.faults, root.fork("initiator"))),
-                Some(FaultState::sample(&link.faults, root.fork("acceptor"))),
-                blackholed,
-            )
-        } else {
-            (None, None, false)
-        };
+    fn derive(faults: &FaultProfile, stream_seed: u64) -> ConnHalves {
+        // A fault-free profile samples nothing.
+        if !faults.any() {
+            return ConnHalves { initiator: None, acceptor: None, blackholed: false };
+        }
+        let root = Drbg::new(stream_seed).fork("faults");
         ConnHalves {
-            initiator: EndpointHalf { loss_rng: rng_a, fault: fault_a },
-            acceptor: EndpointHalf { loss_rng: rng_b, fault: fault_b },
-            blackholed,
+            blackholed: root.fork("dial").gen_bool(faults.blackhole),
+            initiator: Some(FaultState::sample(faults, root.fork("initiator"))),
+            acceptor: Some(FaultState::sample(faults, root.fork("acceptor"))),
         }
     }
 }
@@ -310,14 +269,10 @@ pub struct Network {
     free: Vec<usize>,
     listeners: HashMap<(Ipv4, u16), ListenerFactory, WordState>,
     interceptors: HashMap<Ipv4, Box<dyn Interceptor>, WordState>,
-    links: HashMap<Ipv4, LinkProfile, WordState>,
-    /// Root seed for per-connection loss-stream derivation.
+    /// Root seed for per-connection fault-stream derivation.
     seed: u64,
     scopes: HashMap<Ipv4, DialScope, WordState>,
     processed: u64,
-    /// Pending timer callbacks, keyed by timer id (see [`Network::after`]).
-    timers: HashMap<u64, TimerFn, WordState>,
-    next_timer: u64,
     /// Emptied buffers of delivered or dropped frames, reused by the
     /// next send (see "Frame recycling" in the module docs).
     spare_frames: Vec<Vec<u8>>,
@@ -325,13 +280,12 @@ pub struct Network {
 
 /// A scheduled callback. Timers run with full access to the network —
 /// the retry layer uses them to inspect probe outcomes, close stalled
-/// connections and re-dial. `Send` for the same reason as [`Conduit`]
-/// (see [`crate::conduit`]).
-pub type TimerFn = Box<dyn FnOnce(&mut Network) + Send>;
+/// connections and re-dial.
+pub type TimerFn = Box<dyn FnOnce(&mut Network)>;
 
 impl Network {
     /// Create a network with the given configuration and RNG seed (the
-    /// seed drives loss sampling only; topology is explicit).
+    /// seed drives fault sampling only; topology is explicit).
     pub fn new(config: NetworkConfig, seed: u64) -> Self {
         Network {
             config,
@@ -341,12 +295,9 @@ impl Network {
             free: Vec::new(),
             listeners: HashMap::default(),
             interceptors: HashMap::default(),
-            links: HashMap::default(),
             seed,
             scopes: HashMap::default(),
             processed: 0,
-            timers: HashMap::default(),
-            next_timer: 0,
             spare_frames: Vec::new(),
         }
     }
@@ -379,10 +330,11 @@ impl Network {
     /// Release every side still occupied. Only meaningful at quiescence
     /// (after [`Network::run`] drained the event queue): with no events
     /// pending, a side that is still open or still holds its conduit is
-    /// a *stalled* connection — a lost packet left both endpoints
-    /// waiting forever — and nothing can ever wake it. A long-lived
-    /// shard network calls this between session batches so stalls don't
-    /// accumulate slots and conduit state for its whole lifetime.
+    /// a *stalled* connection — a blackholed dial or a stalled sender
+    /// left both endpoints waiting forever — and nothing can ever wake
+    /// it. A long-lived shard network calls this between session
+    /// batches so stalls don't accumulate slots and conduit state for
+    /// its whole lifetime.
     ///
     /// Returns the number of sides reclaimed.
     pub fn reap_stalled(&mut self) -> usize {
@@ -416,19 +368,9 @@ impl Network {
         self.interceptors.remove(&client);
     }
 
-    /// Set the link profile for a client address.
-    pub fn set_link(&mut self, client: Ipv4, link: LinkProfile) {
-        self.links.insert(client, link);
-    }
-
-    /// Remove a client's link profile (it falls back to the default).
-    pub fn clear_link(&mut self, client: Ipv4) {
-        self.links.remove(&client);
-    }
-
-    /// Replace the default link profile (used by clients with no
-    /// specific profile) — how a study applies one fault model to every
-    /// client at once.
+    /// Replace the link profile that every connection dialed from now on
+    /// uses — how a study applies one fault model to every client at
+    /// once.
     pub fn set_default_link(&mut self, link: LinkProfile) {
         self.config.default_link = link;
     }
@@ -439,7 +381,7 @@ impl Network {
     }
 
     /// Open a dial scope for `client`: subsequent connections from this
-    /// client derive their loss streams from `(network seed, client,
+    /// client derive their fault streams from `(network seed, client,
     /// salt, per-scope dial ordinal)` — a pure function of the session's
     /// identity, not of how many other sessions share the event loop.
     /// Call [`Network::end_session`] when the client's session completes
@@ -454,23 +396,14 @@ impl Network {
     }
 
     /// Schedule `f` to run after `delay_us` of virtual time, as a
-    /// first-class timestamped event. Returns a timer id usable with
-    /// [`Network::cancel_timer`]. This is the primitive dial timeouts,
-    /// probe deadlines and retry backoff are built on: the callback runs
-    /// inside the event loop with full mutable access, so it can inspect
-    /// outcomes, close stalled connections and dial replacements.
-    pub fn after(&mut self, delay_us: u64, f: impl FnOnce(&mut Network) + Send + 'static) -> u64 {
-        let id = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(id, Box::new(f));
-        self.push_event(delay_us, EventKind::Timer(id));
-        id
-    }
-
-    /// Cancel a pending timer. The already-queued event still pops (and
-    /// advances virtual time) but runs nothing. Idempotent.
-    pub fn cancel_timer(&mut self, id: u64) {
-        self.timers.remove(&id);
+    /// first-class timestamped event. This is the primitive dial
+    /// timeouts, probe deadlines and retry backoff are built on: the
+    /// callback runs inside the event loop with full mutable access, so
+    /// it can inspect outcomes, close stalled connections and dial
+    /// replacements. A timer always fires; one that finds its work done
+    /// returns without acting.
+    pub fn after(&mut self, delay_us: u64, f: impl FnOnce(&mut Network) + 'static) {
+        self.push_event(delay_us, EventKind::Timer(Box::new(f)));
     }
 
     /// Close a connection side from outside its conduit (the timer-driven
@@ -480,13 +413,9 @@ impl Network {
         self.queue_close(tok);
     }
 
-    fn link_for(&self, client: Ipv4) -> LinkProfile {
-        self.links.get(&client).cloned().unwrap_or_else(|| self.config.default_link.clone())
-    }
-
     /// Dial from a *client host* — the entry point the measurement tool
-    /// uses. The client's interceptor chain and captive-portal rules
-    /// apply. Returns the client-side token.
+    /// uses. The client's interceptor chain applies. Returns the
+    /// client-side token.
     pub fn dial_from(
         &mut self,
         client: Ipv4,
@@ -494,17 +423,13 @@ impl Network {
         port: u16,
         conduit: Box<dyn Conduit>,
     ) -> Result<ConnToken, DialError> {
-        let link = self.link_for(client);
-        if link.blocked_ports.contains(&port) {
-            return Err(DialError::PortBlocked);
-        }
         let info = DialInfo { client, dst, port };
         // The client's interceptor chain may claim the connection.
         let acceptor = match self.interceptors.get_mut(&client) {
             Some(interceptor) if interceptor.claims(dst, port) => interceptor.accept(info),
             _ => self.accept_from_listener(info)?,
         };
-        self.connect_pair(client, link, conduit, acceptor)
+        self.connect_pair(client, conduit, acceptor)
     }
 
     /// Conduit-originated dial that announces an explicit source address
@@ -517,15 +442,13 @@ impl Network {
         conduit: Box<dyn Conduit>,
     ) -> Result<ConnToken, DialError> {
         let info = DialInfo { client: src, dst, port };
-        let link = self.link_for(src);
         let acceptor = self.accept_from_listener(info)?;
-        self.connect_pair(src, link, conduit, acceptor)
+        self.connect_pair(src, conduit, acceptor)
     }
 
     /// Anonymous conduit-originated dial (e.g. a proxy's upstream leg):
-    /// bypasses interceptor chains and captive-portal rules, uses the
-    /// *destination's* link profile, and inherits the originating
-    /// connection's dial scope so its loss stream stays a pure function
+    /// bypasses interceptor chains and inherits the originating
+    /// connection's dial scope so its fault streams stay a pure function
     /// of the owning session rather than of cross-session interleaving.
     pub(crate) fn dial_from_conduit(
         &mut self,
@@ -537,15 +460,14 @@ impl Network {
         let scope =
             self.sides.get(from.slot).filter(|s| s.gen == from.gen).map(|s| s.scope).unwrap_or(dst);
         let info = DialInfo { client: Ipv4([0, 0, 0, 0]), dst, port };
-        let link = self.link_for(dst);
         let acceptor = self.accept_from_listener(info)?;
-        self.connect_pair(scope, link, conduit, acceptor)
+        self.connect_pair(scope, conduit, acceptor)
     }
 
-    /// Seed for the next connection's loss stream under `scope`'s dial
+    /// Seed for the next connection's fault streams under `scope`'s dial
     /// scope: a SplitMix64 chain over (network seed, address, session
-    /// salt, dial ordinal). Always consumes the ordinal so stream
-    /// assignment is independent of which links happen to be lossy.
+    /// salt, dial ordinal). Always consumes the ordinal, faulty link or
+    /// not.
     #[inline(never)] // see `ConnHalves::derive`
     fn conn_stream_seed(&mut self, scope: Ipv4) -> u64 {
         let (salt, ordinal) = {
@@ -570,8 +492,6 @@ impl Network {
                 conduit: None,
                 peer: ConnToken { slot: 0, gen: u64::MAX },
                 latency_us: 0,
-                loss: 0.0,
-                loss_rng: None,
                 fault: None,
                 scope: Ipv4([0, 0, 0, 0]),
                 open: false,
@@ -581,13 +501,13 @@ impl Network {
     }
 
     /// Install `conduit` into a freshly allocated slot and return its
-    /// token. The slot is wired with one endpoint half of `link` (loss
-    /// stream + fault plan) but no peer yet.
+    /// token. The slot is wired with its latency and fault plan but no
+    /// peer yet.
     fn install_side(
         &mut self,
         conduit: Box<dyn Conduit>,
-        link: &LinkProfile,
-        half: EndpointHalf,
+        latency_us: u64,
+        fault: Option<FaultState>,
         scope: Ipv4,
     ) -> ConnToken {
         let slot = self.alloc_slot();
@@ -598,10 +518,8 @@ impl Network {
                 gen,
                 conduit: Some(conduit),
                 peer: ConnToken { slot: 0, gen: u64::MAX },
-                latency_us: link.latency_us,
-                loss: link.loss,
-                loss_rng: half.loss_rng,
-                fault: half.fault,
+                latency_us,
+                fault,
                 scope,
                 open: true,
             };
@@ -612,21 +530,20 @@ impl Network {
     fn connect_pair(
         &mut self,
         scope: Ipv4,
-        link: LinkProfile,
         initiator: Box<dyn Conduit>,
         acceptor: Box<dyn Conduit>,
     ) -> Result<ConnToken, DialError> {
         let stream_seed = self.conn_stream_seed(scope);
-        let halves = ConnHalves::derive(&link, stream_seed);
-        let a = self.install_side(initiator, &link, halves.initiator, scope);
-        let b = self.install_side(acceptor, &link, halves.acceptor, scope);
+        let halves = ConnHalves::derive(&self.config.default_link.faults, stream_seed);
+        let lat = self.config.default_link.latency_us;
+        let a = self.install_side(initiator, lat, halves.initiator, scope);
+        let b = self.install_side(acceptor, lat, halves.acceptor, scope);
         if let Some(side) = self.side_mut(a) {
             side.peer = b;
         }
         if let Some(side) = self.side_mut(b) {
             side.peer = a;
         }
-        let lat = link.latency_us;
         if !halves.blackholed {
             // Acceptor learns of the connection after one RTT/2; the
             // initiator after a full RTT (SYN → SYN/ACK).
@@ -665,16 +582,14 @@ impl Network {
         }
         side.gen = side.gen.wrapping_add(1);
         side.conduit = None;
-        side.loss_rng = None;
         side.fault = None;
         side.open = false;
         self.free.push(tok.slot);
     }
 
-    /// Send one frame from `from` to its peer. The loss draw comes
-    /// first and a lost frame is never built; `fill` then writes the
-    /// frame into a recycled buffer, and the fault plan decides its fate
-    /// from its length (the order in the module docs).
+    /// Send one frame from `from` to its peer: `fill` writes the frame
+    /// into a recycled buffer, and the fault plan decides its fate from
+    /// its length.
     pub(crate) fn queue_send_with(&mut self, from: ConnToken, fill: impl FnOnce(&mut Vec<u8>)) {
         let Some(side) = self.side_mut(from) else { return };
         if !side.open {
@@ -682,14 +597,6 @@ impl Network {
         }
         let peer = side.peer;
         let lat = side.latency_us;
-        let loss = side.loss;
-        let lost = match side.loss_rng.as_mut() {
-            Some(rng) if loss > 0.0 => rng.gen_bool(loss),
-            _ => false,
-        };
-        if lost {
-            return; // silently dropped; peer stalls (probe times out)
-        }
         let mut frame = self.spare_frames.pop().unwrap_or_default();
         fill(&mut frame);
         let action = match self.side_mut(from).and_then(|side| side.fault.as_mut()) {
@@ -777,11 +684,7 @@ impl Network {
                 }
                 EventKind::Close(tok) => self.deliver_close(tok),
                 EventKind::Finalize(tok) => self.release(tok),
-                EventKind::Timer(id) => {
-                    if let Some(f) = self.timers.remove(&id) {
-                        f(self);
-                    }
-                }
+                EventKind::Timer(f) => f(self),
             }
         }
         Ok(n)
@@ -875,6 +778,12 @@ mod tests {
         Ipv4([198, 51, 100, 7])
     }
 
+    /// A network whose one link carries `faults`.
+    fn faulty_net(seed: u64, faults: FaultProfile) -> Network {
+        let default_link = LinkProfile { faults, ..LinkProfile::default() };
+        Network::new(NetworkConfig { default_link, ..NetworkConfig::default() }, seed)
+    }
+
     #[test]
     fn request_response_roundtrip() {
         let mut net = Network::new(NetworkConfig::default(), 1);
@@ -895,28 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn captive_portal_blocks_ports() {
-        let mut net = Network::new(NetworkConfig::default(), 1);
-        net.listen(server_ip(), 843, Box::new(|_| Box::new(EchoAcceptor)));
-        net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-        net.set_link(
-            client_ip(),
-            LinkProfile { blocked_ports: vec![843], ..LinkProfile::default() },
-        );
-        let log = Shared::new(Vec::new());
-        // Port 843 (classic Flash policy port) blocked...
-        assert_eq!(
-            net.dial_from(client_ip(), server_ip(), 843, Box::new(Client { log: log.clone() }))
-                .unwrap_err(),
-            DialError::PortBlocked
-        );
-        // ...but port 80 works — the paper's §3.1 design decision.
-        net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() })).unwrap();
-        net.run().unwrap();
-        assert_eq!(log.lock()[0], "HELLO");
-    }
-
-    #[test]
     fn virtual_time_advances_by_latency() {
         let mut net = Network::new(NetworkConfig::default(), 1);
         net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
@@ -928,70 +815,10 @@ mod tests {
     }
 
     #[test]
-    fn loss_stalls_the_exchange() {
-        let mut net = Network::new(NetworkConfig::default(), 2);
-        net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-        net.set_link(
-            client_ip(),
-            LinkProfile {
-                loss: 1.0, // every delivery dropped
-                ..LinkProfile::default()
-            },
-        );
-        let log = Shared::new(Vec::new());
-        net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() })).unwrap();
-        net.run().unwrap();
-        assert!(log.lock().is_empty(), "reply should have been lost");
-    }
-
-    #[test]
-    fn loss_stream_is_per_session_not_per_network() {
-        // A client's loss outcomes must be a pure function of
-        // (seed, client, salt, dial ordinal) — injecting an unrelated
-        // second session into the same event loop must not perturb them.
-        fn lossy_exchange(with_bystander: bool) -> Vec<String> {
-            let mut net = Network::new(NetworkConfig::default(), 77);
-            net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-            net.set_link(client_ip(), LinkProfile { loss: 0.5, ..LinkProfile::default() });
-            let bystander = Ipv4([198, 51, 100, 99]);
-            net.begin_session(client_ip(), 0xAB);
-            net.begin_session(bystander, 0xCD);
-            if with_bystander {
-                // Same lossy link for the bystander: in the old shared-
-                // stream design its sends consumed draws from the one
-                // sequential RNG and shifted the victim's outcomes.
-                net.set_link(bystander, LinkProfile { loss: 0.5, ..LinkProfile::default() });
-                let log = Shared::new(Vec::new());
-                net.dial_from(bystander, server_ip(), 80, Box::new(Client { log })).unwrap();
-            }
-            let log = Shared::new(Vec::new());
-            for _ in 0..8 {
-                net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() }))
-                    .unwrap();
-            }
-            net.run().unwrap();
-            let out = log.lock().clone();
-            out
-        }
-        let alone = lossy_exchange(false);
-        let crowded = lossy_exchange(true);
-        assert_eq!(alone, crowded, "bystander session must not shift loss sampling");
-        // Each completed exchange logs exactly one "HELLO"; with loss 0.5
-        // on both directions, some of the 8 must have stalled (this is
-        // deterministic for the fixed seed — if all 8 ever complete,
-        // loss sampling stopped being consulted).
-        assert!(
-            !alone.is_empty() && alone.len() < 8,
-            "loss must stall some but not all exchanges, got {}/8",
-            alone.len()
-        );
-    }
-
-    #[test]
-    fn conduit_dial_loss_streams_inherit_session_scope() {
-        // A conduit-originated dial (a proxy's upstream leg) onto a LOSSY
-        // destination link must sample loss from the owning session's
-        // stream — a concurrent bystander session relaying through the
+    fn conduit_dial_fault_streams_inherit_session_scope() {
+        // A conduit-originated dial (a proxy's upstream leg) on a faulty
+        // link must sample its faults from the owning session's dial
+        // scope — a concurrent bystander session relaying through the
         // same destination must not perturb it.
         struct Relay {
             log: Shared<Vec<String>>,
@@ -1009,10 +836,8 @@ mod tests {
             fn on_data(&mut self, _d: &[u8], _io: &mut IoCtx<'_>) {}
         }
         fn relayed_exchanges(with_bystander: bool) -> Vec<String> {
-            let mut net = Network::new(NetworkConfig::default(), 78);
+            let mut net = faulty_net(78, FaultProfile::uniform(0.25));
             net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-            // The upstream leg (conduit dial to server_ip) is lossy.
-            net.set_link(server_ip(), LinkProfile { loss: 0.5, ..LinkProfile::default() });
             let log = Shared::new(Vec::new());
             net.listen(server_ip(), 9999, {
                 let log = log.clone();
@@ -1029,7 +854,7 @@ mod tests {
                 });
                 net.dial_from(bystander, server_ip(), 9998, Box::new(Kick)).unwrap();
             }
-            for _ in 0..8 {
+            for _ in 0..16 {
                 net.dial_from(client_ip(), server_ip(), 9999, Box::new(Kick)).unwrap();
             }
             net.run().unwrap();
@@ -1038,11 +863,11 @@ mod tests {
         }
         let alone = relayed_exchanges(false);
         let crowded = relayed_exchanges(true);
-        assert_eq!(alone, crowded, "bystander must not shift upstream-leg loss sampling");
+        assert_eq!(alone, crowded, "bystander must not shift upstream-leg fault sampling");
+        let completed = alone.iter().filter(|s| *s == "HELLO").count();
         assert!(
-            !alone.is_empty() && alone.len() < 8,
-            "upstream loss must stall some but not all exchanges, got {}/8",
-            alone.len()
+            completed > 0 && completed < 16,
+            "25% faults must fail some but not all relayed exchanges, got {completed}/16"
         );
     }
 
@@ -1321,23 +1146,48 @@ mod tests {
     }
 
     #[test]
-    fn reap_stalled_reclaims_lossy_stalls() {
-        // Total loss stalls every exchange: both sides sit open forever.
-        // After quiescence, reaping must reclaim them so a long-lived
-        // network doesn't accumulate one dead pair per stalled session.
-        let mut net = Network::new(NetworkConfig::default(), 12);
-        net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-        net.set_link(client_ip(), LinkProfile { loss: 1.0, ..LinkProfile::default() });
-        let log = Shared::new(Vec::new());
-        for _ in 0..20 {
-            net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() }))
-                .unwrap();
-            net.run().unwrap();
-            assert_eq!(net.active_sides(), 2, "the stalled pair lingers at quiescence");
-            assert_eq!(net.reap_stalled(), 2);
-            assert_eq!(net.active_sides(), 0);
+    fn reap_stalled_reclaims_faulted_stalls() {
+        // A blackholed dial never opens, and a sender that stalls before
+        // its third frame never finishes a three-round exchange: either
+        // way both sides sit open forever. After quiescence, reaping must
+        // reclaim them so a long-lived network doesn't accumulate one
+        // dead pair per stalled session.
+        struct Rounds {
+            replies: u32,
+            log: Shared<Vec<String>>,
         }
-        assert_eq!(net.sides_high_water(), 2, "reaped slots must be reused across stalls");
+        impl Conduit for Rounds {
+            fn on_open(&mut self, io: &mut IoCtx<'_>) {
+                io.send(b"ping");
+            }
+            fn on_data(&mut self, _d: &[u8], io: &mut IoCtx<'_>) {
+                self.replies += 1;
+                if self.replies < 3 {
+                    io.send(b"ping");
+                } else {
+                    self.log.lock().push("done".into());
+                    io.close();
+                }
+            }
+        }
+        for faults in [
+            FaultProfile { stall: 1.0, ..FaultProfile::none() },
+            FaultProfile { blackhole: 1.0, ..FaultProfile::none() },
+        ] {
+            let mut net = faulty_net(12, faults);
+            net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
+            let log = Shared::new(Vec::new());
+            for _ in 0..20 {
+                let rounds = Rounds { replies: 0, log: log.clone() };
+                net.dial_from(client_ip(), server_ip(), 80, Box::new(rounds)).unwrap();
+                net.run().unwrap();
+                assert_eq!(net.active_sides(), 2, "the stalled pair lingers at quiescence");
+                assert_eq!(net.reap_stalled(), 2);
+                assert_eq!(net.active_sides(), 0);
+            }
+            assert!(log.lock().is_empty(), "no exchange may finish");
+            assert_eq!(net.sides_high_water(), 2, "reaped slots must be reused across stalls");
+        }
     }
 
     #[test]
@@ -1353,19 +1203,12 @@ mod tests {
             }
             fn on_data(&mut self, _d: &[u8], _io: &mut IoCtx<'_>) {}
         }
-        let mut net = Network::new(NetworkConfig::default(), 20);
+        let mut net = faulty_net(20, FaultProfile { blackhole: 1.0, ..FaultProfile::none() });
         let opened = Shared::new(false);
         net.listen(server_ip(), 80, {
             let opened = opened.clone();
             Box::new(move |_| Box::new(OpenCanary { opened: opened.clone() }))
         });
-        net.set_link(
-            client_ip(),
-            LinkProfile {
-                faults: FaultProfile { blackhole: 1.0, ..FaultProfile::none() },
-                ..LinkProfile::default()
-            },
-        );
         let log = Shared::new(Vec::new());
         net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() })).unwrap();
         net.run().unwrap();
@@ -1381,15 +1224,8 @@ mod tests {
         // some of the 16 complete and some die. What must hold: resets
         // actually kill exchanges, a reset peer observes on_close (the
         // Client logs "closed"), and nothing leaks.
-        let mut net = Network::new(NetworkConfig::default(), 21);
+        let mut net = faulty_net(21, FaultProfile { reset: 1.0, ..FaultProfile::none() });
         net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-        net.set_link(
-            client_ip(),
-            LinkProfile {
-                faults: FaultProfile { reset: 1.0, ..FaultProfile::none() },
-                ..LinkProfile::default()
-            },
-        );
         let log = Shared::new(Vec::new());
         for _ in 0..16 {
             net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() }))
@@ -1430,18 +1266,11 @@ mod tests {
             fn on_data(&mut self, _d: &[u8], _io: &mut IoCtx<'_>) {}
         }
         let got = Shared::new(Vec::new());
-        let mut net = Network::new(NetworkConfig::default(), 22);
+        let mut net = faulty_net(22, FaultProfile { corrupt: 1.0, ..FaultProfile::none() });
         net.listen(server_ip(), 80, {
             let got = got.clone();
             Box::new(move |_| Box::new(Recorder { got: got.clone() }))
         });
-        net.set_link(
-            client_ip(),
-            LinkProfile {
-                faults: FaultProfile { corrupt: 1.0, ..FaultProfile::none() },
-                ..LinkProfile::default()
-            },
-        );
         net.dial_from(client_ip(), server_ip(), 80, Box::new(Chatter)).unwrap();
         net.run().unwrap();
         let got = got.lock();
@@ -1459,19 +1288,15 @@ mod tests {
     #[test]
     fn fault_outcomes_are_bystander_invariant() {
         // Fault sampling must be a pure function of (seed, client, salt,
-        // dial ordinal) — exactly the loss-stream contract. An unrelated
-        // faulty session sharing the event loop must not shift outcomes.
+        // dial ordinal). An unrelated faulty session sharing the event
+        // loop must not shift outcomes.
         fn faulty_exchanges(with_bystander: bool) -> Vec<String> {
-            let mut net = Network::new(NetworkConfig::default(), 79);
+            let mut net = faulty_net(79, FaultProfile::uniform(0.25));
             net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-            let faulty =
-                LinkProfile { faults: FaultProfile::uniform(0.25), ..LinkProfile::default() };
-            net.set_link(client_ip(), faulty.clone());
             let bystander = Ipv4([198, 51, 100, 99]);
             net.begin_session(client_ip(), 0xAB);
             net.begin_session(bystander, 0xCD);
             if with_bystander {
-                net.set_link(bystander, faulty);
                 let log = Shared::new(Vec::new());
                 net.dial_from(bystander, server_ip(), 80, Box::new(Client { log })).unwrap();
             }
@@ -1495,27 +1320,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_profile_leaves_loss_streams_untouched() {
-        // Adding a FaultProfile with every rate at zero must not consume
-        // any draws: loss outcomes stay identical to a plain lossy link.
-        fn outcomes(faults: FaultProfile) -> Vec<String> {
-            let mut net = Network::new(NetworkConfig::default(), 80);
-            net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-            net.set_link(client_ip(), LinkProfile { loss: 0.5, faults, ..LinkProfile::default() });
-            net.begin_session(client_ip(), 0x77);
-            let log = Shared::new(Vec::new());
-            for _ in 0..8 {
-                net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() }))
-                    .unwrap();
-            }
-            net.run().unwrap();
-            let out = log.lock().clone();
-            out
-        }
-        assert_eq!(outcomes(FaultProfile::none()), outcomes(FaultProfile::uniform(0.0)));
-    }
-
-    #[test]
     fn timers_fire_in_order_and_advance_virtual_time() {
         let fired = Shared::new(Vec::new());
         let mut net = Network::new(NetworkConfig::default(), 30);
@@ -1534,37 +1338,12 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_timer_does_not_fire() {
-        let fired = Shared::new(0u32);
-        let mut net = Network::new(NetworkConfig::default(), 31);
-        let id = net.after(1_000, {
-            let fired = fired.clone();
-            move |_| *fired.lock() += 1
-        });
-        net.after(2_000, {
-            let fired = fired.clone();
-            move |_| *fired.lock() += 10
-        });
-        net.cancel_timer(id);
-        net.cancel_timer(id); // idempotent
-        net.run().unwrap();
-        assert_eq!(*fired.lock(), 10);
-    }
-
-    #[test]
     fn timer_can_close_a_stalled_connection() {
         // The retry layer's core move: a deadline that kills a dial whose
         // SYN was blackholed. The conduit must be reclaimed by the close,
         // with no reap needed.
-        let mut net = Network::new(NetworkConfig::default(), 32);
+        let mut net = faulty_net(32, FaultProfile { blackhole: 1.0, ..FaultProfile::none() });
         net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
-        net.set_link(
-            client_ip(),
-            LinkProfile {
-                faults: FaultProfile { blackhole: 1.0, ..FaultProfile::none() },
-                ..LinkProfile::default()
-            },
-        );
         let log = Shared::new(Vec::new());
         let tok = net
             .dial_from(client_ip(), server_ip(), 80, Box::new(Client { log: log.clone() }))

@@ -62,12 +62,25 @@ pub(crate) fn par_for_each<T: Sync>(work: &[T], threads: usize, f: impl Fn(&T) +
     }
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    f(item);
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    while let Some(item) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        f(item);
+                    }
+                })
+            })
+            .collect();
+        // Join each worker explicitly. The scope's implicit join returns
+        // once every worker's closure has returned, which can be before
+        // the worker's thread-local destructors have freed its thread
+        // handle; a caller that measures the heap right after (a
+        // repeated study must leave none behind) would then see those
+        // bytes as live.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 }
