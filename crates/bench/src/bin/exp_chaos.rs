@@ -21,7 +21,6 @@
 //! Flags: `--quick` shrinks the sweep for smoke jobs.
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use tlsfoe_core::report::{Database, ReportServer};
 use tlsfoe_core::session::{RetryPolicy, SessionRunner};
@@ -29,7 +28,7 @@ use tlsfoe_core::HostCatalog;
 use tlsfoe_crypto::drbg::Drbg;
 use tlsfoe_geo::countries::by_code;
 use tlsfoe_geo::GeoDb;
-use tlsfoe_netsim::{FaultProfile, LinkProfile, Shared};
+use tlsfoe_netsim::{FaultProfile, Shared};
 use tlsfoe_population::model::{ClientProfile, PopulationModel, StudyEra};
 
 /// One sweep cell's aggregates.
@@ -51,17 +50,12 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 fn run_cell(rate: f64, retry: &RetryPolicy, sessions: u32) -> CellStats {
-    let catalog = Arc::new(HostCatalog::study1());
+    let catalog = HostCatalog::study1();
     let geo = GeoDb::allocate(1_000_000);
     let db = Shared::new(Database::new());
     let report = Rc::new(ReportServer::new(&catalog, geo.clone(), db.clone()));
     let mut runner = SessionRunner::new(catalog, report).with_retry_policy(retry.clone());
-    if rate > 0.0 {
-        runner.set_default_link(LinkProfile {
-            faults: FaultProfile::uniform(rate),
-            ..LinkProfile::default()
-        });
-    }
+    runner.set_faults(FaultProfile::uniform(rate));
     let model = PopulationModel::new(StudyEra::Study1, runner.catalog().public_roots.clone());
     let us = by_code("US").expect("US registered");
 

@@ -13,7 +13,7 @@ fn main() {
     // Verify the policy-scan property the paper selected hosts by.
     let catalog = HostCatalog::study2();
     let mut permissive = 0;
-    for host in &catalog.hosts {
+    for host in catalog.hosts {
         let mut net = Network::new(NetworkConfig::default(), 1);
         net.listen(host.ip, 80, Box::new(|_| Box::new(PolicyServer::permissive())));
         let result = Shared::new(PolicyFetchResult::Pending);

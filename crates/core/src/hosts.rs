@@ -4,17 +4,25 @@
 //! the Alexa top million that served permissive Flash socket-policy
 //! files, split into Popular / Business / Pornographic categories. Each
 //! host gets a fixed simulator address, a legitimate certificate chain
-//! issued by the simulated web PKI, and a per-category completion rate
-//! (derived from Table 8: clients with slow connections completed only a
-//! subset of the parallel probes — §4.2).
+//! issued by the simulated web PKI, the PEM upload body of that chain,
+//! and a per-category completion rate (derived from Table 8: clients
+//! with slow connections completed only a subset of the parallel probes
+//! — §4.2).
+//!
+//! Hosts, chains and the PKI are constants, so each of the three
+//! catalogs (study 1, study 2, baseline) is built once per process, on
+//! first use, and every [`HostCatalog`] is a cheap handle on it. One CA
+//! certificate signs every host of every catalog, and one public
+//! [`RootStore`] holds it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use tlsfoe_netsim::Ipv4;
 use tlsfoe_population::keys;
+use tlsfoe_population::model::StudyEra;
 use tlsfoe_x509::name::NameBuilder;
 use tlsfoe_x509::time::Time;
-use tlsfoe_x509::{Certificate, CertificateBuilder, RootStore};
+use tlsfoe_x509::{pem, Certificate, CertificateBuilder, RootStore};
 
 /// Host categories as the paper names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -68,12 +76,17 @@ pub struct ProbeHost {
     pub ip: Ipv4,
     /// The genuine chain this host serves (leaf first, incl. root).
     pub chain: Vec<Certificate>,
+    /// The concatenated PEM encoding of `chain`: the §3.2 upload body of
+    /// every probe that captures the genuine chain.
+    pub body: Vec<u8>,
 }
 
-/// The full catalog plus the simulated web PKI's root store.
+/// A probed-host catalog plus the simulated web PKI's root store: a
+/// cheap handle on a catalog built once per process.
+#[derive(Clone)]
 pub struct HostCatalog {
     /// All hosts, authors' server first (probe order, §4.2).
-    pub hosts: Vec<ProbeHost>,
+    pub hosts: &'static [ProbeHost],
     /// Public CA roots (what clean clients and validating proxies trust).
     pub public_roots: Arc<RootStore>,
     /// The reporting server's address (same machine as the authors' host).
@@ -108,8 +121,8 @@ pub const TABLE1: &[(&str, HostCategory)] = &[
 pub const BASELINE_HOST: (&str, HostCategory) = ("www.facebook.com", HostCategory::MegaPopular);
 
 /// The simulated commercial CA's key spec — one source shared by
-/// [`HostCatalog::build`] and [`prewarm_key_specs`], so the prewarm can
-/// never drift from what the build actually generates.
+/// [`web_pki`] and [`prewarm_key_specs`], so the prewarm can never drift
+/// from what the build actually generates.
 const CA_KEY_SPEC: (u64, usize) = (keys::server_seed(9_999), 1024);
 
 /// Key spec for the `i`-th host of a catalog whose seeds start at
@@ -131,14 +144,11 @@ fn catalog_seed_base(baseline: bool) -> u16 {
 /// The catalog entries a `(baseline, era)` study probes — the selection
 /// [`HostCatalog::study1`]/[`study2`](HostCatalog::study2)/
 /// [`baseline`](HostCatalog::baseline) build from.
-fn catalog_entries(
-    baseline: bool,
-    era: tlsfoe_population::model::StudyEra,
-) -> &'static [(&'static str, HostCategory)] {
+fn catalog_entries(baseline: bool, era: StudyEra) -> &'static [(&'static str, HostCategory)] {
     static BASELINE_ENTRIES: [(&str, HostCategory); 1] = [BASELINE_HOST];
     if baseline {
         &BASELINE_ENTRIES
-    } else if era == tlsfoe_population::model::StudyEra::Study1 {
+    } else if era == StudyEra::Study1 {
         &TABLE1[..1]
     } else {
         TABLE1
@@ -152,14 +162,11 @@ fn catalog_entries(
 /// slot per era-active product and host, never a slot no host selects).
 /// `run_study` warms these together with the era's roots
 /// (`tlsfoe_population::keys::product_key_specs`) in one parallel
-/// `tlsfoe_population::keys::warm_keys` pass, so neither the catalog
-/// build's host loop nor an interception inside a drive generates a
-/// key. Derived from the same private constants the build consumes
-/// (`CA_KEY_SPEC`, `host_key_spec`, `catalog_entries`).
-pub fn prewarm_key_specs(
-    baseline: bool,
-    era: tlsfoe_population::model::StudyEra,
-) -> Vec<(u64, usize)> {
+/// `tlsfoe_population::keys::warm_keys` pass, so neither the process's
+/// first catalog build nor an interception inside a drive generates a
+/// key serially. Derived from the same private constants the build
+/// consumes (`CA_KEY_SPEC`, `host_key_spec`, `catalog_entries`).
+pub fn prewarm_key_specs(baseline: bool, era: StudyEra) -> Vec<(u64, usize)> {
     let base = catalog_seed_base(baseline);
     let entries = catalog_entries(baseline, era);
     let mut specs = vec![CA_KEY_SPEC];
@@ -169,24 +176,17 @@ pub fn prewarm_key_specs(
     specs
 }
 
-impl HostCatalog {
-    /// Build the study-1 catalog (authors' host only).
-    pub fn study1() -> HostCatalog {
-        Self::build(catalog_entries(false, tlsfoe_population::model::StudyEra::Study1), false)
-    }
+/// The simulated web PKI: one commercial CA, which signs every catalog
+/// host's certificate, and the public root store that holds it.
+struct WebPki {
+    ca_cert: Certificate,
+    roots: Arc<RootStore>,
+}
 
-    /// Build the study-2 catalog (all 18 hosts).
-    pub fn study2() -> HostCatalog {
-        Self::build(catalog_entries(false, tlsfoe_population::model::StudyEra::Study2), false)
-    }
-
-    /// Build the baseline catalog (facebook only, Huang methodology).
-    pub fn baseline() -> HostCatalog {
-        Self::build(catalog_entries(true, tlsfoe_population::model::StudyEra::Study1), true)
-    }
-
-    fn build(entries: &[(&'static str, HostCategory)], baseline: bool) -> HostCatalog {
-        // One simulated commercial CA signs every legitimate host cert —
+/// The process's one web PKI, built on first use.
+fn web_pki() -> &'static WebPki {
+    static PKI: OnceLock<WebPki> = OnceLock::new();
+    PKI.get_or_init(|| {
         // "DigiCert High Assurance CA-3" signed the authors' real cert.
         let ca_key = keys::keypair(CA_KEY_SPEC.0, CA_KEY_SPEC.1);
         let ca_name = NameBuilder::new()
@@ -196,17 +196,23 @@ impl HostCatalog {
             .build();
         let ca_cert = CertificateBuilder::new()
             .serial_u64(1)
-            .subject(ca_name.clone())
+            .subject(ca_name)
             .validity(Time::from_ymd(2010, 1, 1), Time::from_ymd(2025, 1, 1))
             .ca(None)
             .self_sign(&ca_key)
             .expect("CA self-sign");
-
         let mut roots = RootStore::new();
         roots.add_factory_root(ca_cert.clone());
+        WebPki { ca_cert, roots: Arc::new(roots) }
+    })
+}
 
+impl WebPki {
+    /// Issue every host a `(baseline, era)` study probes its chain.
+    fn issue(&self, baseline: bool, era: StudyEra) -> Vec<ProbeHost> {
+        let ca_key = keys::keypair(CA_KEY_SPEC.0, CA_KEY_SPEC.1);
         let base = catalog_seed_base(baseline);
-        let hosts = entries
+        catalog_entries(baseline, era)
             .iter()
             .enumerate()
             .map(|(i, &(name, category))| {
@@ -214,7 +220,7 @@ impl HostCatalog {
                 let leaf_key = keys::keypair(leaf_seed, leaf_bits);
                 let leaf = CertificateBuilder::new()
                     .serial_u64(1000 + base as u64 + i as u64)
-                    .issuer(ca_name.clone())
+                    .issuer(self.ca_cert.tbs.subject.clone())
                     .subject(
                         NameBuilder::new()
                             .country("US")
@@ -226,16 +232,45 @@ impl HostCatalog {
                     .san_dns(&[name])
                     .sign(&leaf_key.public, &ca_key)
                     .expect("host leaf sign");
-                ProbeHost {
-                    name,
-                    category,
-                    ip: Ipv4([203, 0, 113, 10 + i as u8]),
-                    chain: vec![leaf, ca_cert.clone()],
-                }
+                let chain = vec![leaf, self.ca_cert.clone()];
+                let body = pem::encode_certificates(&chain).into_bytes();
+                ProbeHost { name, category, ip: Ipv4([203, 0, 113, 10 + i as u8]), chain, body }
             })
-            .collect();
+            .collect()
+    }
+}
 
-        HostCatalog { hosts, public_roots: Arc::new(roots), report_server: Ipv4([203, 0, 113, 9]) }
+impl HostCatalog {
+    /// The study-1 catalog (authors' host only).
+    pub fn study1() -> HostCatalog {
+        Self::for_study(false, StudyEra::Study1)
+    }
+
+    /// The study-2 catalog (all 18 hosts).
+    pub fn study2() -> HostCatalog {
+        Self::for_study(false, StudyEra::Study2)
+    }
+
+    /// The baseline catalog (facebook only, Huang methodology).
+    pub fn baseline() -> HostCatalog {
+        Self::for_study(true, StudyEra::Study1)
+    }
+
+    /// The catalog a `(baseline, era)` study probes: its hosts are issued
+    /// on the process's first call and shared by every later handle.
+    pub(crate) fn for_study(baseline: bool, era: StudyEra) -> HostCatalog {
+        static STUDY1: OnceLock<Vec<ProbeHost>> = OnceLock::new();
+        static STUDY2: OnceLock<Vec<ProbeHost>> = OnceLock::new();
+        static BASELINE: OnceLock<Vec<ProbeHost>> = OnceLock::new();
+        let hosts = match (baseline, era) {
+            (true, _) => &BASELINE,
+            (false, StudyEra::Study1) => &STUDY1,
+            (false, StudyEra::Study2) => &STUDY2,
+        };
+        let pki = web_pki();
+        let hosts = hosts.get_or_init(|| pki.issue(baseline, era));
+        let report_server = Ipv4([203, 0, 113, 9]);
+        HostCatalog { hosts, public_roots: pki.roots.clone(), report_server }
     }
 
     /// Find a host by name.
@@ -284,7 +319,7 @@ mod tests {
     #[test]
     fn legitimate_chains_validate_against_public_roots() {
         let c = HostCatalog::study2();
-        for h in &c.hosts {
+        for h in c.hosts {
             c.public_roots
                 .validate(&h.chain, h.name, Time::from_ymd(2014, 10, 10))
                 .unwrap_or_else(|e| panic!("{}: {e}", h.name));
@@ -319,6 +354,17 @@ mod tests {
         assert_eq!(c.hosts.len(), 1);
         assert_eq!(c.hosts[0].name, "www.facebook.com");
         assert_eq!(c.hosts[0].category, HostCategory::MegaPopular);
+    }
+
+    #[test]
+    fn catalogs_are_built_once_per_process() {
+        // Every handle on a catalog reads the one host table the process
+        // built, and the three catalogs trust the one public root store.
+        let (a, b) = (HostCatalog::study2(), HostCatalog::study2());
+        assert!(std::ptr::eq(a.hosts, b.hosts), "study-2 handles must share one host table");
+        for other in [HostCatalog::study1(), HostCatalog::baseline()] {
+            assert!(Arc::ptr_eq(&a.public_roots, &other.public_roots));
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! and the two AdWords-driven studies, end to end.
 //!
 //! * [`hosts`] — the probed-host catalog (Table 1): the authors' server
-//!   plus the 17 Alexa sites with permissive Flash socket policies,
+//!   plus the 17 Alexa sites with permissive Flash socket policies, each
+//!   with its genuine chain and that chain's upload body, built once per
+//!   process,
 //! * [`http`] — the minimal HTTP POST used to upload reports (§3, step 3),
 //! * [`report`] — the reporting server: receives PEM chains, compares
 //!   them with the authoritative certificates, geolocates the client and

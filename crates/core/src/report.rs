@@ -18,7 +18,7 @@ use tlsfoe_netsim::net::DialInfo;
 use tlsfoe_netsim::{Ipv4, Shared};
 use tlsfoe_x509::{pem, Certificate};
 
-use crate::hosts::{HostCatalog, HostCategory};
+use crate::hosts::{HostCatalog, ProbeHost};
 use crate::http::{HttpPostServer, PostRequest};
 use tlsfoe_geo::GeoDb;
 
@@ -35,9 +35,8 @@ const INGEST_MEMO_MAX: usize = 4096;
 
 /// One probed host as the server sees it.
 struct Authority {
-    /// DER of the host's genuine leaf, which uploads are compared to.
-    leaf_der: Vec<u8>,
-    category: HostCategory,
+    /// The catalog host, whose genuine leaf uploads are compared to.
+    host: &'static ProbeHost,
     /// Upload body → `(proxied, substitute evidence)` against this host.
     ///
     /// Probes upload the PEM encoding of whatever chain they captured,
@@ -73,11 +72,7 @@ impl ReportServer {
         let authoritative = catalog
             .hosts
             .iter()
-            .filter_map(|h| {
-                let leaf_der = h.chain.first()?.to_der().to_vec();
-                let memo = Memo::new(INGEST_MEMO_MAX);
-                Some((h.name, Authority { leaf_der, category: h.category, memo }))
-            })
+            .map(|host| (host.name, Authority { host, memo: Memo::new(INGEST_MEMO_MAX) }))
             .collect();
         ReportServer { authoritative, geo, db }
     }
@@ -123,7 +118,7 @@ impl ReportServer {
             self.db.lock().note_malformed();
             return;
         };
-        let Some((&host, auth)) = self.authoritative.get_key_value(host_name) else {
+        let Some(auth) = self.authoritative.get(host_name) else {
             self.db.lock().note_malformed();
             return;
         };
@@ -132,9 +127,8 @@ impl ReportServer {
         // function of `(host, body)` (see [`Authority::memo`]); only the
         // per-upload fields are computed fresh. Unparsable bodies are
         // counted and dropped, never memoized.
-        let classified = auth
-            .memo
-            .get_or_try_insert_with(body, || classify(body, &auth.leaf_der, host).ok_or(()));
+        let classified =
+            auth.memo.get_or_try_insert_with(body, || classify(body, auth.host).ok_or(()));
         let Ok((proxied, substitute)) = classified else {
             self.db.lock().note_malformed();
             return;
@@ -143,8 +137,8 @@ impl ReportServer {
             impression,
             client_ip,
             country: self.geo.lookup(client_ip),
-            host,
-            category: auth.category,
+            host: auth.host.name,
+            category: auth.host.category,
             proxied,
             substitute,
             attempts,
@@ -164,15 +158,16 @@ impl ReportServer {
     }
 }
 
-/// Classify an upload body against `host`, whose genuine leaf is
-/// `auth_leaf`, as `(proxied, substitute evidence)`; `None` when the
-/// body is not a non-empty PEM chain.
-fn classify(body: &[u8], auth_leaf: &[u8], host: &str) -> Option<(bool, Option<SubstituteInfo>)> {
+/// Classify an upload body against `host`'s genuine leaf as
+/// `(proxied, substitute evidence)`; `None` when the body is not a
+/// non-empty PEM chain.
+fn classify(body: &[u8], host: &ProbeHost) -> Option<(bool, Option<SubstituteInfo>)> {
     let chain = pem::decode_certificates(&String::from_utf8_lossy(body)).ok()?;
     let (leaf, intermediates) = chain.split_first()?;
     let leaf_der = leaf.to_der();
-    let proxied = leaf_der != auth_leaf;
-    Some((proxied, proxied.then(|| extract_substitute(leaf, leaf_der, intermediates, host))))
+    let proxied = host.chain.first().map(Certificate::to_der) != Some(leaf_der);
+    let evidence = || extract_substitute(leaf, leaf_der, intermediates, host.name);
+    Some((proxied, proxied.then(evidence)))
 }
 
 /// Pull the analyzer-relevant fields out of a substitute chain.

@@ -12,8 +12,8 @@
 //!
 //! A [`SessionRunner`] owns **one long-lived [`Network`]** for its whole
 //! shard: the catalog listeners, policy server and report server are
-//! registered once, then every impression's client (interceptor, link
-//! profile, policy fetch, probes) is *injected* into the shared event
+//! registered once, then every impression's client (interceptor, dial
+//! scope, policy fetch, probes) is *injected* into the shared event
 //! loop. Many concurrent sessions are batched per `run()` drive — the
 //! paper's deployment had thousands of clients sharing the same servers
 //! — which amortizes topology setup across the shard instead of paying
@@ -41,15 +41,15 @@ use std::sync::Arc;
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_crypto::memo::WordState;
 use tlsfoe_netsim::policy::fetch_policy;
-use tlsfoe_netsim::{Conduit, ConnToken, DialError, IoCtx, Ipv4, LinkProfile, NetRunError};
+use tlsfoe_netsim::{Conduit, ConnToken, DialError, FaultProfile, IoCtx, Ipv4, NetRunError};
 use tlsfoe_netsim::{Network, NetworkConfig, PolicyServer, Shared};
 use tlsfoe_population::model::{ClientProfile, PopulationModel};
 use tlsfoe_tls::probe::{ProbeError, ProbeOutcome, ProbeState};
 use tlsfoe_tls::server::{ServerConfig, TlsCertServer};
 use tlsfoe_tls::ProbeClient;
-use tlsfoe_x509::{pem, Certificate};
+use tlsfoe_x509::pem;
 
-use crate::hosts::HostCatalog;
+use crate::hosts::{HostCatalog, ProbeHost};
 use crate::http::HttpPostClient;
 use crate::report::{Database, ProbeFailureRecord, ReportServer};
 
@@ -183,14 +183,8 @@ impl Default for RetryPolicy {
 }
 
 /// Per-worker session runner owning the shard's one long-lived network.
-///
-/// Besides the network, a runner keeps one upload slot per catalog host:
-/// the chain that host's probes last uploaded and its PEM body. Only
-/// about 1 in 250 connections is proxied, so nearly every probe of a
-/// host captures the chain the previous one did and uploads the stored
-/// body instead of encoding the chain again.
 pub struct SessionRunner {
-    catalog: Arc<HostCatalog>,
+    catalog: HostCatalog,
     /// The authors' host address (the catalog's first host), which
     /// serves the policy file every session fetches.
     authors_ip: Ipv4,
@@ -199,8 +193,6 @@ pub struct SessionRunner {
     /// reads: the report server records what arrives, not what the
     /// client saw acknowledged.
     upload_ok: Shared<bool>,
-    /// One [`UploadSlot`] per catalog host, in catalog order.
-    uploads: Vec<Shared<UploadSlot>>,
     authors_completion: Option<f64>,
     net: Network,
     /// Clients injected but not yet driven; their per-client network
@@ -214,10 +206,12 @@ impl SessionRunner {
     /// Build a runner for one worker and register the full topology —
     /// catalog TLS servers, the authors' policy server, the reporting
     /// server — exactly once on its shard-lifetime network. The catalog
-    /// is `Arc`-shared so all worker threads of a sharded study reuse
-    /// one set of host chains (the `ServerConfig`s are `Arc` too); the
-    /// report server (and its database) stays per-worker.
-    pub fn new(catalog: Arc<HostCatalog>, report_server: Rc<ReportServer>) -> SessionRunner {
+    /// handle reads the process's one copy of the host chains, but each
+    /// runner builds its own `ServerConfig` per host: every accepted
+    /// connection clones its host's `Arc`, and a process-wide one would
+    /// take those clones from every shard thread. The report server (and
+    /// its database) stays per-worker too.
+    pub fn new(catalog: HostCatalog, report_server: Rc<ReportServer>) -> SessionRunner {
         let db = report_server.db();
         let mut net = Network::new(NetworkConfig::default(), 0);
         for host in catalog.hosts.iter() {
@@ -227,14 +221,11 @@ impl SessionRunner {
         let authors_ip = catalog.hosts[0].ip;
         net.listen(authors_ip, 80, Box::new(|_| Box::new(PolicyServer::permissive())));
         net.listen(catalog.report_server, 80, report_server.listener());
-        let uploads =
-            catalog.hosts.iter().map(|h| Shared::new(UploadSlot::new(&h.chain))).collect();
         SessionRunner {
             catalog,
             authors_ip,
             db,
             upload_ok: Shared::new(false),
-            uploads,
             authors_completion: None,
             net,
             pending: Vec::new(),
@@ -259,10 +250,10 @@ impl SessionRunner {
         self
     }
 
-    /// Replace the shard network's link profile — how a study applies
-    /// one [`tlsfoe_netsim::FaultProfile`] to every client.
-    pub fn set_default_link(&mut self, link: LinkProfile) {
-        self.net.set_default_link(link);
+    /// Replace the faults of the shard network's one link — how a study
+    /// applies one [`FaultProfile`] to every client.
+    pub fn set_faults(&mut self, faults: FaultProfile) {
+        self.net.set_faults(faults);
     }
 
     /// Override the shard network's per-drive event cap (the
@@ -362,7 +353,7 @@ impl SessionRunner {
 
         // 2. Completion-gated probes, authors' host first then the rest.
         let mut attempted = 0;
-        for (host, upload) in self.catalog.hosts.iter().zip(&self.uploads) {
+        for host in self.catalog.hosts {
             let rate = match (host.category, self.authors_completion) {
                 (crate::hosts::HostCategory::Authors, Some(r)) => r,
                 _ => host.category.completion_rate(),
@@ -374,12 +365,10 @@ impl SessionRunner {
             rng.fill_bytes(&mut random);
             let id = ProbeIdentity {
                 outcome: ProbeOutcome::new(),
-                host_name: host.name,
-                host_ip: host.ip,
+                host,
                 client_ip: profile.ip,
                 report_server: self.catalog.report_server,
                 upload_ok: self.upload_ok.clone(),
-                upload: upload.clone(),
                 impression,
             };
             // Only dials that actually launch count as attempted.
@@ -542,58 +531,28 @@ fn record_probe_failure(ctx: &ProbeCtx, deadline_hit: bool) {
     ctx.db.lock().push_failure(ProbeFailureRecord {
         impression: ctx.id.impression,
         client_ip: ctx.id.client_ip,
-        host: ctx.id.host_name,
+        host: ctx.id.host.name,
         error,
         attempts: ctx.attempts.get(),
     });
 }
 
-/// The chain one catalog host's probes last uploaded, and its PEM body.
-///
-/// A probe whose captured chain equals the stored one byte for byte
-/// uploads a copy of the stored body; any other chain (a substitute, a
-/// chain damaged on the wire, an empty one) is encoded afresh and
-/// replaces the slot. The body is always the PEM encoding of the chain
-/// the probe captured. A runner has one slot per catalog host, so the
-/// slots need no cap.
-struct UploadSlot {
-    chain: Vec<Vec<u8>>,
-    body: Vec<u8>,
-}
-
-impl UploadSlot {
-    /// A slot holding the host's genuine chain, which nearly every
-    /// upload carries.
-    ///
-    /// Filling the slot when the runner is built, rather than at the
-    /// host's first upload, also keeps its long-lived buffers out of the
-    /// heap the drive grows: filled at the first upload, they raised
-    /// the peak RSS of each of 8 `bulk_sessions` benchmark children by
-    /// about 1 MB (5%).
-    fn new(genuine: &[Certificate]) -> UploadSlot {
-        let chain = genuine.iter().map(|cert| cert.to_der().to_vec()).collect();
-        let mut slot = UploadSlot { chain, body: Vec::new() };
-        slot.encode();
-        slot
+/// The §3.2 upload body of a probe of `host` that captured `chain`: the
+/// concatenated PEM encoding of the chain. Only about 1 in 250
+/// connections is proxied, so nearly every probe captures the host's
+/// genuine chain and sends a copy of the body the host stores instead of
+/// encoding the chain again.
+fn upload_body(host: &ProbeHost, chain: &[Vec<u8>]) -> Vec<u8> {
+    let genuine = chain.len() == host.chain.len()
+        && chain.iter().zip(&host.chain).all(|(der, cert)| der.as_slice() == cert.to_der());
+    if genuine {
+        return host.body.clone();
     }
-
-    /// The concatenated PEM encoding of `chain`, the §3.2 upload body.
-    fn body_for(&mut self, chain: &[Vec<u8>]) -> Vec<u8> {
-        if self.chain != chain {
-            chain.clone_into(&mut self.chain);
-            self.encode();
-        }
-        self.body.clone()
+    let mut body = Vec::with_capacity(chain.iter().map(|der| pem::pem_len(der.len())).sum());
+    for der in chain {
+        pem::pem_encode_into(der, &mut body);
     }
-
-    /// Rebuild the body from the stored chain.
-    fn encode(&mut self) {
-        self.body.clear();
-        self.body.reserve(self.chain.iter().map(|der| pem::pem_len(der.len())).sum());
-        for der in &self.chain {
-            pem::pem_encode_into(der, &mut self.body);
-        }
-    }
+    body
 }
 
 /// One probe of one catalog host in one session: what each of its
@@ -602,14 +561,11 @@ impl UploadSlot {
 struct ProbeIdentity {
     /// The result cell every attempt refills.
     outcome: Shared<ProbeOutcome>,
-    host_name: &'static str,
-    host_ip: Ipv4,
+    host: &'static ProbeHost,
     client_ip: Ipv4,
     report_server: Ipv4,
     /// The runner's shared upload flag (see [`SessionRunner`]).
     upload_ok: Shared<bool>,
-    /// The probed host's upload slot, which builds the body.
-    upload: Shared<UploadSlot>,
     impression: u64,
 }
 
@@ -632,10 +588,10 @@ impl ReportingProbe {
         random: [u8; 32],
         attempt: u32,
     ) -> Result<ConnToken, DialError> {
-        let (client, host) = (id.client_ip, id.host_ip);
-        let probe = ProbeClient::new(id.host_name, random, id.outcome.clone());
+        let (client, host) = (id.client_ip, id.host);
+        let probe = ProbeClient::new(host.name, random, id.outcome.clone());
         let reporter = ReportingProbe { id, probe, attempt, reported: false };
-        net.dial_from(client, host, 443, Box::new(reporter))
+        net.dial_from(client, host.ip, 443, Box::new(reporter))
     }
 
     fn maybe_report(&mut self, io: &mut IoCtx<'_>) {
@@ -654,22 +610,20 @@ impl ReportingProbe {
         }
         self.reported = true;
         // The captured DER chain as concatenated PEM, the exact §3.2
-        // wire format: the host's stored body when the chain repeats.
-        let body = id.upload.lock().body_for(&id.outcome.lock().chain_der);
+        // wire format.
+        let body = upload_body(id.host, &id.outcome.lock().chain_der);
         // `att=` rides along only on retried attempts, keeping first-
         // attempt wire bytes identical to the retry-free build. The
         // capacity covers the longest path: two decimal `u64`s at most.
-        let mut path = String::with_capacity(UPLOAD_PATH_LEN + id.host_name.len());
-        let _ = write!(path, "/report?host={}&imp={}", id.host_name, id.impression);
+        let mut path = String::with_capacity(UPLOAD_PATH_LEN + id.host.name.len());
+        let _ = write!(path, "/report?host={}&imp={}", id.host.name, id.impression);
         if self.attempt > 1 {
             let _ = write!(path, "&att={}", self.attempt);
         }
-        let _ = io.dial_with_source(
-            id.client_ip,
-            id.report_server,
-            80,
-            Box::new(HttpPostClient::new(path, body, id.upload_ok.clone())),
-        );
+        // The upload leg leaves from the probe's client, whose address
+        // the report server geolocates.
+        let upload = HttpPostClient::new(path, body, id.upload_ok.clone());
+        let _ = io.dial(id.report_server, 80, Box::new(upload));
     }
 }
 
@@ -705,7 +659,7 @@ mod tests {
     use tlsfoe_population::products::ProductId;
 
     fn runner() -> (SessionRunner, Shared<Database>, GeoDb) {
-        let catalog = Arc::new(HostCatalog::study2());
+        let catalog = HostCatalog::study2();
         let geo = GeoDb::allocate(100_000);
         let db = Shared::new(Database::new());
         let report = Rc::new(ReportServer::new(&catalog, geo.clone(), db.clone()));
@@ -813,10 +767,7 @@ mod tests {
         // so the slab must stay at one batch's working set across many
         // sessions instead of growing with the stall count.
         let (mut runner, _db, geo) = runner();
-        runner.set_default_link(LinkProfile {
-            faults: tlsfoe_netsim::FaultProfile { stall: 1.0, ..Default::default() },
-            ..LinkProfile::default()
-        });
+        runner.set_faults(FaultProfile { stall: 1.0, ..FaultProfile::none() });
         let m = model();
         let us = by_code("US").unwrap();
         let mut rng = Drbg::new(7);
@@ -841,10 +792,7 @@ mod tests {
         // never silent drops.
         let (runner, db, geo) = runner();
         let mut runner = runner.with_retry_policy(RetryPolicy::standard());
-        runner.set_default_link(LinkProfile {
-            faults: tlsfoe_netsim::FaultProfile { blackhole: 0.5, ..Default::default() },
-            ..LinkProfile::default()
-        });
+        runner.set_faults(FaultProfile { blackhole: 0.5, ..FaultProfile::none() });
         let m = model();
         let us = by_code("US").unwrap();
         let mut rng = Drbg::new(11);
@@ -870,10 +818,7 @@ mod tests {
         // way the ladder exhausts and records a typed failure.
         let (runner, db, geo) = runner();
         let mut runner = runner.with_retry_policy(RetryPolicy::standard());
-        runner.set_default_link(LinkProfile {
-            faults: tlsfoe_netsim::FaultProfile { reset: 1.0, ..Default::default() },
-            ..LinkProfile::default()
-        });
+        runner.set_faults(FaultProfile { reset: 1.0, ..FaultProfile::none() });
         let m = model();
         let us = by_code("US").unwrap();
         let mut rng = Drbg::new(13);
@@ -924,20 +869,20 @@ mod tests {
     }
 
     #[test]
-    fn upload_slots_always_send_the_captured_chains_encoding() {
-        // DRBG-drawn upload sequences over three hosts' slots: each
-        // upload captures the host's genuine chain, another host's chain
-        // (a substitute), the genuine chain with one byte flipped or cut
-        // short, or nothing. Whatever the slot stored before, the body
-        // must be the fresh PEM encoding of this upload's chain.
+    fn upload_body_is_always_the_captured_chains_encoding() {
+        // DRBG-drawn uploads over three hosts: each captures the host's
+        // genuine chain, another host's chain (a substitute under the
+        // same CA), the genuine chain with one byte of one certificate
+        // flipped or cut short, or the genuine chain cut to its leaf or
+        // to nothing. Whatever was captured, the body must be the fresh
+        // PEM encoding of that chain.
         let catalog = HostCatalog::study2();
         let ders = |h: usize| -> Vec<Vec<u8>> {
             catalog.hosts[h].chain.iter().map(|c| c.to_der().to_vec()).collect()
         };
         let genuine: Vec<_> = (0..3).map(ders).collect();
-        let mut slots: Vec<_> = (0..3).map(|h| UploadSlot::new(&catalog.hosts[h].chain)).collect();
         let mut rng = Drbg::new(0x534C_4F54);
-        let mut reused = 0;
+        let mut stored = 0;
         for _ in 0..2_000 {
             let host = rng.gen_range(3) as usize;
             let mut chain = genuine[host].clone();
@@ -955,14 +900,15 @@ mod tests {
                 3 => chain.truncate(rng.gen_range(2) as usize),
                 _ => {}
             }
-            reused += usize::from(slots[host].chain == chain);
+            stored += usize::from(chain == genuine[host]);
             let mut fresh = Vec::new();
             for der in &chain {
                 pem::pem_encode_into(der, &mut fresh);
             }
-            assert_eq!(slots[host].body_for(&chain), fresh, "host {host}, {} certs", chain.len());
+            let body = upload_body(&catalog.hosts[host], &chain);
+            assert_eq!(body, fresh, "host {host}, {} certs", chain.len());
         }
-        assert!(reused > 500, "the slots must be reused, not only refilled ({reused} of 2000)");
+        assert!(stored > 500, "genuine chains must be drawn often ({stored} of 2000)");
     }
 
     #[test]

@@ -12,23 +12,23 @@
 //!
 //! Sharding: impressions are split into contiguous shards, one OS thread
 //! each; every impression's randomness is derived from `(seed,
-//! impression index)`, and all shards share one [`PopulationModel`] and
-//! host catalog, built once per run. The product factories and the
-//! substitute-chain cache behind the model are process-wide, shared with
-//! every other study in the process, and results are bit-identical
-//! regardless of thread count (the cache's determinism contract,
-//! `tlsfoe_population::cache`, is what makes the sharing safe). Each
-//! shard owns one long-lived network and a private [`Database`]; shards
-//! 1.. are merged into shard 0's database in shard order.
+//! impression index)`, and all shards share one [`PopulationModel`],
+//! built once per run, and the study's host catalog, built once per
+//! process. The product factories and the substitute-chain cache behind
+//! the model are process-wide too, shared with every other study in the
+//! process, and results are bit-identical regardless of thread count
+//! (the cache's determinism contract, `tlsfoe_population::cache`, is
+//! what makes the sharing safe). Each shard owns one long-lived network
+//! and a private [`Database`]; shards 1.. are merged into shard 0's
+//! database in shard order.
 
 use std::rc::Rc;
-use std::sync::Arc;
 
 use tlsfoe_adsim::{Campaign, Inventory};
 use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 use tlsfoe_geo::countries::{by_code, CountryCode};
 use tlsfoe_geo::GeoDb;
-use tlsfoe_netsim::{FaultProfile, LinkProfile, NetRunError, Shared};
+use tlsfoe_netsim::{FaultProfile, NetRunError, Shared};
 use tlsfoe_population::model::{ClientProfile, PopulationModel, StudyEra};
 
 use crate::hosts::HostCatalog;
@@ -269,27 +269,24 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
     }
 
     // Phase 2: measurement sessions, sharded by impression index. The
-    // catalog and population model are built ONCE and shared by every
-    // shard; the model's process-wide factories and substitute cache are
-    // the cross-thread state that stops shard N re-minting (at
-    // RSA-signature cost) the per-host chains shard M already built.
+    // population model is built ONCE and shared by every shard, with the
+    // process's one copy of the study's host catalog; the model's
+    // process-wide factories and substitute cache are the cross-thread
+    // state that stops shard N re-minting (at RSA-signature cost) the
+    // per-host chains shard M already built.
     let threads = cfg.threads.max(1);
     // Pre-pay every RSA keygen the run can touch — catalog CA/host keys
-    // (otherwise generated serially inside HostCatalog::build below),
-    // product roots and the leaf slots the catalog's hosts select
-    // (otherwise generated on first interception, blocking a session) —
-    // across all worker threads. Slots no probed host selects are never
-    // generated (see `hosts::prewarm_key_specs`). Keys are pure
-    // functions of (seed, bits), so warming cannot change any output
-    // byte.
+    // (otherwise generated serially by the process's first build of the
+    // catalog below), product roots and the leaf slots the catalog's
+    // hosts select (otherwise generated on first interception, blocking
+    // a session) — across all worker threads. Slots no probed host
+    // selects are never generated (see `hosts::prewarm_key_specs`). Keys
+    // are pure functions of (seed, bits), so warming cannot change any
+    // output byte.
     let mut specs = crate::hosts::prewarm_key_specs(cfg.baseline, cfg.era);
     specs.extend(tlsfoe_population::keys::product_key_specs(cfg.era));
     tlsfoe_population::keys::warm_keys(&specs, threads);
-    let catalog = Arc::new(match (cfg.baseline, cfg.era) {
-        (true, _) => HostCatalog::baseline(),
-        (false, StudyEra::Study1) => HostCatalog::study1(),
-        (false, StudyEra::Study2) => HostCatalog::study2(),
-    });
+    let catalog = HostCatalog::for_study(cfg.baseline, cfg.era);
     let model = PopulationModel::new(cfg.era, catalog.public_roots.clone());
     let shards = if impressions.len() < MIN_SHARDED_IMPRESSIONS { 1 } else { threads };
     if shards > 1 {
@@ -358,8 +355,8 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
     Ok(StudyOutcome { campaigns: stats, db, shard_failures })
 }
 
-/// Process one contiguous range of impressions against the run-wide
-/// catalog and population model.
+/// Process one contiguous range of impressions against the study's
+/// catalog and the run-wide population model.
 ///
 /// The shard owns exactly one [`SessionRunner`] — and through it exactly
 /// one long-lived `Network` — for its whole impression range; sessions
@@ -372,7 +369,7 @@ pub fn run_study(cfg: &StudyConfig) -> Result<StudyOutcome, StudyError> {
 /// survives.
 fn run_shard(
     cfg: &StudyConfig,
-    catalog: &Arc<HostCatalog>,
+    catalog: &HostCatalog,
     model: &PopulationModel,
     countries: &[CountryCode],
     base_index: u64,
@@ -390,7 +387,7 @@ fn run_shard(
     }
     // The shard's one link carries the study's fault profile (none by
     // default).
-    runner.set_default_link(LinkProfile { faults: cfg.faults.clone(), ..LinkProfile::default() });
+    runner.set_faults(cfg.faults.clone());
     if let Some(cap) = cfg.max_net_events {
         runner.set_max_events(cap);
     }
@@ -577,7 +574,7 @@ mod tests {
         // the population model, key caches and substitute cache, and a
         // wedged network must leave all of that clean.
         let cfg = StudyConfig::study1(8_000, 43);
-        let catalog = Arc::new(HostCatalog::study1());
+        let catalog = HostCatalog::study1();
         let model = PopulationModel::new(StudyEra::Study1, catalog.public_roots.clone());
         let us = by_code("US").unwrap();
         let de = by_code("DE").unwrap();

@@ -16,13 +16,13 @@
 //!   rides for every odd modulus,
 //! * [`md5`], [`sha1`], [`sha256`] — the three digest algorithms that appear
 //!   in the paper's certificate corpus,
-//! * [`hmac`] — HMAC over any of the digests (used by the DRBG),
 //! * [`rsa`] — RSA key generation (Miller–Rabin with batched small-prime
 //!   trial division), PKCS#1 v1.5 signing and verification with proper
 //!   DigestInfo encoding; private keys carry precomputed [`RsaCrt`]
 //!   material so signing uses half-size CRT exponentiations,
-//! * [`drbg`] — a deterministic random bit generator so that every
-//!   simulation in the workspace is reproducible from a single seed,
+//! * [`drbg`] — a deterministic random bit generator (xoshiro256**
+//!   seeded through SplitMix64) so that every simulation in the
+//!   workspace is reproducible from a single seed,
 //! * [`memo`] — the bounded, lock-striped [`Memo`] every cache in the
 //!   workspace is built on, with the fixed word-at-a-time
 //!   [`memo::WordHasher`] it and the session path's maps hash with, and
@@ -69,7 +69,6 @@
 pub mod bigint;
 pub mod ctxcache;
 pub mod drbg;
-pub mod hmac;
 pub mod md5;
 pub mod memo;
 pub mod montgomery;

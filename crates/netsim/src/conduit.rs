@@ -152,9 +152,11 @@ impl IoCtx<'_> {
     ///
     /// Dials made from within a conduit bypass the client's interceptor
     /// chain — they model the middlebox's own upstream traffic (a TLS
-    /// proxy does not intercept itself). They inherit the current
-    /// connection's dial scope, so fault sampling on the new leg stays a
-    /// pure function of the owning session.
+    /// proxy does not intercept itself) and the client process's
+    /// follow-up connections (the measurement tool's report upload).
+    /// They inherit the current connection's dial scope, so fault
+    /// sampling on the new leg stays a pure function of the owning
+    /// session, and the acceptor sees the scope's client as the source.
     pub fn dial(
         &mut self,
         dst: Ipv4,
@@ -163,20 +165,5 @@ impl IoCtx<'_> {
     ) -> Result<ConnToken, DialError> {
         let from = self.current;
         self.net.dial_from_conduit(from, dst, port, conduit)
-    }
-
-    /// Dial a new connection announcing `src` as the originating address
-    /// (still bypassing interceptor chains — this models follow-up
-    /// connections from the same client process, e.g. the measurement
-    /// tool's report upload, where the acceptor must see the client's
-    /// real address).
-    pub fn dial_with_source(
-        &mut self,
-        src: Ipv4,
-        dst: Ipv4,
-        port: u16,
-        conduit: Box<dyn Conduit>,
-    ) -> Result<ConnToken, DialError> {
-        self.net.dial_announced(src, dst, port, conduit)
     }
 }

@@ -33,9 +33,10 @@ use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 
 /// Per-link fault probabilities, all sampled per connection.
 ///
-/// The default profile is fault-free; [`LinkProfile`](crate::LinkProfile)
-/// embeds one so every existing link configuration keeps its exact
-/// behavior.
+/// The default profile is fault-free. A network's link is its fault
+/// profile ([`NetworkConfig::faults`](crate::NetworkConfig::faults),
+/// [`Network::set_faults`](crate::Network::set_faults)) plus a fixed
+/// latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Probability a dial is blackholed (SYN never answered).

@@ -7,9 +7,10 @@
 //! * [`addr`] — IPv4 addresses and address blocks,
 //! * [`conduit`] — the [`conduit::Conduit`] trait: an endpoint state
 //!   machine driven by `on_open` / `on_data` / `on_close` callbacks,
-//! * [`net`] — the [`net::Network`]: listeners, dialing, per-client
-//!   interceptor chains (TLS proxies!), one link's latency and typed
-//!   faults, all advanced by one deterministic event loop that recycles
+//! * [`net`] — the [`net::Network`]: listeners, dialing (a client's
+//!   dials pass its interceptor chain — TLS proxies! — and a conduit's
+//!   own dials do not), one link with a fixed latency and typed faults,
+//!   all advanced by one deterministic event loop that recycles
 //!   the buffers of delivered frames for the next sends and keys its
 //!   per-client tables with a fixed word-at-a-time hasher,
 //! * [`fault`] — the typed fault model: resets, blackholes, truncation,
@@ -45,5 +46,5 @@ pub mod policy;
 pub use addr::Ipv4;
 pub use conduit::{Conduit, ConnToken, IoCtx, Shared};
 pub use fault::FaultProfile;
-pub use net::{DialError, LinkProfile, NetRunError, Network, NetworkConfig};
+pub use net::{DialError, NetRunError, Network, NetworkConfig};
 pub use policy::{fetch_policy, PolicyFetchResult, PolicyServer, SOCKET_POLICY_BODY};

@@ -1,5 +1,8 @@
 //! The network: listeners, interceptors, its link and the event loop.
 //!
+//! The network has one link, and every connection uses it: a fixed 20 ms
+//! one-way latency and the typed faults of one [`FaultProfile`].
+//!
 //! A [`Network`] is built to be **long-lived**: one instance can drive
 //! many thousands of client sessions back to back (the sharded study
 //! keeps one per worker thread for its whole shard). Three mechanisms
@@ -24,10 +27,10 @@
 //! microsecond pop in the order they were queued. Conduits and timers
 //! reach each other only through queued events (a timer's callback
 //! rides in its event), so this order fixes the whole run. The queue
-//! maps each due time to a FIFO bucket: a batch's sessions share a few
-//! link latencies, so only a handful of due times are in flight at
-//! once, and in a fault-free study nearly every push lands in a bucket
-//! that already exists.
+//! maps each due time to a FIFO bucket: a batch's events fall due at a
+//! few multiples of the one link latency, so only a handful of due times
+//! are in flight at once, and in a fault-free study nearly every push
+//! lands in a bucket that already exists.
 //!
 //! **Frame recycling.** Every send becomes one frame, a `Vec<u8>` that
 //! rides its `Data` event to the peer. Once the peer's `on_data` has
@@ -90,31 +93,18 @@ pub trait Interceptor {
     fn accept(&mut self, info: DialInfo) -> Box<dyn Conduit>;
 }
 
-/// The network's link characteristics, which every connection shares.
-#[derive(Debug, Clone)]
-pub struct LinkProfile {
-    /// One-way latency in microseconds.
-    pub latency_us: u64,
-    /// Typed fault model for this link (resets, blackholes, truncation,
-    /// corruption, stalls). Defaults to fault-free; see [`FaultProfile`]
-    /// for the per-connection determinism contract.
-    pub faults: FaultProfile,
-}
-
-impl Default for LinkProfile {
-    fn default() -> Self {
-        LinkProfile {
-            latency_us: 20_000, // 20 ms one-way
-            faults: FaultProfile::none(),
-        }
-    }
-}
+/// The one-way latency of the network's link, which every connection
+/// shares: 20 ms.
+const LATENCY_US: u64 = 20_000;
 
 /// Global simulator configuration.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
-    /// The link every connection uses.
-    pub default_link: LinkProfile,
+    /// The typed faults of the link every connection uses (resets,
+    /// blackholes, truncation, corruption, stalls). Defaults to
+    /// fault-free; see [`FaultProfile`] for the per-connection
+    /// determinism contract.
+    pub faults: FaultProfile,
     /// Hard cap on events processed by a single [`Network::run`] call
     /// (guards against accidental livelock; generous — a full probe
     /// session is a few dozen events, a batched drive a few thousand).
@@ -123,7 +113,7 @@ pub struct NetworkConfig {
 
 impl Default for NetworkConfig {
     fn default() -> Self {
-        NetworkConfig { default_link: LinkProfile::default(), max_events: 50_000_000 }
+        NetworkConfig { faults: FaultProfile::none(), max_events: 50_000_000 }
     }
 }
 
@@ -211,7 +201,6 @@ struct Side {
     gen: u64,
     conduit: Option<Box<dyn Conduit>>,
     peer: ConnToken,
-    latency_us: u64,
     /// Sampled fault plan for this side (present iff the link's
     /// [`FaultProfile::any`] is true).
     fault: Option<FaultState>,
@@ -368,11 +357,10 @@ impl Network {
         self.interceptors.remove(&client);
     }
 
-    /// Replace the link profile that every connection dialed from now on
-    /// uses — how a study applies one fault model to every client at
-    /// once.
-    pub fn set_default_link(&mut self, link: LinkProfile) {
-        self.config.default_link = link;
+    /// Replace the link's faults for every connection dialed from now
+    /// on — how a study applies one fault model to every client at once.
+    pub fn set_faults(&mut self, faults: FaultProfile) {
+        self.config.faults = faults;
     }
 
     /// Override the per-run event cap (see [`NetworkConfig::max_events`]).
@@ -432,24 +420,12 @@ impl Network {
         self.connect_pair(client, conduit, acceptor)
     }
 
-    /// Conduit-originated dial that announces an explicit source address
-    /// but does not traverse the source's interceptor chain.
-    pub(crate) fn dial_announced(
-        &mut self,
-        src: Ipv4,
-        dst: Ipv4,
-        port: u16,
-        conduit: Box<dyn Conduit>,
-    ) -> Result<ConnToken, DialError> {
-        let info = DialInfo { client: src, dst, port };
-        let acceptor = self.accept_from_listener(info)?;
-        self.connect_pair(src, conduit, acceptor)
-    }
-
-    /// Anonymous conduit-originated dial (e.g. a proxy's upstream leg):
-    /// bypasses interceptor chains and inherits the originating
-    /// connection's dial scope so its fault streams stay a pure function
+    /// Conduit-originated dial (a proxy's upstream leg, a probe's report
+    /// upload): bypasses interceptor chains and inherits the originating
+    /// connection's dial scope, so its fault streams stay a pure function
     /// of the owning session rather than of cross-session interleaving.
+    /// The acceptor sees that scope, the client the session belongs to,
+    /// as the dial's source.
     pub(crate) fn dial_from_conduit(
         &mut self,
         from: ConnToken,
@@ -459,7 +435,7 @@ impl Network {
     ) -> Result<ConnToken, DialError> {
         let scope =
             self.sides.get(from.slot).filter(|s| s.gen == from.gen).map(|s| s.scope).unwrap_or(dst);
-        let info = DialInfo { client: Ipv4([0, 0, 0, 0]), dst, port };
+        let info = DialInfo { client: scope, dst, port };
         let acceptor = self.accept_from_listener(info)?;
         self.connect_pair(scope, conduit, acceptor)
     }
@@ -491,7 +467,6 @@ impl Network {
                 gen: 0,
                 conduit: None,
                 peer: ConnToken { slot: 0, gen: u64::MAX },
-                latency_us: 0,
                 fault: None,
                 scope: Ipv4([0, 0, 0, 0]),
                 open: false,
@@ -501,12 +476,10 @@ impl Network {
     }
 
     /// Install `conduit` into a freshly allocated slot and return its
-    /// token. The slot is wired with its latency and fault plan but no
-    /// peer yet.
+    /// token. The slot is wired with its fault plan but no peer yet.
     fn install_side(
         &mut self,
         conduit: Box<dyn Conduit>,
-        latency_us: u64,
         fault: Option<FaultState>,
         scope: Ipv4,
     ) -> ConnToken {
@@ -518,7 +491,6 @@ impl Network {
                 gen,
                 conduit: Some(conduit),
                 peer: ConnToken { slot: 0, gen: u64::MAX },
-                latency_us,
                 fault,
                 scope,
                 open: true,
@@ -534,10 +506,9 @@ impl Network {
         acceptor: Box<dyn Conduit>,
     ) -> Result<ConnToken, DialError> {
         let stream_seed = self.conn_stream_seed(scope);
-        let halves = ConnHalves::derive(&self.config.default_link.faults, stream_seed);
-        let lat = self.config.default_link.latency_us;
-        let a = self.install_side(initiator, lat, halves.initiator, scope);
-        let b = self.install_side(acceptor, lat, halves.acceptor, scope);
+        let halves = ConnHalves::derive(&self.config.faults, stream_seed);
+        let a = self.install_side(initiator, halves.initiator, scope);
+        let b = self.install_side(acceptor, halves.acceptor, scope);
         if let Some(side) = self.side_mut(a) {
             side.peer = b;
         }
@@ -547,8 +518,8 @@ impl Network {
         if !halves.blackholed {
             // Acceptor learns of the connection after one RTT/2; the
             // initiator after a full RTT (SYN → SYN/ACK).
-            self.push_event(lat, EventKind::Open(b));
-            self.push_event(2 * lat, EventKind::Open(a));
+            self.push_event(LATENCY_US, EventKind::Open(b));
+            self.push_event(2 * LATENCY_US, EventKind::Open(a));
         }
         // A blackholed dial's SYN vanishes: neither endpoint ever sees
         // on_open, the pair just sits until a timeout closes it or
@@ -596,7 +567,6 @@ impl Network {
             return;
         }
         let peer = side.peer;
-        let lat = side.latency_us;
         let mut frame = self.spare_frames.pop().unwrap_or_default();
         fill(&mut frame);
         let action = match self.side_mut(from).and_then(|side| side.fault.as_mut()) {
@@ -604,14 +574,14 @@ impl Network {
             None => FaultAction::Deliver,
         };
         match action {
-            FaultAction::Deliver => self.push_event(lat, EventKind::Data(peer, frame)),
+            FaultAction::Deliver => self.push_event(LATENCY_US, EventKind::Data(peer, frame)),
             FaultAction::CorruptByte { offset, mask } => {
                 // One flipped byte; the frame still arrives, so the peer's
                 // parser must surface the damage as a typed error.
                 if let Some(byte) = frame.get_mut(offset) {
                     *byte ^= mask;
                 }
-                self.push_event(lat, EventKind::Data(peer, frame));
+                self.push_event(LATENCY_US, EventKind::Data(peer, frame));
             }
             FaultAction::TruncateClose { keep } => {
                 // The wire cuts the frame short and the connection dies:
@@ -620,7 +590,7 @@ impl Network {
                 // side and notifies the peer.
                 if keep > 0 {
                     frame.truncate(keep);
-                    self.push_event(lat, EventKind::Data(peer, frame));
+                    self.push_event(LATENCY_US, EventKind::Data(peer, frame));
                 } else {
                     self.recycle(frame);
                 }
@@ -650,8 +620,7 @@ impl Network {
         }
         side.open = false;
         let peer = side.peer;
-        let lat = side.latency_us;
-        self.push_event(lat, EventKind::Close(peer));
+        self.push_event(LATENCY_US, EventKind::Close(peer));
         // The closing side is done sending and receiving: tear it down
         // deterministically (drop the conduit, recycle the slot) instead
         // of retaining the Box until the peer's Close round-trips.
@@ -780,8 +749,7 @@ mod tests {
 
     /// A network whose one link carries `faults`.
     fn faulty_net(seed: u64, faults: FaultProfile) -> Network {
-        let default_link = LinkProfile { faults, ..LinkProfile::default() };
-        Network::new(NetworkConfig { default_link, ..NetworkConfig::default() }, seed)
+        Network::new(NetworkConfig { faults, ..NetworkConfig::default() }, seed)
     }
 
     #[test]
@@ -811,7 +779,7 @@ mod tests {
         net.dial_from(client_ip(), server_ip(), 80, Box::new(Client { log })).unwrap();
         net.run().unwrap();
         // open(2L) + send(L) + reply(L) = 4 × 20ms = 80 ms min.
-        assert!(net.now_us() >= 80_000, "now = {}", net.now_us());
+        assert!(net.now_us() >= 4 * LATENCY_US, "now = {}", net.now_us());
     }
 
     #[test]
@@ -916,7 +884,8 @@ mod tests {
     #[test]
     fn conduit_dials_bypass_interceptor() {
         // A conduit-originated dial (modeling the proxy's upstream leg)
-        // must not be re-intercepted, or proxies would loop forever.
+        // must not be re-intercepted, or proxies would loop forever, and
+        // it announces the client whose connection it serves.
         struct Relay {
             log: Shared<Vec<String>>,
         }
@@ -930,7 +899,14 @@ mod tests {
         }
 
         let mut net = Network::new(NetworkConfig::default(), 4);
-        net.listen(server_ip(), 80, Box::new(|_| Box::new(EchoAcceptor)));
+        let source = Shared::new(None);
+        net.listen(server_ip(), 80, {
+            let source = source.clone();
+            Box::new(move |info: DialInfo| {
+                *source.lock() = Some(info.client);
+                Box::new(EchoAcceptor)
+            })
+        });
         net.install_interceptor(client_ip(), Box::new(FakeProxy));
         let log = Shared::new(Vec::new());
         // The Relay is dialed directly (not via dial_from), then dials out.
@@ -943,9 +919,10 @@ mod tests {
             fn on_open(&mut self, _io: &mut IoCtx<'_>) {}
             fn on_data(&mut self, _d: &[u8], _io: &mut IoCtx<'_>) {}
         }
-        net.dial_from(Ipv4([1, 1, 1, 1]), server_ip(), 9999, Box::new(Kick)).unwrap();
+        net.dial_from(client_ip(), server_ip(), 9999, Box::new(Kick)).unwrap();
         net.run().unwrap();
         assert_eq!(log.lock()[0], "HELLO", "upstream leg must reach the real server");
+        assert_eq!(*source.lock(), Some(client_ip()), "upstream leg must announce its client");
     }
 
     #[test]

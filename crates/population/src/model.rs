@@ -292,14 +292,6 @@ impl PopulationModel {
         });
     }
 
-    /// Number of `(product, host)` chains
-    /// [`warm_substitutes`](Self::warm_substitutes) would mint for
-    /// `hosts`. Shares the private `warmable_chains` enumeration with the
-    /// warm itself, so the two can never disagree about what counts.
-    pub fn warm_substitute_count(&self, hosts: &[&str]) -> usize {
-        self.warmable_chains(hosts).len()
-    }
-
     /// Every product active in this era: the ones its studies can
     /// sample, and so build factories for.
     fn active_products(&self) -> impl Iterator<Item = (ProductId, &ProductSpec)> {
@@ -310,9 +302,7 @@ impl PopulationModel {
             .map(|(i, spec)| (ProductId(i as u16), spec))
     }
 
-    /// The one enumeration both [`warm_substitutes`]
-    /// (`PopulationModel::warm_substitutes`) and
-    /// [`warm_substitute_count`](Self::warm_substitute_count) consume:
+    /// The chains [`warm_substitutes`](Self::warm_substitutes) mints:
     /// every era-active, host-only-minting product paired with every
     /// host it would not whitelist.
     fn warmable_chains<'a>(&self, hosts: &[&'a str]) -> Vec<(ProductId, &'a str)> {
@@ -539,7 +529,6 @@ mod tests {
         let hosts = ["warm-a.example", "warm-b.example"];
         let chains = m.warmable_chains(&hosts);
         assert!(!chains.is_empty(), "study 1 must have host-only minting products");
-        assert_eq!(chains.len(), m.warm_substitute_count(&hosts));
         m.warm_substitutes(&hosts, 4);
         let warmed: Vec<_> = chains.iter().map(|&(product, host)| cached(product, host)).collect();
         // Idempotent: a second warm re-mints nothing, and a session-path
@@ -569,7 +558,7 @@ mod tests {
         // can request. No other test mints this host.
         let popular = "youtube.com";
         let diff =
-            m.warm_substitute_count(&["not-popular.example"]) - m.warm_substitute_count(&[popular]);
+            m.warmable_chains(&["not-popular.example"]).len() - m.warmable_chains(&[popular]).len();
         assert_eq!(diff, whitelisting.len());
         m.warm_substitutes(&[popular], 2);
         for (product, host) in m.warmable_chains(&[popular]) {

@@ -1,8 +1,8 @@
 //! A repeated study leaves no heap behind.
 //!
 //! A process's first study legitimately fills process-wide caches: the
-//! key cache, the shared substitute-chain cache, the Montgomery-context
-//! memo and the country registry's tail names. A second identical study
+//! key cache, the host catalogs, the shared substitute-chain cache, the
+//! Montgomery-context memo and the country registry's tail names. A second identical study
 //! finds them full, so every byte it allocates must be freed by the time
 //! its outcome is dropped. A lookup that allocates a fresh `'static`
 //! copy on every call shows up here as a non-zero live-byte delta across
