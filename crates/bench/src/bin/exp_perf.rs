@@ -194,10 +194,12 @@ fn measure_million(quick: bool) -> Json {
     ])
 }
 
-/// Ingest series: the hash every upload pays to look its body up in the
-/// report server's memo, std's SipHash-1-3 (`DefaultHasher`) against
-/// the memo's own [`key_hash`](tlsfoe_crypto::memo::key_hash), over the
-/// study-1 authors' host upload body.
+/// Ingest series: the hash the report server's memo pays to look an
+/// upload body up, std's SipHash-1-3 (`DefaultHasher`) against the
+/// memo's own [`key_hash`](tlsfoe_crypto::memo::key_hash), over the
+/// 1,811-byte body of the study-1 authors' host chain. Uploads of a
+/// host's own genuine body skip the memo, so this guards the hasher
+/// that substitute and damaged bodies, and every other memo, pay.
 fn measure_ingest(quick: bool) -> Json {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};

@@ -161,6 +161,7 @@ mod tests {
     use super::*;
     use crate::hosts::HostCategory;
     use crate::report::{MeasurementRecord, SubstituteInfo};
+    use std::sync::Arc;
     use tlsfoe_geo::countries::by_code;
     use tlsfoe_netsim::Ipv4;
     use tlsfoe_x509::cert::SignatureAlgorithm;
@@ -174,15 +175,17 @@ mod tests {
             host: "tlsresearch.byu.edu",
             category: HostCategory::Authors,
             proxied,
-            substitute: proxied.then(|| SubstituteInfo {
-                issuer_org: issuer.map(str::to_string),
-                issuer_cn: issuer.map(str::to_string),
-                key_bits: 1024,
-                sig_alg: SignatureAlgorithm::Sha1WithRsa,
-                subject_cn: Some("tlsresearch.byu.edu".into()),
-                covers_host: true,
-                leaf_key_fp: [0; 32],
-                chain_der: vec![],
+            substitute: proxied.then(|| {
+                Arc::new(SubstituteInfo {
+                    issuer_org: issuer.map(str::to_string),
+                    issuer_cn: issuer.map(str::to_string),
+                    key_bits: 1024,
+                    sig_alg: SignatureAlgorithm::Sha1WithRsa,
+                    subject_cn: Some("tlsresearch.byu.edu".into()),
+                    covers_host: true,
+                    leaf_key_fp: [0; 32],
+                    chain_der: vec![],
+                })
             }),
         }
     }

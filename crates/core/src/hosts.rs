@@ -77,7 +77,9 @@ pub struct ProbeHost {
     /// The genuine chain this host serves (leaf first, incl. root).
     pub chain: Vec<Certificate>,
     /// The concatenated PEM encoding of `chain`: the §3.2 upload body of
-    /// every probe that captures the genuine chain.
+    /// every probe that captures the genuine chain. Such an upload
+    /// borrows it, and the report server compares an upload with it to
+    /// recognise the unproxied case without its memo.
     pub body: Vec<u8>,
 }
 

@@ -4,8 +4,10 @@
 //! POST request"; these conduits speak exactly enough HTTP/1.0 for that:
 //! a request line, `Content-Length`, a blank line and the body.
 //!
-//! Requests are borrowed: [`HttpPostClient`] writes its request line,
-//! header and body straight into one outgoing frame, and
+//! Requests are borrowed: [`HttpPostClient`] holds its body as a
+//! [`Cow`], so an upload of bytes the process already keeps (a host's
+//! stored PEM body) borrows them instead of copying, and writes its
+//! request line, header and body straight into one outgoing frame;
 //! [`HttpPostServer`] parses a request that arrives whole in place,
 //! handing its handler a [`PostRequest`] that borrows the delivered
 //! frame. Only a request split across frames is buffered.
@@ -19,7 +21,7 @@ use tlsfoe_netsim::{Conduit, IoCtx, Shared};
 /// `200` came back, closes.
 pub struct HttpPostClient {
     path: String,
-    body: Vec<u8>,
+    body: Cow<'static, [u8]>,
     ok: Shared<bool>,
     /// A partial response head, kept until its blank line arrives.
     response: Vec<u8>,
@@ -27,9 +29,15 @@ pub struct HttpPostClient {
 
 impl HttpPostClient {
     /// Create a POST client; `ok` is set to true on a 200 response. A
-    /// `String` path is taken over, not copied.
-    pub fn new(path: impl Into<String>, body: Vec<u8>, ok: Shared<bool>) -> Self {
-        HttpPostClient { path: path.into(), body, ok, response: Vec::new() }
+    /// `String` path and a `Vec<u8>` body are taken over, and a
+    /// `&'static [u8]` body is borrowed: neither is copied until it is
+    /// written into the request frame.
+    pub fn new(
+        path: impl Into<String>,
+        body: impl Into<Cow<'static, [u8]>>,
+        ok: Shared<bool>,
+    ) -> Self {
+        HttpPostClient { path: path.into(), body: body.into(), ok, response: Vec::new() }
     }
 }
 

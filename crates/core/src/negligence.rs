@@ -133,6 +133,7 @@ mod tests {
     use super::*;
     use crate::hosts::HostCategory;
     use crate::report::{MeasurementRecord, SubstituteInfo};
+    use std::sync::Arc;
     use tlsfoe_geo::countries::by_code;
     use tlsfoe_netsim::Ipv4;
     use tlsfoe_population::keys;
@@ -153,7 +154,7 @@ mod tests {
             host: "tlsresearch.byu.edu",
             category: HostCategory::Authors,
             proxied: true,
-            substitute: Some(SubstituteInfo {
+            substitute: Some(Arc::new(SubstituteInfo {
                 issuer_org: Some("SomeProxy".into()),
                 issuer_cn: None,
                 key_bits,
@@ -162,7 +163,7 @@ mod tests {
                 covers_host: covers,
                 leaf_key_fp: [0; 32],
                 chain_der: vec![],
-            }),
+            })),
         }
     }
 
@@ -228,7 +229,7 @@ mod tests {
             host: "tlsresearch.byu.edu",
             category: HostCategory::Authors,
             proxied: true,
-            substitute: Some(SubstituteInfo {
+            substitute: Some(Arc::new(SubstituteInfo {
                 issuer_org: Some("DigiCert Inc".into()),
                 issuer_cn: None,
                 key_bits: cert.key_bits(),
@@ -237,7 +238,7 @@ mod tests {
                 covers_host: true,
                 leaf_key_fp: [0; 32],
                 chain_der: vec![cert.to_der().to_vec()],
-            }),
+            })),
         };
         let db = Database::from_records(vec![mk(&forged), mk(&legit)]);
         let rep = analyze(&db, &[("DigiCert Inc", &real_ca.public)]);

@@ -8,10 +8,13 @@
 //!
 //! Records keep a slim summary for matched (un-proxied) probes and the
 //! full substitute evidence — including the raw DER chain — for
-//! mismatches, which is what every downstream analyzer consumes.
+//! mismatches, which is what every downstream analyzer consumes. Each
+//! distinct substitute's evidence is built once, as an `Arc` that the
+//! ingest memo and the [`Database`] share.
 
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use tlsfoe_crypto::memo::{Memo, WordState};
 use tlsfoe_netsim::net::DialInfo;
@@ -37,24 +40,31 @@ const INGEST_MEMO_MAX: usize = 4096;
 struct Authority {
     /// The catalog host, whose genuine leaf uploads are compared to.
     host: &'static ProbeHost,
-    /// Upload body → `(proxied, substitute evidence)` against this host.
+    /// Upload body → `(proxied, substitute evidence)` against this host,
+    /// for every body but the host's own genuine one.
     ///
-    /// Probes upload the PEM encoding of whatever chain they captured,
-    /// and distinct chains are rare (tens per run) while uploads number
-    /// in the millions — so the PEM decode + X.509 parse + leaf
-    /// comparison that [`ReportServer::ingest`] performs is
-    /// overwhelmingly repeated work. The memo is looked up by the body
-    /// bytes (full equality on a hash hit, never hash-only) and stores
-    /// exactly the fields that are pure functions of `(host, body)`;
-    /// per-upload fields (impression ordinal, client IP, geolocation,
-    /// attempts) are never memoized.
+    /// Probes upload the PEM encoding of whatever chain they captured.
+    /// Nearly every upload is the host's stored body, which
+    /// [`ReportServer::ingest`] recognises by one comparison before the
+    /// memo, so that body is never hashed, locked or stored here. The
+    /// other distinct chains are rare (tens to a few thousand per run)
+    /// while their uploads can number in the tens of thousands, so the
+    /// PEM decode + X.509 parse + leaf comparison is still mostly
+    /// repeated work. The memo is looked up by the body bytes (full
+    /// equality on a hash hit, never hash-only) and stores exactly the
+    /// fields that are pure functions of `(host, body)`, the evidence as
+    /// the `Arc` the database interns; per-upload fields (impression
+    /// ordinal, client IP, geolocation, attempts) are never memoized.
     ///
     /// Malformed bodies are **not** stored: they produce no
     /// classification, only a `malformed_uploads` bump, and memoizing
     /// them could turn a later byte-identical-but-reparsed upload into a
     /// silent drop. The regression tests below pin this down.
-    memo: Memo<Vec<u8>, (bool, Option<SubstituteInfo>)>,
+    memo: Memo<Vec<u8>, Classification>,
 }
+
+/// An upload's `(proxied, substitute evidence)` against its host.
+type Classification = (bool, Option<Arc<SubstituteInfo>>);
 
 /// The reporting server: authoritative chains + geolocation + database.
 pub struct ReportServer {
@@ -122,13 +132,18 @@ impl ReportServer {
             self.db.lock().note_malformed();
             return;
         };
-        // The 2nd..Nth sighting of a body skips PEM decode, X.509 parse
-        // and leaf comparison entirely — the classification is a pure
+        // The host's own genuine body classifies as unproxied (what
+        // `classify` returns for it), so it skips the memo. Any other
+        // body's 2nd..Nth sighting skips PEM decode, X.509 parse and
+        // leaf comparison entirely — the classification is a pure
         // function of `(host, body)` (see [`Authority::memo`]); only the
         // per-upload fields are computed fresh. Unparsable bodies are
         // counted and dropped, never memoized.
-        let classified =
-            auth.memo.get_or_try_insert_with(body, || classify(body, auth.host).ok_or(()));
+        let classified = if body == auth.host.body.as_slice() {
+            Ok((false, None))
+        } else {
+            auth.memo.get_or_try_insert_with(body, || classify(body, auth.host).ok_or(()))
+        };
         let Ok((proxied, substitute)) = classified else {
             self.db.lock().note_malformed();
             return;
@@ -161,12 +176,12 @@ impl ReportServer {
 /// Classify an upload body against `host`'s genuine leaf as
 /// `(proxied, substitute evidence)`; `None` when the body is not a
 /// non-empty PEM chain.
-fn classify(body: &[u8], host: &ProbeHost) -> Option<(bool, Option<SubstituteInfo>)> {
+fn classify(body: &[u8], host: &ProbeHost) -> Option<Classification> {
     let chain = pem::decode_certificates(&String::from_utf8_lossy(body)).ok()?;
     let (leaf, intermediates) = chain.split_first()?;
     let leaf_der = leaf.to_der();
     let proxied = host.chain.first().map(Certificate::to_der) != Some(leaf_der);
-    let evidence = || extract_substitute(leaf, leaf_der, intermediates, host.name);
+    let evidence = || Arc::new(extract_substitute(leaf, leaf_der, intermediates, host.name));
     Some((proxied, proxied.then(evidence)))
 }
 
@@ -216,13 +231,52 @@ mod tests {
 
     #[test]
     fn ingest_memo_key_hash_of_a_study1_upload_is_pinned() {
-        // The memo's hash pinned on the upload every study-1 session of
-        // the authors' host sends (the fixed-length pins sit beside the
-        // hasher in `tlsfoe_crypto::memo`).
+        // The memo's hash pinned on a study-1 chain's 1,811-byte body,
+        // the input `exp_perf`'s ingest series times (the fixed-length
+        // pins sit beside the hasher in `tlsfoe_crypto::memo`).
         let catalog = HostCatalog::study1();
         let body = pem::encode_certificates(&catalog.hosts[0].chain).into_bytes();
         assert_eq!(body.len(), 1811);
         assert_eq!(tlsfoe_crypto::memo::key_hash(&body), 0x7FCA_088C_7230_1072);
+    }
+
+    #[test]
+    fn every_hosts_genuine_body_classifies_unproxied() {
+        // What lets `ingest` skip the memo for a host's own body.
+        for catalog in [HostCatalog::study1(), HostCatalog::study2(), HostCatalog::baseline()] {
+            for host in catalog.hosts {
+                assert_eq!(classify(&host.body, host), Some((false, None)), "{}", host.name);
+            }
+        }
+    }
+
+    #[test]
+    fn genuine_uploads_skip_the_memo_and_match_a_cold_parse() {
+        let (server, db, catalog) = setup();
+        let geo = GeoDb::allocate(1000);
+        for (imp, host) in (0u64..).zip(catalog.hosts) {
+            let path = format!("/report?host={}&imp={imp}", host.name);
+            server.ingest(client(), &path, &host.body);
+            let (proxied, substitute) = classify(&host.body, host).unwrap();
+            let cold = MeasurementRecord {
+                impression: imp,
+                client_ip: client(),
+                country: geo.lookup(client()),
+                host: host.name,
+                category: host.category,
+                proxied,
+                substitute,
+                attempts: 1,
+            };
+            assert_eq!(db.lock().iter().last().map(|r| r.to_record()), Some(cold), "{path}");
+        }
+        for (name, auth) in &server.authoritative {
+            assert!(auth.memo.is_empty(), "{name}: a genuine body entered the memo");
+        }
+        // Any other body still goes through the host's memo.
+        let other = &catalog.host("qq.com").unwrap().body;
+        server.ingest(client(), "/report?host=tlsresearch.byu.edu", other);
+        assert_eq!(server.authoritative.get("tlsresearch.byu.edu").unwrap().memo.len(), 1);
     }
 
     #[test]

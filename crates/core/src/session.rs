@@ -32,6 +32,7 @@
 //!   ordinal after the drive, collapsing the virtual-time interleaving
 //!   back to injection order.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::fmt::Write;
@@ -540,19 +541,19 @@ fn record_probe_failure(ctx: &ProbeCtx, deadline_hit: bool) {
 /// The §3.2 upload body of a probe of `host` that captured `chain`: the
 /// concatenated PEM encoding of the chain. Only about 1 in 250
 /// connections is proxied, so nearly every probe captures the host's
-/// genuine chain and sends a copy of the body the host stores instead of
-/// encoding the chain again.
-fn upload_body(host: &ProbeHost, chain: &[Vec<u8>]) -> Vec<u8> {
+/// genuine chain and borrows the body the host stores, which lives as
+/// long as the process; any other chain is encoded afresh.
+fn upload_body(host: &'static ProbeHost, chain: &[Vec<u8>]) -> Cow<'static, [u8]> {
     let genuine = chain.len() == host.chain.len()
         && chain.iter().zip(&host.chain).all(|(der, cert)| der.as_slice() == cert.to_der());
     if genuine {
-        return host.body.clone();
+        return Cow::Borrowed(&host.body);
     }
     let mut body = Vec::with_capacity(chain.iter().map(|der| pem::pem_len(der.len())).sum());
     for der in chain {
         pem::pem_encode_into(der, &mut body);
     }
-    body
+    Cow::Owned(body)
 }
 
 /// One probe of one catalog host in one session: what each of its
@@ -875,7 +876,8 @@ mod tests {
         // same CA), the genuine chain with one byte of one certificate
         // flipped or cut short, or the genuine chain cut to its leaf or
         // to nothing. Whatever was captured, the body must be the fresh
-        // PEM encoding of that chain.
+        // PEM encoding of that chain, and a genuine chain's body must
+        // borrow the one the host stores.
         let catalog = HostCatalog::study2();
         let ders = |h: usize| -> Vec<Vec<u8>> {
             catalog.hosts[h].chain.iter().map(|c| c.to_der().to_vec()).collect()
@@ -906,7 +908,14 @@ mod tests {
                 pem::pem_encode_into(der, &mut fresh);
             }
             let body = upload_body(&catalog.hosts[host], &chain);
-            assert_eq!(body, fresh, "host {host}, {} certs", chain.len());
+            assert_eq!(*body, *fresh, "host {host}, {} certs", chain.len());
+            if chain == genuine[host] {
+                let stored = catalog.hosts[host].body.as_ptr();
+                assert!(
+                    matches!(body, Cow::Borrowed(b) if b.as_ptr() == stored),
+                    "host {host}: a genuine chain's body must borrow the stored one"
+                );
+            }
         }
         assert!(stored > 500, "genuine chains must be drawn often ({stored} of 2000)");
     }

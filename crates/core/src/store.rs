@@ -20,11 +20,15 @@
 //!   name (one for study 1, 18 for study 2); a `&'static str` host
 //!   column plus a category column cost 17 of a former 42 bytes.
 //! * **Interned substitute evidence** — the full [`SubstituteInfo`]
-//!   (including the captured DER chain) is deduplicated through an
-//!   interning table: records store a `u32` id, and the ~40 study-1 /
-//!   ~918 study-2 distinct substitute chains are stored **once** instead
-//!   of once per proxied record. Peak RSS becomes sublinear in proxied
-//!   traffic (`exp_million` measures the ratio).
+//!   (including the captured DER chain) arrives as an `Arc` and is
+//!   deduplicated through an interning table: records store a `u32` id,
+//!   and the ~40 study-1 / ~918 study-2 distinct substitute chains are
+//!   stored **once** instead of once per proxied record. The table keeps
+//!   the `Arc` it was first handed, which the report server's ingest
+//!   memo also holds, so memo and store share one copy, and a repeated
+//!   upload of that evidence is found by pointer before any content is
+//!   hashed. Peak RSS becomes sublinear in proxied traffic
+//!   (`exp_million` measures the ratio).
 //! * **Sealed API** — rows enter through [`Database::push`] /
 //!   [`Database::push_failure`] and leave through the zero-copy
 //!   [`RecordView`] cursor ([`Database::iter`], [`Database::fold`]) or
@@ -45,7 +49,9 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
+use std::sync::Arc;
 
+use tlsfoe_crypto::memo::WordState;
 use tlsfoe_geo::countries::CountryCode;
 use tlsfoe_netsim::Ipv4;
 use tlsfoe_x509::cert::SignatureAlgorithm;
@@ -86,7 +92,8 @@ impl SubstituteInfo {
 /// This is the *ingestion and construction* type: the report server
 /// builds one per upload and hands it to [`Database::push`], which
 /// shreds it into columns and interns the evidence. Reading the store
-/// back yields borrowed [`RecordView`]s instead.
+/// back yields borrowed [`RecordView`]s instead. Equality compares the
+/// evidence by content, never by pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementRecord {
     /// Shard-local impression ordinal (`imp=` on the upload path). When
@@ -105,8 +112,9 @@ pub struct MeasurementRecord {
     pub category: HostCategory,
     /// True when the captured leaf differed from the authoritative one.
     pub proxied: bool,
-    /// Substitute evidence (present iff `proxied`).
-    pub substitute: Option<SubstituteInfo>,
+    /// Substitute evidence (present iff `proxied`), shared with the
+    /// ingest memo that built it.
+    pub substitute: Option<Arc<SubstituteInfo>>,
     /// Which dial attempt produced this upload (`att=` param, default 1).
     /// Anything above 1 means the session's retry layer recovered the
     /// probe after an injected fault.
@@ -166,7 +174,7 @@ impl RecordView<'_> {
             host: self.host,
             category: self.category,
             proxied: self.proxied,
-            substitute: self.substitute.cloned(),
+            substitute: self.substitute.cloned().map(Arc::new),
             attempts: self.attempts,
         }
     }
@@ -183,10 +191,20 @@ const SUB_NONE: u32 = u32::MAX;
 /// never alias. Ids are assigned in first-appearance order, which is
 /// deterministic per push order; cross-shard id divergence is absorbed
 /// by [`Database::merge`]'s remap and by logical (not id) equality.
+///
+/// Before any content is hashed, an incoming `Arc` is looked up by
+/// address among the `Arc`s the table keeps: the ingest memo hands out
+/// clones of the one `Arc` it built, so every repeat of stored evidence
+/// is one map probe. Only the addresses of kept `Arc`s are recorded. A
+/// kept `Arc` cannot be freed while the table holds it, so its address
+/// names its content; the address of an `Arc` the table drops could be
+/// reused by other content.
 #[derive(Debug, Default)]
 struct SubstituteInterner {
-    entries: Vec<SubstituteInfo>,
+    entries: Vec<Arc<SubstituteInfo>>,
     index: HashMap<u64, Vec<u32>>,
+    /// Address of each kept `Arc` → its id.
+    by_addr: HashMap<usize, u32, WordState>,
 }
 
 fn fingerprint(info: &SubstituteInfo) -> u64 {
@@ -198,26 +216,27 @@ fn fingerprint(info: &SubstituteInfo) -> u64 {
 }
 
 impl SubstituteInterner {
-    fn intern(&mut self, info: SubstituteInfo) -> u32 {
+    fn intern(&mut self, info: Arc<SubstituteInfo>) -> u32 {
+        let addr = Arc::as_ptr(&info) as usize;
+        if let Some(&id) = self.by_addr.get(&addr) {
+            return id;
+        }
         let bucket = self.index.entry(fingerprint(&info)).or_default();
-        for &id in bucket.iter() {
-            if self.entries[id as usize] == info {
-                return id;
-            }
+        let entries = &self.entries;
+        let stored = |&id: &u32| entries.get(id as usize).is_some_and(|e| **e == *info);
+        if let Some(id) = bucket.iter().copied().find(stored) {
+            return id;
         }
         let id = u32::try_from(self.entries.len()).expect("interner capacity");
         assert!(id != SUB_NONE, "interner full");
         self.entries.push(info);
         bucket.push(id);
+        self.by_addr.insert(addr, id);
         id
     }
 
     fn get(&self, id: u32) -> Option<&SubstituteInfo> {
-        if id == SUB_NONE {
-            None
-        } else {
-            Some(&self.entries[id as usize])
-        }
+        self.entries.get(id as usize).map(|info| &**info)
     }
 }
 
@@ -306,8 +325,8 @@ impl Database {
 
     /// Append one measurement: shred the row into columns, look its host
     /// up in the host dictionary and intern its substitute evidence (a
-    /// duplicate chain costs one hash probe and a `u32`, not a deep
-    /// clone).
+    /// repeat of the stored `Arc` costs one address probe and a `u32`; a
+    /// content-equal copy, one hash probe and a comparison).
     pub fn push(&mut self, r: MeasurementRecord) {
         self.impressions.push(r.impression);
         self.client_ips.push(r.client_ip);
@@ -426,7 +445,7 @@ impl Database {
 
     /// Captured DER bytes actually stored (each distinct chain once).
     pub fn interned_chain_bytes(&self) -> u64 {
-        self.intern.entries.iter().map(SubstituteInfo::chain_bytes).sum()
+        self.intern.entries.iter().map(|info| info.chain_bytes()).sum()
     }
 
     /// Captured DER bytes a row-wise store would hold (each proxied
@@ -605,6 +624,7 @@ fn hex(bytes: &[u8]) -> String {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use tlsfoe_crypto::drbg::{Drbg, RngCore64};
 
     fn sub(tag: u8) -> SubstituteInfo {
         SubstituteInfo {
@@ -627,7 +647,7 @@ mod tests {
             host: "tlsresearch.byu.edu",
             category: HostCategory::Authors,
             proxied: substitute.is_some(),
-            substitute,
+            substitute: substitute.map(Arc::new),
             attempts: 1,
         }
     }
@@ -662,6 +682,73 @@ mod tests {
     }
 
     #[test]
+    fn interning_by_address_agrees_with_a_content_only_reference() {
+        // DRBG-drawn pushes of evidence from a pool of six contents: a
+        // clone of the `Arc` the store keeps for its content (found by
+        // address), a fresh content-equal `Arc` (found by content, then
+        // dropped), or an `Arc` the store drops followed at once by one
+        // with other content, which the allocator places at the freed
+        // address. The store must read back what a content-only
+        // reference holds and keep one entry per distinct content. An
+        // interner that recorded the address of an `Arc` it dropped
+        // would find the reallocation by address and return the wrong
+        // evidence.
+        /// The pushes so far: the store, each record's content, and the
+        /// first `Arc` of each content, which the store keeps.
+        struct Pushes {
+            db: Database,
+            reference: Vec<Option<SubstituteInfo>>,
+            kept: [Option<Arc<SubstituteInfo>>; 6],
+        }
+        impl Pushes {
+            fn push(&mut self, info: Option<Arc<SubstituteInfo>>) {
+                let imp = self.reference.len() as u64;
+                self.reference.push(info.as_deref().cloned());
+                if let Some(info) = &info {
+                    let tag = usize::from(info.leaf_key_fp[0]);
+                    self.kept[tag].get_or_insert_with(|| info.clone());
+                }
+                let record = MeasurementRecord {
+                    proxied: info.is_some(),
+                    substitute: info,
+                    ..rec(imp, None)
+                };
+                self.db.push(record);
+            }
+        }
+        let mut rng = Drbg::new(0x4172_6300);
+        let mut p = Pushes { db: Database::new(), reference: Vec::new(), kept: Default::default() };
+        let mut reused = 0;
+        for _ in 0..3_000 {
+            let tag = rng.gen_range(6) as u8;
+            match rng.gen_range(4) {
+                0 => {
+                    let stored = p.kept[usize::from(tag)].clone();
+                    p.push(stored.or_else(|| Some(Arc::new(sub(tag)))));
+                }
+                1 => p.push(Some(Arc::new(sub(tag)))),
+                2 => {
+                    let dropped = Arc::new(sub(tag));
+                    let addr = Arc::as_ptr(&dropped);
+                    p.push(Some(dropped));
+                    let other = Arc::new(sub((tag + 1 + rng.gen_range(5) as u8) % 6));
+                    reused += usize::from(Arc::as_ptr(&other) == addr);
+                    p.push(Some(other));
+                }
+                _ => p.push(None),
+            }
+        }
+        let Pushes { db, reference, .. } = p;
+        assert_eq!(db.len(), reference.len());
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(db.get(i).substitute, want.as_ref(), "record {i}");
+        }
+        assert_eq!(db.distinct_substitutes(), 6);
+        // Without reused addresses the address rule would go untested.
+        assert!(reused > 100, "only {reused} reallocations reused a freed address");
+    }
+
+    #[test]
     fn finish_batch_stable_sorts_by_impression() {
         let mut db = Database::new();
         db.push(rec(0, None));
@@ -669,7 +756,7 @@ mod tests {
         for imp in [5u64, 3, 9, 3, 1] {
             let pair = if imp == 9 || imp == 1 { QQ } else { BYU };
             db.push(MeasurementRecord {
-                substitute: (imp == 3).then(|| sub(imp as u8)),
+                substitute: (imp == 3).then(|| Arc::new(sub(imp as u8))),
                 proxied: imp == 3,
                 ..rec_at(imp, pair)
             });

@@ -18,14 +18,17 @@
 //! and a hit allocates nothing.
 //!
 //! Why this hash. The ingest memo's key is a whole upload body (a
-//! study-1 chain is 1,811 bytes of PEM), and every upload looks itself
-//! up, so the key hash runs over every byte every client sends. std's
+//! study-1 chain is 1,811 bytes of PEM), so its key hash runs over
+//! every byte of every substitute or damaged upload; the report server
+//! recognises a host's own genuine body, nearly every upload, without
+//! the memo. Every lookup in the other memos hashes its key too
+//! (moduli, key specs, substitute keys, upstream chains). std's
 //! [`DefaultHasher`](std::collections::hash_map::DefaultHasher)
 //! (SipHash-1-3) runs a SipRound per 8-byte word, each waiting on the
 //! last; [`WordHasher`] runs four independent 8-byte multiply-rotate
 //! lanes, so the four multiplies of a 32-byte block overlap, and ends
 //! with MurmurHash3's 64-bit avalanche.
-//! `exp_perf` gates the ratio on a study-1 upload body
+//! `exp_perf` gates the ratio on a 1,811-byte study-1 chain body
 //! (`series.ingest.siphash_over_key_hash`). The hash is fixed: it has
 //! no per-process key, so a key hashes the same in every process and
 //! every run. That gives up SipHash's resistance to keys crafted to

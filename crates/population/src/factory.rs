@@ -451,6 +451,26 @@ mod tests {
     }
 
     #[test]
+    fn only_issuer_copying_products_read_the_upstream_leaf() {
+        // The proxy parses the upstream leaf only for issuer-copying
+        // products. That is exact because every other product serves
+        // the same cached entry with or without the leaf.
+        let cache = Arc::new(SubstituteCache::unbounded());
+        let leaf = upstream_leaf("DigiCert High Assurance CA-3");
+        let mut products = 0;
+        for (i, spec) in catalog().into_iter().enumerate().filter(|(_, s)| !s.copy_issuer) {
+            let f = SubstituteFactory::new(ProductId(i as u16), spec, cache.clone());
+            let blind = f.substitute_entry("tlsresearch.byu.edu", dst(), None);
+            let shown = f.substitute_entry("tlsresearch.byu.edu", dst(), Some(&leaf));
+            let name = f.spec.display_name();
+            assert!(Arc::ptr_eq(&blind.chain, &shown.chain), "{name}: the leaf moved the chain");
+            assert!(Arc::ptr_eq(&blind.config, &shown.config), "{name}: the leaf moved the config");
+            products += 1;
+        }
+        assert!(products > 20, "only {products} products checked");
+    }
+
+    #[test]
     fn issuer_org_matches_spec() {
         let f = factory_for("Bitdefender");
         let chain = f.substitute_chain("h.example", dst(), None);

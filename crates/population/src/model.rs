@@ -330,11 +330,7 @@ impl PopulationModel {
     /// Build the interceptor to install for a client running `product`.
     pub fn make_proxy(&self, product: ProductId) -> TlsProxy {
         let spec = &self.specs[product.0 as usize];
-        let whitelist = if spec.whitelists_popular {
-            self.popular_whitelist.clone()
-        } else {
-            Arc::new(HashSet::new())
-        };
+        let whitelist = spec.whitelists_popular.then(|| self.popular_whitelist.clone());
         TlsProxy::new(
             self.factory(product),
             self.public_roots.clone(),

@@ -41,19 +41,21 @@ pub struct TlsProxy {
     /// of a population model so one distinct upstream chain costs one
     /// full validation per study, not one per session.
     verify_memo: Arc<VerifyMemo>,
-    /// Hosts the product treats as too popular to intercept.
-    whitelist: Arc<HashSet<String>>,
+    /// Hosts the product treats as too popular to intercept; `None` for
+    /// a product that splices nothing.
+    whitelist: Option<Arc<HashSet<String>>>,
     /// Wall-clock used for upstream validation.
     now: Time,
 }
 
 impl TlsProxy {
-    /// Create the proxy for one client installation.
+    /// Create the proxy for one client installation. With no
+    /// `whitelist` it intercepts every host.
     pub fn new(
         factory: Arc<SubstituteFactory>,
         public_roots: Arc<RootStore>,
         verify_memo: Arc<VerifyMemo>,
-        whitelist: Arc<HashSet<String>>,
+        whitelist: Option<Arc<HashSet<String>>>,
         now: Time,
     ) -> TlsProxy {
         TlsProxy { factory, public_roots, verify_memo, whitelist, now }
@@ -106,7 +108,7 @@ struct Session {
     factory: Arc<SubstituteFactory>,
     public_roots: Arc<RootStore>,
     verify_memo: Arc<VerifyMemo>,
-    whitelist: Arc<HashSet<String>>,
+    whitelist: Option<Arc<HashSet<String>>>,
     now: Time,
     dst: Ipv4,
     client_token: Option<ConnToken>,
@@ -160,8 +162,14 @@ impl Session {
         if self.mode != Mode::FetchingUpstream {
             return;
         }
-        let upstream_leaf =
-            outcome.chain_der.first().and_then(|der| Certificate::from_der(der).ok());
+        // Only an issuer-copying product's mint reads the upstream leaf
+        // (its variant and issuer name); every other product's entry is
+        // the same with or without it, so only those pay the parse.
+        let upstream_leaf = if self.factory.spec().copy_issuer {
+            outcome.chain_der.first().and_then(|der| Certificate::from_der(der).ok())
+        } else {
+            None
+        };
 
         let policy = self.factory.spec().upstream_policy;
         if policy != UpstreamPolicy::Blind {
@@ -245,7 +253,8 @@ impl Conduit for ClientSide {
                             s.client_version = ch.version;
                             s.sni = ch.server_name.map(Cow::into_owned);
                             let host = s.sni_host();
-                            let whitelisted = s.whitelist.contains(&host);
+                            let whitelisted =
+                                s.whitelist.as_ref().is_some_and(|w| w.contains(&host));
                             let dst = s.dst;
                             if whitelisted {
                                 s.mode = Mode::Splicing;

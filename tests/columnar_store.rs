@@ -3,6 +3,8 @@
 //! asserting columnar `Database` equality behaves exactly like the old
 //! row-wise `Vec<MeasurementRecord>` equality.
 
+use std::sync::Arc;
+
 use tlsfoe::core::store::{Database, MeasurementRecord, SubstituteInfo};
 use tlsfoe::core::HostCategory;
 use tlsfoe::crypto::drbg::{Drbg, RngCore64};
@@ -15,7 +17,7 @@ use tlsfoe::x509::cert::SignatureAlgorithm;
 /// interner exists for — while still exercising every field.
 fn gen_record(rng: &mut Drbg, impression: u64) -> MeasurementRecord {
     let proxied = rng.gen_range(8) == 0;
-    let substitute = proxied.then(|| gen_substitute(rng.gen_range(6) as u8));
+    let substitute = proxied.then(|| Arc::new(gen_substitute(rng.gen_range(6) as u8)));
     let country_pick = rng.gen_range(4);
     MeasurementRecord {
         impression,
@@ -121,7 +123,7 @@ fn columnar_equality_matches_row_wise_equality() {
                     // Deep perturbation: flip one chain byte if there is
                     // evidence, else toggle the country.
                     match &mut b[i].substitute {
-                        Some(sub) => sub.chain_der[0][0] ^= 0xFF,
+                        Some(sub) => Arc::make_mut(sub).chain_der[0][0] ^= 0xFF,
                         None => b[i].country = countries::by_code("JP"),
                     }
                 }
