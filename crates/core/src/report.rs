@@ -12,11 +12,12 @@
 //! distinct substitute's evidence is built once, as an `Arc` that the
 //! ingest memo and the [`Database`] share.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use tlsfoe_crypto::memo::{Memo, WordState};
+use tlsfoe_crypto::memo::{key_hash, Memo, WordState};
 use tlsfoe_netsim::net::DialInfo;
 use tlsfoe_netsim::{Ipv4, Shared};
 use tlsfoe_x509::{pem, Certificate};
@@ -29,11 +30,14 @@ pub use crate::store::{
     Database, MeasurementRecord, ProbeFailureRecord, RecordView, SubstituteInfo,
 };
 
-/// Distinct upload bodies each host's ingest memo stores. Healthy runs
-/// sit far below it (`exp_million` measured 39 distinct chains across
-/// 10⁶ impressions); a chaos run spraying corrupted-but-parseable bodies
-/// stops *inserting* past the cap and simply re-parses, so memory stays
-/// bounded and semantics unchanged.
+/// Distinct upload bodies each host's ingest memo stores, and first
+/// sightings each host remembers. A body is stored only on its second
+/// sighting (see [`Authority::memo`]), so wire-damaged bodies, nearly
+/// all unique, never fill the memo. Healthy runs sit far below the cap
+/// (`exp_million` measured 39 distinct chains across 10⁶ impressions).
+/// Past it the memo stops *inserting* and simply re-parses, and the
+/// first-sighting map starts over empty, so memory stays bounded and
+/// semantics unchanged.
 const INGEST_MEMO_MAX: usize = 4096;
 
 /// One probed host as the server sees it.
@@ -56,11 +60,53 @@ struct Authority {
     /// the `Arc` the database interns; per-upload fields (impression
     /// ordinal, client IP, geolocation, attempts) are never memoized.
     ///
+    /// A body is stored on its **second** sighting, never its first:
+    /// under wire faults most non-genuine bodies are damaged copies that
+    /// never repeat (`chaos_retry`, seed 2014: 3,958 stored bodies, about
+    /// 7.2 MB, for 1,104 hits), while substitute chains repeat by the
+    /// thousand. A first sighting is classified and remembered in
+    /// `seen_once`; the second is classified again, and the memo stores
+    /// the remembered classification when the two are content-equal
+    /// (else the fresh one, so a key-hash collision can never alias two
+    /// bodies). The remembered evidence is the `Arc` the database kept
+    /// for the first sighting's record, so memo and store share one
+    /// `Arc` per piece of evidence.
+    ///
     /// Malformed bodies are **not** stored: they produce no
     /// classification, only a `malformed_uploads` bump, and memoizing
     /// them could turn a later byte-identical-but-reparsed upload into a
     /// silent drop. The regression tests below pin this down.
     memo: Memo<Vec<u8>, Classification>,
+    /// Key hash of each body seen once → its classification, evidence
+    /// as the `Arc` the database kept. Cleared when it reaches
+    /// [`INGEST_MEMO_MAX`].
+    seen_once: RefCell<HashMap<u64, Classification, WordState>>,
+}
+
+impl Authority {
+    /// Classify a body other than the host's genuine one: `Ok` with a
+    /// memo hit or a second sighting (now stored), `Err(Some(_))` with a
+    /// first sighting (not stored; pass its record's kept evidence to
+    /// [`Authority::remember`]) and `Err(None)` for a malformed body.
+    fn lookup(&self, body: &[u8]) -> Result<Classification, Option<Classification>> {
+        self.memo.get_or_try_insert_with(body, || {
+            let fresh = classify(body, self.host).ok_or(None)?;
+            match self.seen_once.borrow_mut().remove(&key_hash(body)) {
+                Some(seen) if seen == fresh => Ok(seen),
+                Some(_) => Ok(fresh),
+                None => Err(Some(fresh)),
+            }
+        })
+    }
+
+    /// Remember a body's first sighting.
+    fn remember(&self, body: &[u8], classified: Classification) {
+        let mut seen = self.seen_once.borrow_mut();
+        if seen.len() >= INGEST_MEMO_MAX {
+            seen.clear();
+        }
+        seen.insert(key_hash(body), classified);
+    }
 }
 
 /// An upload's `(proxied, substitute evidence)` against its host.
@@ -82,7 +128,10 @@ impl ReportServer {
         let authoritative = catalog
             .hosts
             .iter()
-            .map(|host| (host.name, Authority { host, memo: Memo::new(INGEST_MEMO_MAX) }))
+            .map(|host| {
+                let memo = Memo::new(INGEST_MEMO_MAX);
+                (host.name, Authority { host, memo, seen_once: RefCell::default() })
+            })
             .collect();
         ReportServer { authoritative, geo, db }
     }
@@ -134,21 +183,22 @@ impl ReportServer {
         };
         // The host's own genuine body classifies as unproxied (what
         // `classify` returns for it), so it skips the memo. Any other
-        // body's 2nd..Nth sighting skips PEM decode, X.509 parse and
+        // body's 3rd..Nth sighting skips PEM decode, X.509 parse and
         // leaf comparison entirely — the classification is a pure
         // function of `(host, body)` (see [`Authority::memo`]); only the
         // per-upload fields are computed fresh. Unparsable bodies are
         // counted and dropped, never memoized.
-        let classified = if body == auth.host.body.as_slice() {
-            Ok((false, None))
-        } else {
-            auth.memo.get_or_try_insert_with(body, || classify(body, auth.host).ok_or(()))
+        let classified =
+            if body == auth.host.body.as_slice() { Ok((false, None)) } else { auth.lookup(body) };
+        let (first_sighting, (proxied, substitute)) = match classified {
+            Ok(stored) => (false, stored),
+            Err(Some(fresh)) => (true, fresh),
+            Err(None) => {
+                self.db.lock().note_malformed();
+                return;
+            }
         };
-        let Ok((proxied, substitute)) = classified else {
-            self.db.lock().note_malformed();
-            return;
-        };
-        self.db.lock().push(MeasurementRecord {
+        let kept = self.db.lock().push(MeasurementRecord {
             impression,
             client_ip,
             country: self.geo.lookup(client_ip),
@@ -158,6 +208,9 @@ impl ReportServer {
             substitute,
             attempts,
         });
+        if first_sighting {
+            auth.remember(body, (proxied, kept));
+        }
     }
 
     /// Build a netsim listener factory serving this report server over
@@ -272,11 +325,16 @@ mod tests {
         }
         for (name, auth) in &server.authoritative {
             assert!(auth.memo.is_empty(), "{name}: a genuine body entered the memo");
+            assert!(auth.seen_once.borrow().is_empty(), "{name}: a genuine body was remembered");
         }
-        // Any other body still goes through the host's memo.
+        // Any other body still goes through the host's memo, which
+        // stores it on its second sighting.
         let other = &catalog.host("qq.com").unwrap().body;
+        let byu = server.authoritative.get("tlsresearch.byu.edu").unwrap();
         server.ingest(client(), "/report?host=tlsresearch.byu.edu", other);
-        assert_eq!(server.authoritative.get("tlsresearch.byu.edu").unwrap().memo.len(), 1);
+        assert_eq!((byu.memo.len(), byu.seen_once.borrow().len()), (0, 1));
+        server.ingest(client(), "/report?host=tlsresearch.byu.edu", other);
+        assert_eq!((byu.memo.len(), byu.seen_once.borrow().len()), (1, 0));
     }
 
     #[test]
@@ -357,16 +415,17 @@ mod tests {
 
     #[test]
     fn memoized_ingest_identical_to_cold_parse() {
-        // The memo's correctness contract: the 2nd..Nth sighting of a
-        // body (the memo hit) must produce a record identical to what a
-        // cold parse produces — including full substitute evidence — and
-        // per-upload fields (impression, attempts, client IP) must stay
-        // per-upload, never memoized.
+        // The memo's correctness contract: the 3rd..Nth sighting of a
+        // body (the memo hit; the second stores it) must produce a
+        // record identical to what a cold parse produces — including
+        // full substitute evidence — and per-upload fields (impression,
+        // attempts, client IP) must stay per-upload, never memoized.
         let (server, db, catalog) = setup();
         let sub = pem::encode_certificates(&catalog.host("qq.com").unwrap().chain).into_bytes();
         server.ingest(client(), "/report?host=tlsresearch.byu.edu&imp=1", &sub);
+        server.ingest(client(), "/report?host=tlsresearch.byu.edu&imp=4", &sub);
         server.ingest(client(), "/report?host=tlsresearch.byu.edu&imp=2&att=3", &sub);
-        // A cold server (fresh memo) parsing the same second upload.
+        // A cold server (fresh memo) parsing the same third upload.
         let cold_db = Shared::new(Database::new());
         let cold = ReportServer::new(&catalog, GeoDb::allocate(1000), cold_db.clone());
         cold.ingest(client(), "/report?host=tlsresearch.byu.edu&imp=2&att=3", &sub);
@@ -375,13 +434,104 @@ mod tests {
         // host's memo slot: qq.com's own chain is unproxied there.
         server.ingest(client(), "/report?host=qq.com&imp=9", &sub);
         let db = db.lock();
-        let warm = db.get(1);
+        let warm = db.get(2);
         assert_eq!(warm, cold_db.lock().get(0), "memo hit must equal cold parse");
         assert_eq!(warm.impression, 2);
         assert_eq!(warm.attempts, 3);
         assert_eq!(db.get(0).impression, 1, "per-upload fields must not leak across hits");
-        assert_eq!(db.get(0).substitute, db.get(1).substitute);
-        assert!(!db.get(2).proxied, "host must be part of the memo key");
+        assert_eq!(db.get(0).substitute, db.get(2).substitute);
+        assert!(!db.get(3).proxied, "host must be part of the memo key");
+    }
+
+    #[test]
+    fn second_sighting_memo_matches_cold_parses_and_shares_the_stores_arcs() {
+        // DRBG-drawn uploads under the authors' host from four kinds of
+        // body: repeated (every catalog host's genuine body, so 17
+        // substitutes and the host's own), whitespace variants of those
+        // (CRLF line ends or blank lines around the armor: other memo
+        // keys, the same chain), unique (a variant never sent again)
+        // and malformed (truncated or garbled). Every upload must
+        // classify as a cold `classify` does, a body must be stored
+        // exactly when it was seen twice, and each stored evidence `Arc`
+        // must be the one the database keeps for that content. A memo
+        // that stored first sightings, or remembered the fresh `Arc` of
+        // a content the store already held, fails here.
+        use tlsfoe_crypto::drbg::{Drbg, RngCore64};
+        let (server, db, catalog) = setup();
+        let host = catalog.host("tlsresearch.byu.edu").unwrap();
+        let auth = server.authoritative.get(host.name).unwrap();
+        let variant = |body: &[u8], kind: u64| -> Vec<u8> {
+            let text = String::from_utf8(body.to_vec()).unwrap();
+            match kind {
+                0 => text.replace('\n', "\r\n"),
+                1 => format!("\n{text}\n\n"),
+                _ => format!(" \t{text}"),
+            }
+            .into_bytes()
+        };
+        let mut repeated: Vec<Vec<u8>> = catalog.hosts.iter().map(|h| h.body.clone()).collect();
+        let variants: Vec<Vec<u8>> =
+            repeated.iter().enumerate().map(|(i, b)| variant(b, i as u64 % 3)).collect();
+        repeated.extend(variants);
+        let malformed: Vec<Vec<u8>> = catalog.hosts[..4]
+            .iter()
+            .flat_map(|h| {
+                let text = String::from_utf8(h.body.clone()).unwrap();
+                [h.body[..h.body.len() / 2].to_vec(), text.replace('A', "!").into_bytes()]
+            })
+            .collect();
+        let mut rng = Drbg::new(0x5EC0_0004);
+        // Body → (sightings, its first record), and every distinct
+        // evidence content a cold parse found.
+        let mut sightings: HashMap<Vec<u8>, (usize, Option<usize>)> = HashMap::new();
+        let mut contents: Vec<Arc<SubstituteInfo>> = Vec::new();
+        for imp in 0..600u64 {
+            let body = match rng.gen_range(4) {
+                0 | 1 => repeated[rng.gen_range(repeated.len() as u64) as usize].clone(),
+                2 => {
+                    let base = &catalog.hosts[rng.gen_range(catalog.hosts.len() as u64) as usize];
+                    let mut body = format!("unique {imp}\n").into_bytes();
+                    body.extend_from_slice(&variant(&base.body, rng.gen_range(3)));
+                    body
+                }
+                _ => malformed[rng.gen_range(malformed.len() as u64) as usize].clone(),
+            };
+            let before = {
+                let db = db.lock();
+                (db.len(), db.malformed_uploads())
+            };
+            server.ingest(client(), &format!("/report?host={}&imp={imp}", host.name), &body);
+            let seen = sightings.entry(body.clone()).or_insert((0, None));
+            seen.0 += 1;
+            let db = db.lock();
+            let Some((proxied, substitute)) = classify(&body, host) else {
+                assert_eq!((db.len(), db.malformed_uploads()), (before.0, before.1 + 1), "{imp}");
+                continue;
+            };
+            let got = db.get(before.0).to_record();
+            if let Some(info) = substitute.as_ref().filter(|info| !contents.contains(info)) {
+                contents.push(info.clone());
+            }
+            assert_eq!((got.impression, got.proxied, got.substitute), (imp, proxied, substitute));
+            seen.1.get_or_insert(before.0);
+        }
+        let db = db.lock();
+        let mut stored = 0;
+        for (body, &(count, record)) in &sightings {
+            let memoized = auth.memo.get_or_try_insert_with(body, || Err(())).ok();
+            let Some(record) = record else {
+                assert!(memoized.is_none(), "a malformed body was stored");
+                continue;
+            };
+            let genuine = body == &host.body;
+            assert_eq!(memoized.is_some(), count >= 2 && !genuine, "{count} sightings");
+            let Some((_, evidence)) = memoized else { continue };
+            stored += 1;
+            let kept = db.get(record).substitute.map(std::ptr::from_ref);
+            assert_eq!(evidence.as_ref().map(Arc::as_ptr), kept, "memo and store share the Arc");
+        }
+        assert!(stored > 20, "only {stored} bodies were stored");
+        assert_eq!(db.distinct_substitutes(), contents.len());
     }
 
     #[test]

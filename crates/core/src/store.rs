@@ -29,6 +29,19 @@
 //!   upload of that evidence is found by pointer before any content is
 //!   hashed. Peak RSS becomes sublinear in proxied traffic
 //!   (`exp_million` measures the ratio).
+//! * **Chunked growth** — each column keeps its rows in fixed chunks of
+//!   4,096 rows, each allocated at full size when its first row arrives
+//!   and never moved, so a push never reallocates or copies a row. A
+//!   doubling `Vec` ends a drive with up to twice the capacity its rows
+//!   need (study 1 at scale 8: 309,086 rows in a 524,288-row capacity,
+//!   14.2 MB where the rows need 8.3 MB), and the copy of each doubling
+//!   needs old and new buffer at once. Chunked, a store holds its rows
+//!   plus less than one chunk per column (27 bytes × 4,096 rows,
+//!   108 KiB) and a chunk table per column. The widest chunk (`u64`
+//!   impressions) is 32 KiB, under glibc's 128 KiB `mmap` threshold, so
+//!   chunks come from the main heap. [`Database::merge`] frees each of
+//!   the other shard's chunks as soon as its rows are appended, so a
+//!   merge never holds a second copy of a shard.
 //! * **Sealed API** — rows enter through [`Database::push`] /
 //!   [`Database::push_failure`] and leave through the zero-copy
 //!   [`RecordView`] cursor ([`Database::iter`], [`Database::fold`]) or
@@ -49,6 +62,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
+use std::iter::{Copied, Flatten};
 use std::sync::Arc;
 
 use tlsfoe_crypto::memo::WordState;
@@ -269,6 +283,75 @@ impl HostDict {
     }
 }
 
+/// Rows per column chunk: 32 KiB of the widest column (`u64`).
+const CHUNK: usize = 4096;
+
+/// A column's rows in order, chunk by chunk.
+type ColumnIter<'a, T> = Copied<Flatten<std::slice::Iter<'a, Vec<T>>>>;
+
+/// One column of a [`Database`]: its rows in chunks of [`CHUNK`] rows,
+/// each allocated at full capacity by the push of its first row and
+/// never grown or moved. Every chunk but the last is full.
+#[derive(Debug)]
+struct Column<T> {
+    chunks: Vec<Vec<T>>,
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Column<T> {
+        Column { chunks: Vec::new() }
+    }
+}
+
+impl<T: Copy> Column<T> {
+    fn len(&self) -> usize {
+        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    fn push(&mut self, value: T) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => last.push(value),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(value);
+                self.chunks.push(chunk);
+            }
+        }
+    }
+
+    fn get(&self, i: usize) -> T {
+        self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    fn set(&mut self, i: usize, value: T) {
+        self.chunks[i / CHUNK][i % CHUNK] = value;
+    }
+
+    fn iter(&self) -> ColumnIter<'_, T> {
+        self.chunks.iter().flatten().copied()
+    }
+
+    /// Apply the permutation `order` (offsets from `start`) to the rows
+    /// from `start` on: row `start + k` takes row `start + order[k]`.
+    /// The rows may span a chunk boundary.
+    fn permute_tail(&mut self, start: usize, order: &[u32]) {
+        let sorted: Vec<T> = order.iter().map(|&i| self.get(start + i as usize)).collect();
+        for (k, value) in sorted.into_iter().enumerate() {
+            self.set(start + k, value);
+        }
+    }
+
+    /// Append `other`'s rows mapped through `f`, freeing each of its
+    /// chunks once its rows are appended.
+    fn append<U>(&mut self, other: Column<U>, mut f: impl FnMut(U) -> T) {
+        for chunk in other.chunks {
+            for value in chunk {
+                self.push(f(value));
+            }
+        }
+    }
+}
+
 /// Start-of-batch bookmark handed out by [`Database::mark`] and consumed
 /// by [`Database::finish_batch`].
 #[derive(Debug, Clone, Copy)]
@@ -291,15 +374,15 @@ pub struct BatchMark {
 #[derive(Debug, Default)]
 pub struct Database {
     // Row columns (struct of arrays), all `len()` long.
-    impressions: Vec<u64>,
-    client_ips: Vec<Ipv4>,
-    countries: Vec<Option<CountryCode>>,
+    impressions: Column<u64>,
+    client_ips: Column<Ipv4>,
+    countries: Column<Option<CountryCode>>,
     /// Host id per record, into `host_dict`.
-    host_ids: Vec<u16>,
-    proxied_col: Vec<bool>,
-    attempts_col: Vec<u32>,
+    host_ids: Column<u16>,
+    proxied_col: Column<bool>,
+    attempts_col: Column<u32>,
     /// Intern id per record (`SUB_NONE` = no evidence).
-    substitute_ids: Vec<u32>,
+    substitute_ids: Column<u32>,
     intern: SubstituteInterner,
     host_dict: HostDict,
     proxied_count: u64,
@@ -327,7 +410,12 @@ impl Database {
     /// up in the host dictionary and intern its substitute evidence (a
     /// repeat of the stored `Arc` costs one address probe and a `u32`; a
     /// content-equal copy, one hash probe and a comparison).
-    pub fn push(&mut self, r: MeasurementRecord) {
+    ///
+    /// Returns the evidence `Arc` the store keeps for the record: the
+    /// one pushed, or an earlier content-equal one. A caller that hands
+    /// the same evidence out again should hand out this one, which the
+    /// next push finds by address.
+    pub fn push(&mut self, r: MeasurementRecord) -> Option<Arc<SubstituteInfo>> {
         self.impressions.push(r.impression);
         self.client_ips.push(r.client_ip);
         self.countries.push(r.country);
@@ -340,6 +428,7 @@ impl Database {
             None => SUB_NONE,
         };
         self.substitute_ids.push(id);
+        self.intern.entries.get(id as usize).cloned()
     }
 
     /// Append a typed probe failure (the chaos path's sealed entry).
@@ -359,7 +448,7 @@ impl Database {
 
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
-        self.impressions.is_empty()
+        self.len() == 0
     }
 
     /// Total successful measurements.
@@ -401,22 +490,32 @@ impl Database {
 
     /// Zero-copy view of record `i`.
     pub fn get(&self, i: usize) -> RecordView<'_> {
-        let (host, category) = self.host_dict.get(self.host_ids[i]);
+        let (host, category) = self.host_dict.get(self.host_ids.get(i));
         RecordView {
-            impression: self.impressions[i],
-            client_ip: self.client_ips[i],
-            country: self.countries[i],
+            impression: self.impressions.get(i),
+            client_ip: self.client_ips.get(i),
+            country: self.countries.get(i),
             host,
             category,
-            proxied: self.proxied_col[i],
-            substitute: self.intern.get(self.substitute_ids[i]),
-            attempts: self.attempts_col[i],
+            proxied: self.proxied_col.get(i),
+            substitute: self.intern.get(self.substitute_ids.get(i)),
+            attempts: self.attempts_col.get(i),
         }
     }
 
     /// Streaming cursor over all records, append order.
     pub fn iter(&self) -> Records<'_> {
-        Records { db: self, next: 0 }
+        Records {
+            db: self,
+            left: self.len(),
+            impressions: self.impressions.iter(),
+            client_ips: self.client_ips.iter(),
+            countries: self.countries.iter(),
+            host_ids: self.host_ids.iter(),
+            proxied: self.proxied_col.iter(),
+            attempts: self.attempts_col.iter(),
+            substitute_ids: self.substitute_ids.iter(),
+        }
     }
 
     /// Fold-style aggregation entry point: every analyzer and table can
@@ -455,7 +554,7 @@ impl Database {
     pub fn logical_chain_bytes(&self) -> u64 {
         self.substitute_ids
             .iter()
-            .filter_map(|&id| self.intern.get(id))
+            .filter_map(|id| self.intern.get(id))
             .map(SubstituteInfo::chain_bytes)
             .sum()
     }
@@ -477,17 +576,17 @@ impl Database {
         let start = mark.records;
         let tail = self.len() - start;
         if tail > 1 {
-            let imps = &self.impressions[start..];
+            let imps: Vec<u64> = (start..self.len()).map(|i| self.impressions.get(i)).collect();
             let mut order: Vec<u32> = (0..tail as u32).collect();
             order.sort_by_key(|&i| imps[i as usize]);
             if !order.windows(2).all(|w| w[0] < w[1]) {
-                permute_tail(&mut self.impressions[start..], &order);
-                permute_tail(&mut self.client_ips[start..], &order);
-                permute_tail(&mut self.countries[start..], &order);
-                permute_tail(&mut self.host_ids[start..], &order);
-                permute_tail(&mut self.proxied_col[start..], &order);
-                permute_tail(&mut self.attempts_col[start..], &order);
-                permute_tail(&mut self.substitute_ids[start..], &order);
+                self.impressions.permute_tail(start, &order);
+                self.client_ips.permute_tail(start, &order);
+                self.countries.permute_tail(start, &order);
+                self.host_ids.permute_tail(start, &order);
+                self.proxied_col.permute_tail(start, &order);
+                self.attempts_col.permute_tail(start, &order);
+                self.substitute_ids.permute_tail(start, &order);
             }
         }
         self.failures[mark.failures..].sort_by_key(|f| (f.impression, f.host));
@@ -498,24 +597,27 @@ impl Database {
     /// re-interned and its hosts looked up in this store's dictionary,
     /// so chains minted by several shards end up stored once and id
     /// divergence between shards cannot leak into the merged store.
+    /// Each of the other shard's column chunks is freed as soon as its
+    /// rows are appended, so the merge holds at most about one chunk
+    /// per column beyond the two shards' rows.
     pub fn merge(&mut self, other: Database) {
         let host_remap: Vec<u16> =
             other.host_dict.entries.into_iter().map(|(h, c)| self.host_dict.id(h, c)).collect();
-        self.host_ids.extend(other.host_ids.into_iter().map(|id| host_remap[usize::from(id)]));
+        self.host_ids.append(other.host_ids, |id| host_remap[usize::from(id)]);
         let remap: Vec<u32> =
             other.intern.entries.into_iter().map(|info| self.intern.intern(info)).collect();
-        self.substitute_ids.extend(other.substitute_ids.into_iter().map(|id| {
+        self.substitute_ids.append(other.substitute_ids, |id| {
             if id == SUB_NONE {
                 SUB_NONE
             } else {
                 remap[id as usize]
             }
-        }));
-        self.impressions.extend(other.impressions);
-        self.client_ips.extend(other.client_ips);
-        self.countries.extend(other.countries);
-        self.proxied_col.extend(other.proxied_col);
-        self.attempts_col.extend(other.attempts_col);
+        });
+        self.impressions.append(other.impressions, |v| v);
+        self.client_ips.append(other.client_ips, |v| v);
+        self.countries.append(other.countries, |v| v);
+        self.proxied_col.append(other.proxied_col, |v| v);
+        self.attempts_col.append(other.attempts_col, |v| v);
         self.proxied_count += other.proxied_count;
         self.malformed += other.malformed;
         self.failures.extend(other.failures);
@@ -583,38 +685,47 @@ impl<'a> IntoIterator for &'a Database {
     }
 }
 
-/// Iterator of [`RecordView`]s over a [`Database`], append order.
+/// Iterator of [`RecordView`]s over a [`Database`], append order. It
+/// walks each column chunk by chunk, so a row costs one step per column
+/// where [`Database::get`] looks its chunk up in every column.
 #[derive(Debug, Clone)]
 pub struct Records<'a> {
     db: &'a Database,
-    next: usize,
+    /// Records not yet yielded.
+    left: usize,
+    impressions: ColumnIter<'a, u64>,
+    client_ips: ColumnIter<'a, Ipv4>,
+    countries: ColumnIter<'a, Option<CountryCode>>,
+    host_ids: ColumnIter<'a, u16>,
+    proxied: ColumnIter<'a, bool>,
+    attempts: ColumnIter<'a, u32>,
+    substitute_ids: ColumnIter<'a, u32>,
 }
 
 impl<'a> Iterator for Records<'a> {
     type Item = RecordView<'a>;
 
     fn next(&mut self) -> Option<RecordView<'a>> {
-        if self.next >= self.db.len() {
-            return None;
-        }
-        let v = self.db.get(self.next);
-        self.next += 1;
-        Some(v)
+        let (host, category) = self.db.host_dict.get(self.host_ids.next()?);
+        self.left -= 1;
+        Some(RecordView {
+            impression: self.impressions.next()?,
+            client_ip: self.client_ips.next()?,
+            country: self.countries.next()?,
+            host,
+            category,
+            proxied: self.proxied.next()?,
+            substitute: self.db.intern.get(self.substitute_ids.next()?),
+            attempts: self.attempts.next()?,
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.db.len() - self.next;
-        (rem, Some(rem))
+        (self.left, Some(self.left))
     }
 }
 
 impl ExactSizeIterator for Records<'_> {}
-
-/// Apply the permutation `order` (indices into `tail`) in place.
-fn permute_tail<T: Copy>(tail: &mut [T], order: &[u32]) {
-    let sorted: Vec<T> = order.iter().map(|&i| tail[i as usize]).collect();
-    tail.copy_from_slice(&sorted);
-}
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -746,6 +857,94 @@ mod tests {
         assert_eq!(db.distinct_substitutes(), 6);
         // Without reused addresses the address rule would go untested.
         assert!(reused > 100, "only {reused} reallocations reused a freed address");
+    }
+
+    #[test]
+    fn column_chunks_are_allocated_whole_and_never_move() {
+        // A chunk allocated below full capacity grows, and may move, as
+        // its rows arrive; a chunk table holding rows inline moves them
+        // whenever it grows. Either mutation fails here.
+        let mut col = Column::default();
+        col.push(0u64);
+        assert_eq!(col.chunks[0].capacity(), CHUNK);
+        let first = col.chunks[0].as_ptr();
+        for v in 1..3 * CHUNK as u64 {
+            col.push(v);
+        }
+        assert_eq!((col.chunks.len(), col.len()), (3, 3 * CHUNK));
+        assert_eq!(col.chunks[0].as_ptr(), first, "the first chunk moved");
+        assert!(col.iter().eq(0..3 * CHUNK as u64));
+    }
+
+    #[test]
+    fn chunked_store_matches_a_row_vec_reference() {
+        // DRBG-drawn pushes, with and without evidence (clones of kept
+        // `Arc`s and fresh content-equal ones), into three stores whose
+        // lengths are not multiples of `CHUNK`, in batches of up to 300
+        // rows whose `finish_batch` tails straddle chunk boundaries; the
+        // stores are then merged. A `Vec<MeasurementRecord>` reference
+        // gets the same stable sorts and concatenation, and the store
+        // must read back exactly that, by `to_record` and as JSONL. In a
+        // scratch copy this fails for a tail permutation that stops at
+        // the end of a chunk, a `len` that counts the last chunk as full,
+        // and a merge that skips the other shard's partial last chunk.
+        let mut rng = Drbg::new(0x00C4_0017);
+        let pool: Vec<Arc<SubstituteInfo>> = (0..6).map(|t| Arc::new(sub(t))).collect();
+        let countries = ["US", "BR", "DE"].map(tlsfoe_geo::countries::by_code);
+        let mut shards = Vec::new();
+        let mut reference: Vec<MeasurementRecord> = Vec::new();
+        let mut straddles = 0;
+        for len in [CHUNK + 1_234, 2 * CHUNK + 7, 3 * CHUNK - 100] {
+            let mut db = Database::new();
+            let mut rows: Vec<MeasurementRecord> = Vec::new();
+            while rows.len() < len {
+                let (mark, start) = (db.mark(), rows.len());
+                let n = (1 + rng.gen_range(300) as usize).min(len - start);
+                straddles += usize::from(start / CHUNK != (start + n - 1) / CHUNK);
+                for _ in 0..n {
+                    let tag = rng.gen_range(6) as usize;
+                    let substitute = match rng.gen_range(6) {
+                        0 => Some(pool[tag].clone()),
+                        1 => Some(Arc::new(sub(tag as u8))),
+                        _ => None,
+                    };
+                    let pair = if rng.gen_range(2) == 0 { QQ } else { BYU };
+                    let r = MeasurementRecord {
+                        client_ip: Ipv4([11, 0, rng.gen_range(256) as u8, 1]),
+                        country: countries[rng.gen_range(3) as usize],
+                        proxied: substitute.is_some(),
+                        substitute,
+                        attempts: 1 + rng.gen_range(3) as u32,
+                        ..rec_at(start as u64 + rng.gen_range(n as u64), pair)
+                    };
+                    rows.push(r.clone());
+                    db.push(r);
+                }
+                db.finish_batch(mark);
+                rows[start..].sort_by_key(|r| r.impression);
+            }
+            assert_eq!(db.iter().map(|r| r.to_record()).collect::<Vec<_>>(), rows);
+            shards.push(db);
+            reference.extend(rows);
+        }
+        assert!(straddles >= 5, "only {straddles} batch tails straddled a chunk boundary");
+        let mut shards = shards.into_iter();
+        let mut db = shards.next().unwrap();
+        shards.for_each(|shard| db.merge(shard));
+        assert_eq!(db.len(), reference.len());
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(&db.get(i).to_record(), want, "record {i}");
+        }
+        let one_row_jsonl: String =
+            reference.iter().map(|r| Database::from_records([r.clone()]).to_jsonl()).collect();
+        assert_eq!(db.to_jsonl(), one_row_jsonl);
+        let proxied: Vec<&SubstituteInfo> =
+            reference.iter().filter_map(|r| r.substitute.as_deref()).collect();
+        assert_eq!(db.proxied(), proxied.len() as u64);
+        let chain_bytes: u64 = proxied.iter().map(|s| s.chain_bytes()).sum();
+        assert_eq!(db.logical_chain_bytes(), chain_bytes);
+        assert_eq!(db.distinct_substitutes(), 6);
+        assert_eq!(db, Database::from_records(reference));
     }
 
     #[test]
